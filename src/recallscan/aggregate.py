@@ -2,13 +2,15 @@
 
 Two labels merge when the LCS similarity of their normalised prefixes
 reaches a threshold; union-find takes the transitive closure, so the result
-does not depend on input order. An optional override set can force or
-suppress individual pairs.
+does not depend on input order. A pair whose shared character count already
+keeps the similarity below the threshold skips the LCS dynamic program. An
+optional override set can force or suppress individual pairs.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -102,6 +104,11 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
+def _shared_count(a: Counter, b: Counter) -> int:
+    """Characters two strings share, with multiplicity: an upper bound on their LCS."""
+    return sum([min(c, b.get(ch, 0)) for ch, c in a.items()])
+
+
 def explain_merge(a: str, b: str, params: AggregationParams = AggregationParams()) -> MergeTrace:
     """Show the prefixes, similarity and verdict for one label pair."""
     pa = prefix_key(a, params.prefix_len)
@@ -137,12 +144,22 @@ def aggregate(
                 suppressed.add(frozenset((index[a], index[b])))
 
     prefixes = [prefix_key(label, params.prefix_len) for label in labels]
+    bags = [Counter(p) for p in prefixes]
+    theta = params.theta
     uf = _UnionFind(len(labels))
-    for i in range(len(labels)):
+    for i, (pa, bag_a) in enumerate(zip(prefixes, bags)):
         for j in range(i + 1, len(labels)):
-            if frozenset((i, j)) in suppressed:
+            if suppressed and frozenset((i, j)) in suppressed:
                 continue
-            if lcs_similarity(prefixes[i], prefixes[j]) >= params.theta:
+            pb = prefixes[j]
+            # LCS <= shared characters, and the similarity is monotone in its
+            # numerator, so a pair failing this bound can never reach theta.
+            if (
+                pa and pb and pa != pb
+                and 2.0 * _shared_count(bag_a, bags[j]) / (len(pa) + len(pb)) < theta
+            ):
+                continue
+            if lcs_similarity(pa, pb) >= theta:
                 uf.union(i, j)
     if overrides is not None:
         for a, b in overrides.merge:

@@ -204,7 +204,7 @@ def write_dataset(records: list[RecallRecord], path: str | Path) -> None:
 
 
 def read_dataset(path: str | Path) -> list[RecallRecord]:
-    """Read a canonical CSV back; raises FormatError on a wrong header."""
+    """Read a canonical CSV back; raises FormatError on a wrong header, row or date."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -216,10 +216,16 @@ def read_dataset(path: str | Path) -> list[RecallRecord]:
     for idx, row in enumerate(rows[1:], start=2):
         if len(row) != len(DATASET_HEADER):
             raise FormatError(f"dataset {path} row {idx} has {len(row)} fields")
+        try:
+            posted = dt.date.fromisoformat(row[1]) if row[1] else None
+        except ValueError as exc:
+            raise FormatError(
+                f"dataset {path} row {idx} has a malformed event_date_posted {row[1]!r}"
+            ) from exc
         records.append(
             RecallRecord(
                 product_code=row[0],
-                event_date_posted=dt.date.fromisoformat(row[1]) if row[1] else None,
+                event_date_posted=posted,
                 recalling_firm=row[2],
                 root_cause_description=row[3],
                 product_quantity=row[4],

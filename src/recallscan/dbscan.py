@@ -15,8 +15,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import ContractError, DataError
-from .textprep import normalize_label, cosine_distance, tf_vector
+from .errors import ContractError, DataError, FormatError
+from .textprep import cosine_distance, cosine_matrix, normalize_label, tf_vector
 
 NOISE = kernels.NOISE
 
@@ -51,22 +51,29 @@ class ClusterAssignment:
 
 
 def _pairwise_matrix(points: Sequence[Any], distance: Callable[[Any, Any], float]) -> np.ndarray:
+    """Dense symmetric distance matrix; ``cosine_distance`` takes one exact matmul."""
     n = len(points)
-    dist = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
         if distance(points[i], points[i]) != 0:
             raise ContractError(f"distance(p, p) must be 0, violated at index {i}")
-        for j in range(i + 1, n):
-            d = float(distance(points[i], points[j]))
-            if d < 0:
-                raise ContractError(f"negative distance between indices {i} and {j}")
-            dist[i, j] = dist[j, i] = d
+    if distance is cosine_distance:
+        dist = cosine_matrix(points)
+    else:
+        dist = np.zeros((n, n), dtype=np.float64)
+        for i in range(n):
+            for j in range(i + 1, n):
+                dist[i, j] = dist[j, i] = float(distance(points[i], points[j]))
+    if n and dist.min() < 0:
+        i, j = np.argwhere(dist < 0)[0]
+        raise ContractError(f"negative distance between indices {i} and {j}")
     _spot_check_symmetry(points, distance, dist)
     return dist
 
 
 def _spot_check_symmetry(points, distance, dist) -> None:
     # Deterministic sample; full verification would double the oracle calls.
+    # Both orders are compared, so a matrix built without the oracle is
+    # checked against it too.
     n = len(points)
     step = max(1, n // 8)
     for i in range(0, n, step):
@@ -75,6 +82,8 @@ def _spot_check_symmetry(points, distance, dist) -> None:
             continue
         if float(distance(points[j], points[i])) != dist[i, j]:
             raise ContractError(f"distance oracle is asymmetric on pair ({i}, {j})")
+        if float(distance(points[i], points[j])) != dist[i, j]:
+            raise ContractError(f"distance matrix disagrees with the oracle on pair ({i}, {j})")
 
 
 def _assignment(labels: np.ndarray) -> ClusterAssignment:
@@ -217,3 +226,14 @@ def summaries_from_json_dict(payload: dict) -> list[ClusterSummary]:
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed cluster artifact: {exc}") from exc
+
+
+def noise_from_json_dict(payload: dict) -> list[ClusterSummary]:
+    """Rebuild the noise entries of a cluster artifact payload (none when absent)."""
+    try:
+        return [
+            ClusterSummary(NOISE, str(n["label"]), int(n["count"]))
+            for n in payload.get("noise", [])
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed noise entry in cluster artifact: {exc!r}") from exc

@@ -4,8 +4,7 @@ Each kernel has two implementations: a numba ``@njit`` version and a
 pure-numpy fallback. The active one is chosen at import time; setting the
 ``RECALLSCAN_NO_NUMBA`` environment variable to a truthy value forces the
 fallback even when numba is installed. Both paths must produce identical
-results (they are cross-checked in the test suite and timed against each
-other in ``benchmarks/bench_kernels.py``).
+results (they are cross-checked in the test suite).
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from .dbscan import (
     DbscanParams,
     cluster_root_causes,
     clusters_to_json_dict,
+    noise_from_json_dict,
     summaries_from_json_dict,
 )
 from .errors import DataError, TransportError, UsageError
@@ -295,7 +296,7 @@ def report_stage(cfg: PipelineConfig) -> str:
     records = read_dataset(dataset_path) if dataset_path.exists() else []
 
     clustered_total = sum(s.count for s in summaries)
-    noise_total = sum(int(n["count"]) for n in cluster_payload.get("noise", []))
+    noise_total = sum(n.count for n in noise_from_json_dict(cluster_payload))
     metadata = {
         "clustered_records": clustered_total,
         "records_including_noise": clustered_total + noise_total,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -62,6 +63,46 @@ def cosine_distance(a: TokenVector, b: TokenVector) -> float:
     qb = sum(c * c for c in b.counts.values())
     cos = dot / math.sqrt(qa * qb)
     return min(1.0, max(0.0, 1.0 - cos))
+
+
+def cosine_matrix(vectors: Sequence[TokenVector]) -> np.ndarray:
+    """All pairwise ``cosine_distance`` values as one u x u float64 matrix.
+
+    The result equals the scalar function bit for bit on every pair. Token
+    counts go into a float64 matrix ``C`` and ``C @ C.T`` gives every dot
+    product. Precondition, checked with ContractError: every squared norm
+    is below 2**53 (a label would need about 10**8 tokens to break it).
+    Then every count, product and partial sum of the matmul is an integer
+    below 2**53 (a dot product never exceeds the larger squared norm), so
+    the matmul is exact in any summation order. ``q[i] * q[j]`` rounds once,
+    as the float conversion of the scalar path's integer product does, and
+    the division, ``1 - x`` and the clip follow the scalar expression step
+    for step. Rows are normalised in place, so no n x n temporary is
+    allocated.
+    """
+    vocab: dict[str, int] = {}
+    for v in vectors:
+        for token in v.counts:
+            vocab.setdefault(token, len(vocab))
+    counts = np.zeros((len(vectors), len(vocab)), dtype=np.float64)
+    for i, v in enumerate(vectors):
+        for token, c in v.counts.items():
+            counts[i, vocab[token]] = c
+    q = np.einsum("ij,ij->i", counts, counts)
+    if q.size and q.max() >= 2.0**53:
+        raise ContractError("token counts too large for an exact cosine matrix")
+    dist = counts @ counts.T
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty rows, fixed below
+        for i, row in enumerate(dist):
+            row /= np.sqrt(q[i] * q)
+    np.subtract(1.0, dist, out=dist)
+    np.clip(dist, 0.0, 1.0, out=dist)
+    empty = q == 0
+    dist[empty, :] = 1.0
+    dist[:, empty] = 1.0
+    dist[np.ix_(empty, empty)] = 0.0
+    np.fill_diagonal(dist, 0.0)
+    return dist
 
 
 def prefix_key(s: str, n: int = DEFAULT_PREFIX_LEN) -> str:

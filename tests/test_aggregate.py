@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,7 @@ from recallscan.aggregate import (
     AggregatedGroup,
     AggregationParams,
     MergeOverrides,
+    _shared_count,
     aggregate,
     explain_merge,
     groups_to_json_dict,
@@ -12,6 +15,9 @@ from recallscan.aggregate import (
 from recallscan.dbscan import ClusterSummary
 from recallscan.errors import ContractError
 from recallscan.reference import REFERENCE_INITIATORS, TOTAL_CASES
+from recallscan.textprep import prefix_key
+
+from .oracles import lcs_similarity_ref, lcs_table
 
 
 def summaries(pairs):
@@ -179,3 +185,63 @@ def test_group_artifact_payload_sorted():
     totals = [g["total_count"] for g in payload["groups"]]
     assert totals == sorted(totals, reverse=True)
     assert payload["groups"][0]["members"] == ["Under Investigation by firm"]
+
+
+@given(st.text(alphabet="abcde ", max_size=14), st.text(alphabet="abcde ", max_size=14))
+def test_shared_count_bounds_lcs(a, b):
+    shared = _shared_count(Counter(a), Counter(b))
+    assert shared == _shared_count(Counter(b), Counter(a))
+    assert lcs_table(a, b) <= shared <= min(len(a), len(b))
+
+
+def brute_force_groups(summaries, params, overrides):
+    """Unpruned pair loop over the reference LCS, with a plain union-find."""
+    labels = [s.label for s in summaries]
+    prefixes = [prefix_key(label, params.prefix_len) for label in labels]
+    split = {frozenset(pair) for pair in overrides.split}
+    parent = list(range(len(labels)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        parent[find(a)] = find(b)
+
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            if frozenset((labels[i], labels[j])) in split:
+                continue
+            if lcs_similarity_ref(prefixes[i], prefixes[j]) >= params.theta:
+                union(i, j)
+    for a, b in overrides.merge:
+        union(labels.index(a), labels.index(b))
+    members: dict[int, list[int]] = {}
+    for i in range(len(labels)):
+        members.setdefault(find(i), []).append(i)
+    return {
+        tuple(sorted(labels[i] for i in ids)): sum(summaries[i].count for i in ids)
+        for ids in members.values()
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.text(alphabet="ab cA", max_size=12), unique=True, min_size=1, max_size=10),
+    st.sampled_from([0.0, 0.5, 0.85, 1.0]),
+    st.sampled_from([1, 3, 6, 10]),
+    st.data(),
+)
+def test_pruned_aggregate_equals_unpruned_brute_force(labels, theta, prefix_len, data):
+    summ = summaries((label, 1 + i % 3) for i, label in enumerate(labels))
+    pair = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+    overrides = MergeOverrides(
+        merge=data.draw(st.lists(pair, max_size=2)), split=data.draw(st.lists(pair, max_size=4))
+    )
+    params = AggregationParams(prefix_len=prefix_len, theta=theta)
+    assert group_map(aggregate(summ, params, overrides)) == brute_force_groups(
+        summ, params, overrides
+    )
+    plain = MergeOverrides()
+    assert group_map(aggregate(summ, params)) == brute_force_groups(summ, params, plain)

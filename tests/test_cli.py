@@ -214,3 +214,37 @@ def test_report_formats_produce_expected_files(tmp_path, runner):
         assert result.exit_code == 0, result.output
         for name in names:
             assert (out / name).exists(), name
+
+
+def test_malformed_date_in_dataset_exits_4(tmp_path, runner):
+    out = tmp_path / "out"
+    assert invoke(runner, "build", "--fixture", "table2", "--out", out).exit_code == 0
+    dataset = out / "dataset.csv"
+    lines = dataset.read_bytes().decode("utf-8").split("\r\n")
+    fields = lines[2].split(",")
+    fields[1] = "2018-13-45"
+    lines[2] = ",".join(fields)
+    dataset.write_bytes("\r\n".join(lines).encode("utf-8"))
+    result = runner.invoke(main, ["cluster", "--out", str(out)])
+    assert result.exit_code == 4
+    stderr = result.stderr.strip().splitlines()
+    assert len(stderr) == 1 and "Traceback" not in result.stderr
+    line = json.loads(stderr[0])
+    assert line["error"] == "FormatError"
+    assert "dataset.csv" in line["message"] and "row 3" in line["message"]
+    assert "2018-13-45" in line["message"]
+
+
+def test_noise_entry_without_count_exits_4(tmp_path, runner):
+    out = tmp_path / "out"
+    assert invoke(runner, "pipeline", "--fixture", "table2", "--out", out).exit_code == 0
+    clusters_path = out / "clusters.json"
+    clusters = json.loads(clusters_path.read_text(encoding="utf-8"))
+    clusters["noise"] = [{"label": "Rare cause"}]
+    clusters_path.write_text(json.dumps(clusters), encoding="utf-8")
+    result = runner.invoke(main, ["report", "--out", str(out)])
+    assert result.exit_code == 4
+    stderr = result.stderr.strip().splitlines()
+    assert len(stderr) == 1 and "Traceback" not in result.stderr
+    line = json.loads(stderr[0])
+    assert line["error"] == "FormatError" and "count" in line["message"]

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from recallscan.dbscan import (
     NOISE,
+    _pairwise_matrix,
     DbscanParams,
     cluster_root_causes,
     clusters_to_json_dict,
@@ -216,3 +217,24 @@ def test_canonical_label_preserves_original_case():
     assert result.cluster_count == 1
     assert result.summaries[0].label == "PROCESS control"
     assert result.summaries[0].count == 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(["process", "control", "design", "use", "error"]), max_size=5),
+        max_size=20,
+    )
+)
+def test_cosine_fast_path_equals_oracle_loop(token_lists):
+    # The matmul path is taken only for cosine_distance itself; a wrapper
+    # forces the per-pair loop, and both matrices must agree bit for bit.
+    vectors = [tf_vector(" ".join(tokens)) for tokens in token_lists]
+    fast = _pairwise_matrix(vectors, cosine_distance)
+    loop = _pairwise_matrix(vectors, lambda a, b: cosine_distance(a, b))
+    assert fast.tobytes() == loop.tobytes()
+
+
+def test_negative_distance_is_rejected():
+    with pytest.raises(ContractError, match="negative distance between indices 0 and 2"):
+        dbscan([0, 1, 2], lambda a, b: 0.0 if a == b else (-1.0 if {a, b} == {0, 2} else 0.5))

@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from recallscan.errors import ContractError
 from recallscan.reference import REFERENCE_INITIATORS
 from recallscan.textprep import (
+    TokenVector,
     cosine_distance,
+    cosine_matrix,
     lcs_similarity,
     normalize_label,
     prefix_key,
@@ -125,3 +128,43 @@ def test_lcs_similarity_matches_reference_and_axioms(a, b):
 def test_cosine_matches_reference(sa, sb):
     a, b = tf_vector(normalize_label(sa)), tf_vector(normalize_label(sb))
     assert abs(cosine_distance(a, b) - cosine_distance_ref(a.counts, b.counts)) < 1e-12
+
+
+# Few words, so labels repeat tokens, permute each other and share counts;
+# the empty string stands for a label with no tokens.
+small_vocab_labels = st.lists(
+    st.sampled_from(["process", "control", "design", "a", "b"]), max_size=6
+).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(small_vocab_labels, labels_text), max_size=14))
+def test_cosine_matrix_equals_scalar_bit_for_bit(raws):
+    vectors = [tf_vector(normalize_label(s)) for s in raws]
+    got = cosine_matrix(vectors)
+    want = np.array(
+        [[cosine_distance(a, b) for b in vectors] for a in vectors], dtype=np.float64
+    ).reshape(len(vectors), len(vectors))
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == got.T.copy().tobytes()
+    assert not np.diagonal(got).any()
+
+
+def test_cosine_matrix_edge_cases():
+    assert cosine_matrix([]).shape == (0, 0)
+    empty, full = tf_vector(""), tf_vector("process control")
+    assert cosine_matrix([empty]).tolist() == [[0.0]]
+    assert cosine_matrix([empty, empty, full]).tolist() == [
+        [0.0, 0.0, 1.0],
+        [0.0, 0.0, 1.0],
+        [1.0, 1.0, 0.0],
+    ]
+    # Equal counts in another token order are the same vector.
+    same = cosine_matrix([tf_vector("a a b"), tf_vector("b a a"), tf_vector("a b")])
+    assert same[0, 1] == 0.0 and same[0, 2] > 0.0
+
+
+def test_cosine_matrix_rejects_counts_beyond_exact_range():
+    with pytest.raises(ContractError):
+        cosine_matrix([TokenVector("x", {"x": 2**27}), tf_vector("x")])
