@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import datetime as dt
 import json
 import os
 import sys
@@ -14,15 +13,6 @@ from .errors import RecallScanError
 from .fixtures import FIXTURE_BUILDERS
 from .openfda import API_KEY_ENV
 from .report import FORMATS
-
-
-def _date(value: str | None) -> dt.date | None:
-    if value is None:
-        return None
-    try:
-        return dt.date.fromisoformat(value)
-    except ValueError:
-        raise click.BadParameter(f"expected YYYY-MM-DD, got {value!r}")
 
 
 _FETCH_OPTIONS = [
@@ -71,9 +61,6 @@ def _apply(options):
 
 def _run(stage_fn, config_path: str | None, flags: dict) -> None:
     flags = dict(flags)
-    for key in ("date_from", "date_to"):
-        if key in flags:
-            flags[key] = _date(flags[key])
     if flags.get("api_key") is None:
         flags["api_key"] = os.environ.get(API_KEY_ENV) or None
     try:

@@ -14,11 +14,10 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import kernels
 from .errors import ContractError, DataError, FormatError
 from .textprep import cosine_distance, cosine_matrix, normalize_label, tf_vector
 
-NOISE = kernels.NOISE
+NOISE = -1
 
 DEFAULT_EPS = 0.1
 DEFAULT_MIN_PTS = 4
@@ -86,9 +85,35 @@ def _spot_check_symmetry(points, distance, dist) -> None:
             raise ContractError(f"distance matrix disagrees with the oracle on pair ({i}, {j})")
 
 
-def _assignment(labels: np.ndarray) -> ClusterAssignment:
-    count = int(labels.max()) + 1 if labels.size and labels.max() >= 0 else 0
-    return ClusterAssignment(labels=[int(x) for x in labels], cluster_count=count)
+def _propagate_labels(
+    dist: np.ndarray, eps: float, min_pts: int, weights: np.ndarray
+) -> list[int]:
+    """Weighted DBSCAN label propagation over a dense distance matrix.
+
+    A point is core when the summed weight of its eps-neighbourhood, itself
+    included, reaches ``min_pts``. Points are scanned in input order and
+    neighbourhoods expanded in ascending index order; cluster ids count up
+    from 0 in order of discovery, and a border point keeps the id of the
+    first cluster that reaches it. Neighbourhoods are taken one row at a
+    time, so no n x n temporary is built.
+    """
+    n = len(weights)
+    core = [int(weights[dist[p] <= eps].sum()) >= min_pts for p in range(n)]
+    labels = [NOISE] * n
+    cluster = 0
+    for i in range(n):
+        if not core[i] or labels[i] != NOISE:
+            continue
+        labels[i] = cluster
+        queue = [i]
+        for p in queue:  # breadth-first: the queue grows while it is read
+            for q in np.flatnonzero(dist[p] <= eps).tolist():
+                if labels[q] == NOISE:
+                    labels[q] = cluster
+                    if core[q]:
+                        queue.append(q)
+        cluster += 1
+    return labels
 
 
 def dbscan(
@@ -102,10 +127,7 @@ def dbscan(
     ascending index order, so the result is fully deterministic. Low-density
     points come back as NOISE rather than joining any cluster.
     """
-    dist = _pairwise_matrix(points, distance)
-    weights = np.ones(len(points), dtype=np.int64)
-    labels = kernels.dbscan_labels(dist, float(params.eps), int(params.min_pts), weights)
-    return _assignment(labels)
+    return dbscan_weighted(points, [1] * len(points), distance, params)
 
 
 def dbscan_weighted(
@@ -121,8 +143,8 @@ def dbscan_weighted(
     if w.size and w.min() < 1:
         raise ContractError("weights must be positive integers")
     dist = _pairwise_matrix(points, distance)
-    labels = kernels.dbscan_labels(dist, float(params.eps), int(params.min_pts), w)
-    return _assignment(labels)
+    labels = _propagate_labels(dist, float(params.eps), int(params.min_pts), w)
+    return ClusterAssignment(labels=labels, cluster_count=max(labels, default=NOISE) + 1)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,16 @@
 Pages are fetched with the documented ``search`` / ``limit`` / ``skip``
 parameters and written verbatim to ``<cache_dir>/<endpoint>/<page>.json``
 before anything else happens, so later parses are reproducible byte for
-byte. A cached page is never re-fetched.
+byte. A cached page is never re-fetched. Pages and the manifest go through a
+temporary file and ``os.replace``, so a write cut off midway leaves no page
+behind and the next run fetches it again.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
+import os
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -161,9 +164,19 @@ def _load_manifest(endpoint_dir: Path) -> dict:
         raise FormatError(f"unreadable cache manifest {path}: {exc}") from exc
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` whole or not at all."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _save_manifest(endpoint_dir: Path, manifest: dict) -> None:
-    path = endpoint_dir / MANIFEST_NAME
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_atomic(endpoint_dir / MANIFEST_NAME, text.encode("utf-8"))
 
 
 def fetch_pages(
@@ -207,6 +220,7 @@ def fetch_pages(
         page_path = endpoint_dir / f"{index}.json"
         if page_path.exists():
             payload = page_path.read_bytes()
+            count = _count_results(payload, index)
             retrieved_at = manifest["pages"].get(str(index), {}).get("retrieved_at", "")
         else:
             payload = _fetch_one(spec, index, get, sleep)
@@ -216,15 +230,14 @@ def fetch_pages(
                 manifest["exhausted_at"] = index
                 _save_manifest(endpoint_dir, manifest)
                 break
+            count = _count_results(payload, index)  # a malformed body is never cached
             retrieved_at = dt.datetime.now(dt.timezone.utc).isoformat()
-            page_path.write_bytes(payload)
-            count = _count_results(payload, index)
+            _write_atomic(page_path, payload)
             manifest["pages"][str(index)] = {
                 "retrieved_at": retrieved_at,
                 "record_count": count,
             }
             _save_manifest(endpoint_dir, manifest)
-        count = _count_results(payload, index)
         pages.append(
             RawPage(
                 page_index=index,

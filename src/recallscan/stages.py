@@ -12,6 +12,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,7 +112,15 @@ class PipelineConfig:
                 try:
                     values[key] = dt.date.fromisoformat(values[key])
                 except ValueError as exc:
-                    raise UsageError(f"bad {key}: {exc}") from exc
+                    raise UsageError(f"bad {key} {values[key]!r}: {exc}") from exc
+            elif not isinstance(values[key], dt.date):
+                raise UsageError(f"config key {key} must be a YYYY-MM-DD string")
+        for key in ("cache_dir", "out"):
+            if not isinstance(values[key], str):
+                raise UsageError(f"config key {key} must be a string")
+        for key in ("api_key", "fixture", "overrides_file"):
+            if values[key] is not None and not isinstance(values[key], str):
+                raise UsageError(f"config key {key} must be a string or null")
         for key in ("page_size", "max_pages", "min_pts", "prefix_len", "top"):
             if not isinstance(values[key], int) or isinstance(values[key], bool):
                 raise UsageError(f"config key {key} must be an integer")
@@ -119,6 +128,8 @@ class PipelineConfig:
             if not isinstance(values[key], (int, float)) or isinstance(values[key], bool):
                 raise UsageError(f"config key {key} must be a number")
             values[key] = float(values[key])
+            if not math.isfinite(values[key]):
+                raise UsageError(f"config key {key} must be finite, got {values[key]}")
         cfg = cls(**values)
         if cfg.format not in FORMATS:
             raise UsageError(f"unsupported format {cfg.format!r}")

@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernels
 from .errors import ContractError
 
 # Parentheses vanish, slash and hyphen become token separators.
@@ -112,8 +111,23 @@ def prefix_key(s: str, n: int = DEFAULT_PREFIX_LEN) -> str:
     return normalize_label(s)[:n]
 
 
-def _codepoints(s: str) -> np.ndarray:
-    return np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
+def _lcs_length(a: str, b: str) -> int:
+    """Longest-common-subsequence length, one dynamic-programming row over ``b``.
+
+    ``row[j + 1]`` is overwritten in place; ``diag`` carries the previous
+    row's ``row[j]`` that the match case needs.
+    """
+    row = [0] * (len(b) + 1)
+    for ca in a:
+        diag = 0
+        for j, cb in enumerate(b):
+            up = row[j + 1]
+            if ca == cb:
+                row[j + 1] = diag + 1
+            elif row[j] > up:
+                row[j + 1] = row[j]
+            diag = up
+    return row[-1]
 
 
 def lcs_similarity(a: str, b: str) -> float:
@@ -127,5 +141,4 @@ def lcs_similarity(a: str, b: str) -> float:
         return 0.0
     if a == b:
         return 1.0
-    length = int(kernels.lcs_length(_codepoints(a), _codepoints(b)))
-    return 2.0 * length / (len(a) + len(b))
+    return 2.0 * _lcs_length(a, b) / (len(a) + len(b))

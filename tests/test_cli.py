@@ -172,6 +172,55 @@ def test_unknown_config_key_exits_2(tmp_path, runner):
     assert "nonsense_key" in line["message"]
 
 
+def single_error_line(result, exit_code: int, error: str) -> dict:
+    assert result.exit_code == exit_code, result.output
+    stderr = result.stderr.strip().splitlines()
+    assert len(stderr) == 1 and "Traceback" not in result.stderr
+    line = json.loads(stderr[0])
+    assert line["error"] == error
+    return line
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"date_from": 2018}, "date_from"),
+        ({"date_to": None}, "date_to"),
+        ({"out": 5}, "out"),
+        ({"out": None}, "out"),
+        ({"cache_dir": ["cache"]}, "cache_dir"),
+        ({"overrides_file": 5}, "overrides_file"),
+        ({"fixture": 2}, "fixture"),
+    ],
+)
+def test_mistyped_config_value_exits_2(tmp_path, runner, monkeypatch, payload, key):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fixture": "table2", **payload}))
+    result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+    line = single_error_line(result, 2, "UsageError")
+    assert key in line["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_bad_cli_date_exits_2_with_json_line(tmp_path, runner, flag):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["fetch", flag, "2018-13-01", "--out", str(out)])
+    line = single_error_line(result, 2, "UsageError")
+    assert "2018-13-01" in line["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--eps", "nan"), ("--eps", "inf"), ("--theta", "nan")])
+def test_non_finite_threshold_exits_2(tmp_path, runner, flag, value):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["pipeline", "--fixture", "table2", flag, value, "--out", str(out)])
+    line = single_error_line(result, 2, "UsageError")
+    assert flag.lstrip("-") in line["message"]
+    assert not out.exists()
+
+
 def test_flags_override_config_file(tmp_path, runner):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"fixture": "table2", "theta": 0.5}))

@@ -198,6 +198,18 @@ def test_weighted_input_validation():
         dbscan_weighted([vec], [0], cosine_distance)
 
 
+def test_weighted_empty_singleton_and_lonely_noise():
+    def d(a, b):
+        return 0.0 if a == b else 1.0
+
+    empty = dbscan_weighted([], [], d, DbscanParams(0.1, 1))
+    assert (empty.labels, empty.cluster_count) == ([], 0)
+    one = dbscan_weighted(["a"], [1], d, DbscanParams(0.1, 1))
+    assert (one.labels, one.cluster_count) == ([0], 1)
+    lonely = dbscan_weighted(["a"], [1], d, DbscanParams(0.1, 2))
+    assert (lonely.labels, lonely.cluster_count) == ([NOISE], 0)
+
+
 def test_cluster_artifact_payload_is_sorted():
     causes = (
         ["Beta cause"] * 4 + ["Alpha cause"] * 4 + ["Gamma cause"] * 9 + ["Rare cause"] * 2

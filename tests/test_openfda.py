@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+from pathlib import Path
 
 import pytest
 import requests
@@ -12,6 +13,7 @@ from recallscan.errors import (
     TransportError,
 )
 from recallscan.openfda import (
+    MANIFEST_NAME,
     Endpoint,
     FetchSpec,
     RawPage,
@@ -174,6 +176,43 @@ def test_malformed_body_raises_parse_error(tmp_path):
 
     with pytest.raises(ParseError, match="page 0"):
         fetch_pages(spec(page_size=4, max_pages=1), tmp_path, get=garbage, sleep=NO_SLEEP)
+
+
+def test_malformed_body_is_not_cached(tmp_path):
+    def garbage(url, params, timeout):
+        return 200, b"this is not json"
+
+    with pytest.raises(ParseError):
+        fetch_pages(spec(page_size=4, max_pages=1), tmp_path, get=garbage, sleep=NO_SLEEP)
+    assert not (tmp_path / "recall" / "0.json").exists()
+    pages = fetch_pages(spec(page_size=4, max_pages=1), tmp_path, get=FakeOpenFDA(), sleep=NO_SLEEP)
+    assert pages[0].record_count == 4
+
+
+def test_page_write_cut_off_midway_is_fetched_again(tmp_path, monkeypatch):
+    real_write = Path.write_bytes
+
+    def cut_off(self, data):
+        if self.name.startswith("1.json"):
+            real_write(self, data[: len(data) // 2])
+            raise OSError("no space left on device")
+        return real_write(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", cut_off)
+    api = FakeOpenFDA()  # 10 recall rows
+    with pytest.raises(OSError):
+        fetch_pages(spec(page_size=4, max_pages=3), tmp_path, get=api, sleep=NO_SLEEP)
+    endpoint_dir = tmp_path / "recall"
+    assert sorted(p.name for p in endpoint_dir.iterdir()) == ["0.json", "manifest.json"]
+    manifest = json.loads((endpoint_dir / MANIFEST_NAME).read_text())
+    assert list(manifest["pages"]) == ["0"]
+
+    monkeypatch.undo()
+    calls_before = len(api.calls)
+    pages = fetch_pages(spec(page_size=4, max_pages=3), tmp_path, get=api, sleep=NO_SLEEP)
+    assert [p.record_count for p in pages] == [4, 4, 2]
+    assert [params["skip"] for _, params in api.calls[calls_before:]] == [4, 8]
+    assert json.loads((endpoint_dir / "1.json").read_bytes())["results"] == api.recalls[4:8]
 
 
 def test_api_key_is_sent_when_configured(tmp_path):

@@ -8,6 +8,7 @@ from recallscan.errors import ContractError
 from recallscan.reference import REFERENCE_INITIATORS
 from recallscan.textprep import (
     TokenVector,
+    _lcs_length,
     cosine_distance,
     cosine_matrix,
     lcs_similarity,
@@ -16,7 +17,7 @@ from recallscan.textprep import (
     tf_vector,
 )
 
-from .oracles import cosine_distance_ref, lcs_similarity_ref
+from .oracles import cosine_distance_ref, lcs_similarity_ref, lcs_table
 
 labels_text = st.text(
     alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd", "Zs"), whitelist_characters="/-()."),
@@ -122,6 +123,12 @@ def test_lcs_similarity_matches_reference_and_axioms(a, b):
     assert sim == lcs_similarity(b, a)
     assert (sim == 1.0) == (a == b)
     assert 0.0 <= sim <= 1.0
+
+
+@given(st.text(alphabet="ab éü文", max_size=14), st.text(alphabet="ab éü文", max_size=14))
+def test_lcs_length_matches_full_table(a, b):
+    assert _lcs_length(a, b) == lcs_table(a, b)
+    assert _lcs_length(a, "") == _lcs_length("", a) == 0
 
 
 @given(labels_text, labels_text)
