@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
@@ -18,31 +17,30 @@ from .report import FORMATS
 _FETCH_OPTIONS = [
     click.option("--from", "date_from", default=None, help="Start of the recall date window (YYYY-MM-DD)."),
     click.option("--to", "date_to", default=None, help="End of the recall date window (YYYY-MM-DD)."),
-    click.option("--page-size", type=int, default=None, help="Records per API request (max 1000)."),
-    click.option("--max-pages", type=int, default=None, help="Pagination cap per endpoint."),
+    click.option("--page-size", metavar="INTEGER", default=None, help="Records per API request (max 1000)."),
+    click.option("--max-pages", metavar="INTEGER", default=None, help="Pagination cap per endpoint."),
     click.option("--cache-dir", default=None, help="Directory for verbatim response pages."),
-    click.option("--api-key", default=None, help=f"openFDA API key (falls back to ${API_KEY_ENV})."),
+    click.option("--api-key", envvar=API_KEY_ENV, help=f"openFDA API key (falls back to ${API_KEY_ENV})."),
 ]
 _BUILD_OPTIONS = [
     click.option(
         "--fixture",
-        type=click.Choice(sorted(FIXTURE_BUILDERS)),
         default=None,
-        help="Build from a bundled offline dataset instead of the cache.",
+        help=f"Bundled offline dataset to build from instead of the cache: {', '.join(sorted(FIXTURE_BUILDERS))}.",
     ),
 ]
 _CLUSTER_OPTIONS = [
-    click.option("--eps", type=float, default=None, help="DBSCAN neighbourhood radius."),
-    click.option("--min-pts", type=int, default=None, help="DBSCAN minimum neighbourhood size."),
+    click.option("--eps", metavar="FLOAT", default=None, help="DBSCAN neighbourhood radius."),
+    click.option("--min-pts", metavar="INTEGER", default=None, help="DBSCAN minimum neighbourhood size."),
 ]
 _AGGREGATE_OPTIONS = [
-    click.option("--prefix-len", type=int, default=None, help="Label prefix length to compare."),
-    click.option("--theta", type=float, default=None, help="Similarity threshold for merging."),
+    click.option("--prefix-len", metavar="INTEGER", default=None, help="Label prefix length to compare."),
+    click.option("--theta", metavar="FLOAT", default=None, help="Similarity threshold for merging."),
     click.option("--overrides-file", default=None, help="JSON file with merge/split pair overrides."),
 ]
 _REPORT_OPTIONS = [
-    click.option("--top", type=int, default=None, help="Entries in top-k summaries."),
-    click.option("--format", "format", type=click.Choice(FORMATS), default=None, help="Report output format."),
+    click.option("--top", metavar="INTEGER", default=None, help="Entries in top-k summaries."),
+    click.option("--format", "format", default=None, help=f"Report output format: {', '.join(FORMATS)}."),
 ]
 _COMMON_OPTIONS = [
     click.option("--config", "config_path", default=None, help="JSON config file (flags override it)."),
@@ -60,9 +58,6 @@ def _apply(options):
 
 
 def _run(stage_fn, config_path: str | None, flags: dict) -> None:
-    flags = dict(flags)
-    if flags.get("api_key") is None:
-        flags["api_key"] = os.environ.get(API_KEY_ENV) or None
     try:
         cfg = stages.PipelineConfig.from_sources(config_path, flags)
         stages.echo_config(cfg)

@@ -9,6 +9,7 @@ see the property tests) and produces per-cluster summaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -31,8 +32,8 @@ class DbscanParams:
     min_pts: int = DEFAULT_MIN_PTS
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ContractError(f"eps must be >= 0, got {self.eps}")
+        if not 0 <= self.eps < math.inf:
+            raise ContractError(f"eps must be finite and >= 0, got {self.eps}")
         if self.min_pts < 1:
             raise ContractError(f"min_pts must be >= 1, got {self.min_pts}")
 

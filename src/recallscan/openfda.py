@@ -19,8 +19,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable
 
-import requests
-
 from .errors import ContractError, FormatError, ParseError, RequestError, TransportError
 
 RECALL_URL = "https://api.fda.gov/device/recall.json"
@@ -39,7 +37,7 @@ REQUEST_TIMEOUT_SECONDS = 30
 
 MANIFEST_NAME = "manifest.json"
 
-# get(url, params, timeout) -> (status_code, body_bytes)
+# get(url, params, timeout) -> (status_code, body_bytes); a failed request raises OSError
 Transport = Callable[[str, dict, float], tuple[int, bytes]]
 
 
@@ -91,19 +89,24 @@ class RawPage:
 
 
 def _requests_get(url: str, params: dict, timeout: float) -> tuple[int, bytes]:
+    import requests  # only the live API needs it; its exceptions subclass OSError
+
     resp = requests.get(url, params=params, timeout=timeout)
     return resp.status_code, resp.content
 
 
-def _count_results(payload: bytes, page_index: int) -> int:
+def _results(payload: bytes, page_index: int) -> list[dict]:
+    """The ``results`` array of a response body; every entry must be an object."""
     try:
         body = json.loads(payload)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"page {page_index}: response body is not valid JSON: {exc}") from exc
-    results = body.get("results")
+    results = body.get("results") if isinstance(body, dict) else None
     if not isinstance(results, list):
         raise ParseError(f"page {page_index}: response carries no results array")
-    return len(results)
+    if not all(isinstance(entry, dict) for entry in results):
+        raise ParseError(f"page {page_index}: non-object result entry")
+    return results
 
 
 def _is_empty_result(status: int, body: bytes) -> bool:
@@ -133,7 +136,7 @@ def _fetch_one(
     for attempt in range(RETRY_ATTEMPTS):
         try:
             status, body = get(spec.endpoint.url, params, REQUEST_TIMEOUT_SECONDS)
-        except requests.RequestException as exc:
+        except OSError as exc:
             last_failure = str(exc)
             if attempt + 1 < RETRY_ATTEMPTS:
                 sleep(BACKOFF_BASE_SECONDS * 2**attempt)
@@ -220,7 +223,7 @@ def fetch_pages(
         page_path = endpoint_dir / f"{index}.json"
         if page_path.exists():
             payload = page_path.read_bytes()
-            count = _count_results(payload, index)
+            count = len(_results(payload, index))
             retrieved_at = manifest["pages"].get(str(index), {}).get("retrieved_at", "")
         else:
             payload = _fetch_one(spec, index, get, sleep)
@@ -230,7 +233,7 @@ def fetch_pages(
                 manifest["exhausted_at"] = index
                 _save_manifest(endpoint_dir, manifest)
                 break
-            count = _count_results(payload, index)  # a malformed body is never cached
+            count = len(_results(payload, index))  # a malformed body is never cached
             retrieved_at = dt.datetime.now(dt.timezone.utc).isoformat()
             _write_atomic(page_path, payload)
             manifest["pages"][str(index)] = {
@@ -258,20 +261,6 @@ def _entry_text(entry: dict, key: str) -> str:
     return value if isinstance(value, str) else str(value)
 
 
-def _parse_results(page: RawPage) -> list[dict]:
-    try:
-        body = json.loads(page.payload)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"page {page.page_index}: cannot parse payload: {exc}") from exc
-    results = body.get("results")
-    if not isinstance(results, list):
-        raise ParseError(f"page {page.page_index}: payload carries no results array")
-    for entry in results:
-        if not isinstance(entry, dict):
-            raise ParseError(f"page {page.page_index}: non-object result entry")
-    return results
-
-
 def parse_recall_page(page: RawPage) -> list[dict]:
     """Extract the five recall fields per entry, in payload order.
 
@@ -285,7 +274,7 @@ def parse_recall_page(page: RawPage) -> list[dict]:
             "root_cause_description": _entry_text(entry, "root_cause_description"),
             "product_quantity": _entry_text(entry, "product_quantity"),
         }
-        for entry in _parse_results(page)
+        for entry in _results(page.payload, page.page_index)
     ]
 
 
@@ -297,5 +286,5 @@ def parse_classification_page(page: RawPage) -> list[dict]:
             "device_name": _entry_text(entry, "device_name"),
             "device_class": _entry_text(entry, "device_class"),
         }
-        for entry in _parse_results(page)
+        for entry in _results(page.payload, page.page_index)
     ]

@@ -3,13 +3,17 @@
 Rankings sort by descending case count with lexicographic tie-breaks and
 carry each entry's share of the clustered total. Renderers are pure
 functions from a report model to bytes, in markdown, CSV, JSON, or a
-dependency-free SVG bar chart.
+dependency-free SVG bar chart. A run's reports form one ``ReportDocument``;
+``WRITERS`` maps each output format to the files it makes of that document.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
+import dataclasses
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -17,7 +21,6 @@ from typing import Iterable, Sequence
 from .dataset import RecallRecord
 from .errors import ContractError, DataError, UsageError
 
-FORMATS = ("markdown", "csv", "json", "svg-bars")
 SCHEMA_VERSION = 1
 
 UNSPECIFIED = "(unspecified)"
@@ -59,16 +62,32 @@ class ComparisonReport:
     after: RankedReport
     k: int = 10
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise ContractError(f"k must be >= 1, got {self.k}")
+
+
+@dataclass
+class ReportDocument:
+    """A run's reports in output order; firms and devices need the dataset."""
+
+    metadata: dict
+    before: RankedReport
+    after: RankedReport
+    comparison: ComparisonReport
+    top_firms: RankedReport | None = None
+    top_devices: RankedReport | None = None
+
+    def sections(self) -> list[tuple[str, RankedReport | ComparisonReport]]:
+        """(name, report) in output order, leaving out the absent ones."""
+        names = ("before", "after", "comparison", "top_firms", "top_devices")
+        return [(name, getattr(self, name)) for name in names if getattr(self, name) is not None]
+
 
 def _coerce_item(item) -> tuple[tuple[str, ...], int]:
-    if hasattr(item, "members"):
+    if hasattr(item, "members"):  # an aggregated group
         return tuple(item.members), int(item.total_count)
-    if hasattr(item, "label"):
-        return (str(item.label),), int(item.count)
-    members, count = item
-    if isinstance(members, str):
-        members = (members,)
-    return tuple(members), int(count)
+    return (str(item.label),), int(item.count)  # a cluster summary
 
 
 def rank_initiators(items: Sequence) -> list[RankedEntry]:
@@ -92,12 +111,8 @@ def rank_initiators(items: Sequence) -> list[RankedEntry]:
 def _counted_ranking(values: Iterable[str], k: int) -> list[RankedEntry]:
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    counts: dict[str, int] = {}
-    total = 0
-    for value in values:
-        key = value if value else UNSPECIFIED
-        counts[key] = counts.get(key, 0) + 1
-        total += 1
+    counts = collections.Counter(value or UNSPECIFIED for value in values)
+    total = sum(counts.values())
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [
         RankedEntry(rank=i, members=(name,), count=count, share=count / total)
@@ -115,6 +130,42 @@ def top_devices(records: Sequence[RecallRecord], k: int = 10) -> list[RankedEntr
     return _counted_ranking((r.device_name for r in records), k)
 
 
+def build_document(
+    summaries: Sequence, groups: Sequence, noise_count: int, records: Sequence[RecallRecord], k: int
+) -> ReportDocument:
+    """Rank clusters and groups, compare their top ``k`` and, given records, rank firms and devices.
+
+    Shares are over the clustered records; noise only enters the metadata.
+    """
+    clustered = sum(s.count for s in summaries)
+    metadata = {
+        "clustered_records": clustered,
+        "records_including_noise": clustered + noise_count,
+        "share_denominator": "clustered_records",
+    }
+    before = RankedReport(
+        title="Ranked recall initiators (clusters)",
+        entries=rank_initiators(summaries),
+        total_count=clustered,
+        metadata=metadata,
+    )
+    after = RankedReport(
+        title="Ranked recall initiators (aggregated groups)",
+        entries=rank_initiators(groups),
+        total_count=clustered,
+        grouped=True,
+        metadata=metadata,
+    )
+    title = f"Top {k} recall initiators before and after aggregation"
+    doc = ReportDocument(metadata, before, after, ComparisonReport(title, before, after, k))
+    if records:
+        doc.top_firms = RankedReport(f"Top {k} recalled firms", top_firms(records, k), len(records))
+        doc.top_devices = RankedReport(
+            f"Top {k} recalled devices", top_devices(records, k), len(records)
+        )
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # Renderers
 # ---------------------------------------------------------------------------
@@ -122,6 +173,10 @@ def top_devices(records: Sequence[RecallRecord], k: int = 10) -> list[RankedEntr
 
 def _md_escape(s: str) -> str:
     return s.replace("|", "\\|")
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
 def _report_markdown(report: RankedReport) -> str:
@@ -140,13 +195,17 @@ def _report_markdown(report: RankedReport) -> str:
     return "\n".join(lines)
 
 
-def _report_csv(report: RankedReport) -> str:
+def _csv_text(header: list[str], rows: Iterable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["rank", "initiator", "cases", "share"])
-    for e in report.entries:
-        writer.writerow([e.rank, e.display_label, e.count, f"{e.share:.6f}"])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def _report_csv(report: RankedReport) -> str:
+    rows = ([e.rank, e.display_label, e.count, f"{e.share:.6f}"] for e in report.entries)
+    return _csv_text(["rank", "initiator", "cases", "share"], rows)
 
 
 def _report_json_dict(report: RankedReport) -> dict:
@@ -208,14 +267,10 @@ def _report_svg(report: RankedReport) -> str:
 
 
 def _comparison_rows(comparison: ComparisonReport) -> list[tuple[str, str, str]]:
-    before = comparison.before.entries[: comparison.k]
-    after = comparison.after.entries[: comparison.k]
-    rows = []
-    for i in range(max(len(before), len(after))):
-        b = before[i].display_label if i < len(before) else ""
-        a = str(list(after[i].members)) if i < len(after) else ""
-        rows.append((str(i + 1), b, a))
-    return rows
+    before = [e.display_label for e in comparison.before.entries[: comparison.k]]
+    after = [str(list(e.members)) for e in comparison.after.entries[: comparison.k]]
+    pairs = itertools.zip_longest(before, after, fillvalue="")
+    return [(str(rank), b, a) for rank, (b, a) in enumerate(pairs, start=1)]
 
 
 def _comparison_markdown(comparison: ComparisonReport) -> str:
@@ -233,12 +288,8 @@ def _comparison_markdown(comparison: ComparisonReport) -> str:
 
 
 def _comparison_csv(comparison: ComparisonReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["rank", "before_aggregation", "after_aggregation"])
-    for row in _comparison_rows(comparison):
-        writer.writerow(row)
-    return buf.getvalue()
+    header = ["rank", "before_aggregation", "after_aggregation"]
+    return _csv_text(header, _comparison_rows(comparison))
 
 
 def _comparison_json_dict(comparison: ComparisonReport) -> dict:
@@ -251,28 +302,76 @@ def _comparison_json_dict(comparison: ComparisonReport) -> dict:
     }
 
 
+_RENDERERS = {
+    RankedReport: {
+        "markdown": _report_markdown,
+        "csv": _report_csv,
+        "json": lambda report: _json_text(_report_json_dict(report)),
+        "svg-bars": _report_svg,
+    },
+    ComparisonReport: {
+        "markdown": _comparison_markdown,
+        "csv": _comparison_csv,
+        "json": lambda comparison: _json_text(_comparison_json_dict(comparison)),
+    },
+}
+
+
 def render(model: RankedReport | ComparisonReport, fmt: str) -> bytes:
     """Render a report model to bytes; deterministic for a given model."""
-    if fmt not in FORMATS:
-        raise UsageError(f"unsupported format {fmt!r}; choose one of {', '.join(FORMATS)}")
-    if isinstance(model, RankedReport):
-        if fmt == "markdown":
-            text = _report_markdown(model)
-        elif fmt == "csv":
-            text = _report_csv(model)
-        elif fmt == "json":
-            text = json.dumps(_report_json_dict(model), indent=2, ensure_ascii=False) + "\n"
-        else:
-            text = _report_svg(model)
-        return text.encode("utf-8")
-    if isinstance(model, ComparisonReport):
-        if fmt == "markdown":
-            text = _comparison_markdown(model)
-        elif fmt == "csv":
-            text = _comparison_csv(model)
-        elif fmt == "json":
-            text = json.dumps(_comparison_json_dict(model), indent=2, ensure_ascii=False) + "\n"
-        else:
-            raise UsageError("svg-bars does not apply to comparison reports")
-        return text.encode("utf-8")
-    raise UsageError(f"cannot render object of type {type(model).__name__}")
+    renderer = _RENDERERS.get(type(model), {}).get(fmt)
+    if renderer is None:
+        raise UsageError(f"cannot render {type(model).__name__} as {fmt!r}")
+    return renderer(model).encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Document writers: each returns the (file name, bytes) pairs to write
+# ---------------------------------------------------------------------------
+
+
+def _markdown_files(doc: ReportDocument) -> list[tuple[str, bytes]]:
+    header = (
+        "# Medical device recall initiator report\n\n"
+        f"- clustered records: {doc.metadata['clustered_records']}\n"
+        f"- records including noise: {doc.metadata['records_including_noise']}\n"
+        "- share denominator: clustered records\n\n"
+    )
+    sections = [render(model, "markdown").decode("utf-8") for _, model in doc.sections()]
+    return [("report.md", (header + "\n".join(sections)).encode("utf-8"))]
+
+
+def _json_files(doc: ReportDocument) -> list[tuple[str, bytes]]:
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "metadata": doc.metadata,
+        "before": _report_json_dict(doc.before),
+        "after": _report_json_dict(doc.after),
+        "comparison": _comparison_json_dict(doc.comparison),
+        "top_firms": _report_json_dict(doc.top_firms) if doc.top_firms else None,
+        "top_devices": _report_json_dict(doc.top_devices) if doc.top_devices else None,
+    }
+    return [("report.json", _json_text(payload).encode("utf-8"))]
+
+
+def _csv_files(doc: ReportDocument) -> list[tuple[str, bytes]]:
+    return [(f"report_{name}.csv", render(model, "csv")) for name, model in doc.sections()]
+
+
+def _svg_files(doc: ReportDocument) -> list[tuple[str, bytes]]:
+    """One bar chart per ranking, cut to the top k (firms and devices already are)."""
+    charts = [
+        (name, dataclasses.replace(model, entries=model.entries[: doc.comparison.k]))
+        for name, model in doc.sections()
+        if isinstance(model, RankedReport)
+    ]
+    return [(f"report_{name}.svg", render(chart, "svg-bars")) for name, chart in charts]
+
+
+WRITERS = {
+    "markdown": _markdown_files,
+    "csv": _csv_files,
+    "json": _json_files,
+    "svg-bars": _svg_files,
+}
+FORMATS = tuple(WRITERS)

@@ -13,13 +13,13 @@ import datetime as dt
 import hashlib
 import json
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
 from . import openfda
 from .aggregate import (
+    DEFAULT_THETA,
     AggregationParams,
     MergeOverrides,
     aggregate,
@@ -44,15 +44,8 @@ from .dbscan import (
 )
 from .errors import DataError, TransportError, UsageError
 from .fixtures import FIXTURE_BUILDERS
-from .report import (
-    FORMATS,
-    ComparisonReport,
-    RankedReport,
-    rank_initiators,
-    render,
-    top_devices,
-    top_firms,
-)
+from .report import FORMATS, WRITERS, build_document
+from .textprep import DEFAULT_PREFIX_LEN
 
 DATASET_FILE = "dataset.csv"
 CLEANING_REPORT_FILE = "cleaning_report.json"
@@ -60,6 +53,29 @@ CLUSTERS_FILE = "clusters.json"
 GROUPS_FILE = "groups.json"
 CONFIG_ECHO_FILE = "effective_config.json"
 REPORT_METADATA_FILE = "report_metadata.json"
+
+
+_PARSERS = {int: int, float: float, dt.date: dt.date.fromisoformat}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", dt.date: "a YYYY-MM-DD date"}
+
+
+def _parse_value(key: str, value, hint):
+    """``value`` as the type ``hint`` names, parsing strings; bools are not numbers."""
+    kinds = typing.get_args(hint) or (hint,)  # ``str | None`` gives (str, NoneType)
+    kind = kinds[0]
+    if value is None and type(None) in kinds:
+        return None
+    if isinstance(value, str) and kind in _PARSERS:
+        try:
+            value = _PARSERS[kind](value)
+        except ValueError as exc:
+            raise UsageError(f"bad {key} {value!r}: {exc}") from exc
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        nullable = " or null" if type(None) in kinds else ""
+        raise UsageError(f"config key {key} must be {_KIND_NAMES[kind]}{nullable}")
+    if kind is float and not math.isfinite(value):
+        raise UsageError(f"config key {key} must be finite, got {value}")
+    return float(value) if kind is float else value
 
 
 @dataclass
@@ -75,23 +91,26 @@ class PipelineConfig:
     out: str = "out"
     eps: float = DEFAULT_EPS
     min_pts: int = DEFAULT_MIN_PTS
-    prefix_len: int = 10
-    theta: float = 0.85
+    prefix_len: int = DEFAULT_PREFIX_LEN
+    theta: float = DEFAULT_THETA
     top: int = 10
     format: str = "markdown"
     fixture: str | None = None
     overrides_file: str | None = None
 
-    _DATE_FIELDS = ("date_from", "date_to")
-
     def to_dict(self) -> dict:
-        payload = dataclasses.asdict(self)
-        for key in self._DATE_FIELDS:
-            payload[key] = payload[key].isoformat()
-        return payload
+        return {
+            key: value.isoformat() if isinstance(value, dt.date) else value
+            for key, value in dataclasses.asdict(self).items()
+        }
 
     @classmethod
     def from_sources(cls, config_path: str | None, flags: dict) -> "PipelineConfig":
+        """Merge defaults, the JSON config file and flags, then type-check every value.
+
+        A value of the field's type is kept; a string is parsed to that type
+        (flags always arrive as strings). Anything else is a ``UsageError``.
+        """
         values = dataclasses.asdict(cls())
         if config_path:
             try:
@@ -107,37 +126,14 @@ class PipelineConfig:
         for key, value in flags.items():
             if value is not None:
                 values[key] = value
-        for key in cls._DATE_FIELDS:
-            if isinstance(values[key], str):
-                try:
-                    values[key] = dt.date.fromisoformat(values[key])
-                except ValueError as exc:
-                    raise UsageError(f"bad {key} {values[key]!r}: {exc}") from exc
-            elif not isinstance(values[key], dt.date):
-                raise UsageError(f"config key {key} must be a YYYY-MM-DD string")
-        for key in ("cache_dir", "out"):
-            if not isinstance(values[key], str):
-                raise UsageError(f"config key {key} must be a string")
-        for key in ("api_key", "fixture", "overrides_file"):
-            if values[key] is not None and not isinstance(values[key], str):
-                raise UsageError(f"config key {key} must be a string or null")
-        for key in ("page_size", "max_pages", "min_pts", "prefix_len", "top"):
-            if not isinstance(values[key], int) or isinstance(values[key], bool):
-                raise UsageError(f"config key {key} must be an integer")
-        for key in ("eps", "theta"):
-            if not isinstance(values[key], (int, float)) or isinstance(values[key], bool):
-                raise UsageError(f"config key {key} must be a number")
-            values[key] = float(values[key])
-            if not math.isfinite(values[key]):
-                raise UsageError(f"config key {key} must be finite, got {values[key]}")
-        cfg = cls(**values)
-        if cfg.format not in FORMATS:
-            raise UsageError(f"unsupported format {cfg.format!r}")
-        if cfg.fixture is not None and cfg.fixture not in FIXTURE_BUILDERS:
-            raise UsageError(
-                f"unknown fixture {cfg.fixture!r}; available: {', '.join(sorted(FIXTURE_BUILDERS))}"
-            )
-        return cfg
+        for key, hint in typing.get_type_hints(cls).items():
+            values[key] = _parse_value(key, values[key], hint)
+        for key, choices in (("format", FORMATS), ("fixture", sorted(FIXTURE_BUILDERS))):
+            if values[key] is not None and values[key] not in choices:
+                raise UsageError(
+                    f"unknown {key} {values[key]!r}; choose one of {', '.join(choices)}"
+                )
+        return cls(**values)
 
     @property
     def out_dir(self) -> Path:
@@ -215,7 +211,7 @@ def fetch_stage(cfg: PipelineConfig, *, get=None) -> str:
 
 
 def _offline_get(url, params, timeout):
-    raise requests.ConnectionError("network access disabled for this stage")
+    raise ConnectionError("network access disabled for this stage")
 
 
 def build_stage(cfg: PipelineConfig) -> str:
@@ -305,116 +301,21 @@ def report_stage(cfg: PipelineConfig) -> str:
     if not summaries or not groups:
         raise DataError("empty cluster or group artifact; nothing to report")
     records = read_dataset(dataset_path) if dataset_path.exists() else []
+    noise_count = sum(n.count for n in noise_from_json_dict(cluster_payload))
 
-    clustered_total = sum(s.count for s in summaries)
-    noise_total = sum(n.count for n in noise_from_json_dict(cluster_payload))
-    metadata = {
-        "clustered_records": clustered_total,
-        "records_including_noise": clustered_total + noise_total,
-        "share_denominator": "clustered_records",
-    }
-
-    before = RankedReport(
-        title="Ranked recall initiators (clusters)",
-        entries=rank_initiators(summaries),
-        total_count=clustered_total,
-        grouped=False,
-        metadata=metadata,
-    )
-    after = RankedReport(
-        title="Ranked recall initiators (aggregated groups)",
-        entries=rank_initiators(groups),
-        total_count=clustered_total,
-        grouped=True,
-        metadata=metadata,
-    )
-    comparison = ComparisonReport(
-        title=f"Top {cfg.top} recall initiators before and after aggregation",
-        before=before,
-        after=after,
-        k=cfg.top,
-    )
-    firm_report = RankedReport(
-        title=f"Top {cfg.top} recalled firms",
-        entries=top_firms(records, cfg.top) if records else [],
-        total_count=len(records),
-    )
-    device_report = RankedReport(
-        title=f"Top {cfg.top} recalled devices",
-        entries=top_devices(records, cfg.top) if records else [],
-        total_count=len(records),
-    )
-
-    fmt = cfg.format
-    written: list[Path] = []
-
-    def emit(name: str, payload: bytes) -> None:
-        path = out / name
-        path.write_bytes(payload)
-        written.append(path)
-
-    if fmt == "markdown":
-        chunks = [
-            f"# Medical device recall initiator report\n\n"
-            f"- clustered records: {clustered_total}\n"
-            f"- records including noise: {clustered_total + noise_total}\n"
-            f"- share denominator: clustered records\n\n",
-            render(before, fmt).decode("utf-8"),
-            "\n",
-            render(after, fmt).decode("utf-8"),
-            "\n",
-            render(comparison, fmt).decode("utf-8"),
-        ]
-        if records:
-            chunks += [
-                "\n",
-                render(firm_report, fmt).decode("utf-8"),
-                "\n",
-                render(device_report, fmt).decode("utf-8"),
-            ]
-        emit("report.md", "".join(chunks).encode("utf-8"))
-    elif fmt == "json":
-        payload = {
-            "schema_version": 1,
-            "metadata": metadata,
-            "before": json.loads(render(before, fmt)),
-            "after": json.loads(render(after, fmt)),
-            "comparison": json.loads(render(comparison, fmt)),
-            "top_firms": json.loads(render(firm_report, fmt)) if records else None,
-            "top_devices": json.loads(render(device_report, fmt)) if records else None,
-        }
-        emit("report.json", (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
-    elif fmt == "csv":
-        emit("report_before.csv", render(before, fmt))
-        emit("report_after.csv", render(after, fmt))
-        emit("report_comparison.csv", render(comparison, fmt))
-        if records:
-            emit("report_top_firms.csv", render(firm_report, fmt))
-            emit("report_top_devices.csv", render(device_report, fmt))
-    else:  # svg-bars
-        chart_before = RankedReport(
-            title=before.title, entries=before.entries[: cfg.top],
-            total_count=before.total_count, grouped=False, metadata=metadata,
-        )
-        chart_after = RankedReport(
-            title=after.title, entries=after.entries[: cfg.top],
-            total_count=after.total_count, grouped=True, metadata=metadata,
-        )
-        emit("report_before.svg", render(chart_before, fmt))
-        emit("report_after.svg", render(chart_after, fmt))
-        if records:
-            emit("report_top_firms.svg", render(firm_report, fmt))
-            emit("report_top_devices.svg", render(device_report, fmt))
-
-    write_json_artifact(out / REPORT_METADATA_FILE, metadata)
+    doc = build_document(summaries, groups, noise_count, records, cfg.top)
+    files = WRITERS[cfg.format](doc)
+    for name, payload in files:
+        (out / name).write_bytes(payload)
+    write_json_artifact(out / REPORT_METADATA_FILE, doc.metadata)
     write_sidecar(
         out,
         "report",
         [clusters_path, groups_path, dataset_path],
-        {"top": cfg.top, "format": fmt},
+        {"top": cfg.top, "format": cfg.format},
     )
-    names = ", ".join(p.name for p in written)
-    return f"report: {names} (shares over {clustered_total} clustered records)"
+    names = ", ".join(name for name, _ in files)
+    return f"report: {names} (shares over {doc.metadata['clustered_records']} clustered records)"
 
 
 def pipeline_stage(cfg: PipelineConfig, *, get=None) -> str:

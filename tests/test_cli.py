@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,9 @@ def single_error_line(result, exit_code: int, error: str) -> dict:
         ({"cache_dir": ["cache"]}, "cache_dir"),
         ({"overrides_file": 5}, "overrides_file"),
         ({"fixture": 2}, "fixture"),
+        ({"top": True}, "top"),
+        ({"top": "abc"}, "top"),
+        ({"eps": False}, "eps"),
     ],
 )
 def test_mistyped_config_value_exits_2(tmp_path, runner, monkeypatch, payload, key):
@@ -212,13 +216,33 @@ def test_bad_cli_date_exits_2_with_json_line(tmp_path, runner, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--eps", "nan"), ("--eps", "inf"), ("--theta", "nan")])
-def test_non_finite_threshold_exits_2(tmp_path, runner, flag, value):
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--eps", "nan"),
+        ("--eps", "inf"),
+        ("--theta", "nan"),
+        ("--top", "abc"),
+        ("--format", "pdf"),
+        ("--fixture", "nope"),
+    ],
+)
+def test_bad_flag_value_exits_2(tmp_path, runner, flag, value):
+    # Flags arrive as strings; PipelineConfig alone parses and checks them.
     out = tmp_path / "out"
     result = runner.invoke(main, ["pipeline", "--fixture", "table2", flag, value, "--out", str(out)])
     line = single_error_line(result, 2, "UsageError")
-    assert flag.lstrip("-") in line["message"]
+    assert flag.lstrip("-") in line["message"] and value in line["message"]
     assert not out.exists()
+
+
+def test_string_config_values_are_parsed(tmp_path, runner):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fixture": "table2", "top": "5", "theta": "0.85"}))
+    out = tmp_path / "out"
+    assert invoke(runner, "pipeline", "--config", cfg, "--out", out).exit_code == 0
+    effective = json.loads((out / "effective_config.json").read_text())
+    assert effective["top"] == 5 and effective["theta"] == 0.85
 
 
 def test_flags_override_config_file(tmp_path, runner):
@@ -230,6 +254,16 @@ def test_flags_override_config_file(tmp_path, runner):
     effective = json.loads((out / "effective_config.json").read_text())
     assert effective["theta"] == 0.85
     assert effective["fixture"] == "table2"
+
+
+def test_api_key_falls_back_to_environment_where_the_flag_exists(tmp_path, runner):
+    out = tmp_path / "out"
+    env = {openfda.API_KEY_ENV: "from-env"}
+    assert runner.invoke(main, ["build", "--fixture", "table2", "--out", str(out)], env=env).exit_code == 0
+    assert json.loads((out / "effective_config.json").read_text())["api_key"] == "from-env"
+    # Stages without --api-key never use the key, so it stays out of their config echo.
+    assert runner.invoke(main, ["cluster", "--out", str(out)], env=env).exit_code == 0
+    assert json.loads((out / "effective_config.json").read_text())["api_key"] is None
 
 
 def test_stage_by_stage_matches_pipeline(tmp_path, runner):
@@ -263,6 +297,75 @@ def test_report_formats_produce_expected_files(tmp_path, runner):
         assert result.exit_code == 0, result.output
         for name in names:
             assert (out / name).exists(), name
+
+
+# sha256 of every report artifact on the table2 fixture with default flags.
+REPORT_HASHES = {
+    "report.md": "e00b1a42e459422d18b2ea58b53443d9c9687d1a8000511bb6a43fcb2927257e",
+    "report.json": "2f47d7b82b6a411d5cea14f745cfa2232ba8fbcb728eb4dc5771dc79bbf6ee64",
+    "report_before.csv": "48577808252df5a49c61ad0a06b93a271342e859970a5a47aabb68688d422516",
+    "report_after.csv": "75ec796005a709f278bab11f9f8d74ef6423e81929710116571a6f2c69569a3e",
+    "report_comparison.csv": "0103b3cdeeb7199775800cdd1c85cb910d9153f2b438b8618ca71357689502bc",
+    "report_top_firms.csv": "9f4a7556a4dfc420e1ae8c61b4b1d19bf84aecc969b062769f957c727577a793",
+    "report_top_devices.csv": "097e14dec5abd43391c0be9069a34fad33fff49a0dd60a24fcbb47a4217641e9",
+    "report_before.svg": "7f204d71eaa728558ab56770f05e4ef5150071dd3ffc73df29d276068be863a4",
+    "report_after.svg": "8dd26052bc2c559485965af699fa8c9dcdcf638b9097c6ee1237f5f8114e85f0",
+    "report_top_firms.svg": "0959da9a9371275b1f522530011f63049bd61c892c44524892a5c3500a013bf8",
+    "report_top_devices.svg": "ce613a098ec4502e97ffb2dd2f1a816a91a4d4d4fa9ceb02a029cb6eaf909f98",
+    "report_metadata.json": "9a715d84b04c33171497c0dabd86b67cc4a72319f18df201915f7ead779fdb2c",
+}
+# Without dataset.csv the top firm/device sections drop out of the single-file formats.
+NO_DATASET_HASHES = {
+    **REPORT_HASHES,
+    "report.md": "26d67a69c074b9cab9a0957d2f6c7d83c5508d979dc267a69f22abb093643d1d",
+    "report.json": "bd30d83d82ca9de49530f4070cc395914205cb633736585b1fea6cf7e382cf86",
+}
+
+
+@pytest.fixture(scope="module")
+def fixture_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fixture") / "out"
+    result = CliRunner().invoke(main, ["pipeline", "--fixture", "table2", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return out
+
+
+@pytest.mark.parametrize("with_dataset", [True, False], ids=["dataset", "no-dataset"])
+@pytest.mark.parametrize("fmt", ["markdown", "json", "csv", "svg-bars"])
+def test_report_artifacts_match_pinned_hashes(fixture_run, tmp_path, runner, fmt, with_dataset):
+    out = tmp_path / "out"
+    shutil.copytree(fixture_run, out)
+    for stale in out.glob("report*"):
+        stale.unlink()
+    if not with_dataset:
+        (out / "dataset.csv").unlink()
+    assert invoke(runner, "report", "--format", fmt, "--out", out).exit_code == 0
+    written = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.glob("report*")
+        if not p.name.endswith(".meta.json")
+    }
+    expected = {
+        "markdown": ["report.md"],
+        "json": ["report.json"],
+        "csv": ["report_before.csv", "report_after.csv", "report_comparison.csv"]
+        + (["report_top_firms.csv", "report_top_devices.csv"] if with_dataset else []),
+        "svg-bars": ["report_before.svg", "report_after.svg"]
+        + (["report_top_firms.svg", "report_top_devices.svg"] if with_dataset else []),
+    }[fmt] + ["report_metadata.json"]
+    pinned = REPORT_HASHES if with_dataset else NO_DATASET_HASHES
+    assert written == {name: pinned[name] for name in expected}
+
+
+@pytest.mark.parametrize("with_dataset", [True, False], ids=["dataset", "no-dataset"])
+def test_top_below_one_exits_5(fixture_run, tmp_path, runner, with_dataset):
+    out = tmp_path / "out"
+    shutil.copytree(fixture_run, out)
+    if not with_dataset:
+        (out / "dataset.csv").unlink()
+    result = runner.invoke(main, ["report", "--top", "-3", "--out", str(out)])
+    line = single_error_line(result, 5, "ContractError")
+    assert "k must be >= 1" in line["message"]
 
 
 def test_malformed_date_in_dataset_exits_4(tmp_path, runner):

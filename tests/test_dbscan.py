@@ -30,6 +30,13 @@ def test_params_validation():
     DbscanParams(eps=0.0, min_pts=1)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_non_finite_eps_is_rejected(eps):
+    # A NaN radius would compare false everywhere and turn every label into noise.
+    with pytest.raises(ContractError, match="eps"):
+        DbscanParams(eps=eps, min_pts=4)
+
+
 def test_identical_copies_form_one_cluster():
     vec = tf_vector("process control")
     result = dbscan([vec] * 6, cosine_distance, DbscanParams(0.1, 4))

@@ -189,6 +189,13 @@ def test_malformed_body_is_not_cached(tmp_path):
     assert pages[0].record_count == 4
 
 
+@pytest.mark.parametrize("body", [b"[1, 2]", b'{"results": "none"}', b'{"results": [1]}'])
+def test_body_without_object_results_is_rejected_before_caching(tmp_path, body):
+    with pytest.raises(ParseError, match="page 0"):
+        fetch_pages(spec(page_size=4, max_pages=1), tmp_path, get=lambda *a: (200, body), sleep=NO_SLEEP)
+    assert not (tmp_path / "recall" / "0.json").exists()
+
+
 def test_page_write_cut_off_midway_is_fetched_again(tmp_path, monkeypatch):
     real_write = Path.write_bytes
 
