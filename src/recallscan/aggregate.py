@@ -9,12 +9,12 @@ optional override set can force or suppress individual pairs.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import artifacts
 from .errors import ContractError, FormatError
 from .textprep import DEFAULT_PREFIX_LEN, lcs_similarity, prefix_key
 
@@ -70,19 +70,15 @@ class MergeOverrides:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MergeOverrides":
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FormatError(f"cannot read overrides file {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise FormatError(f"overrides file {path} must hold a JSON object")
+        payload = artifacts.read_object(Path(path), "overrides file")
         def pairs(key):
-            out = []
-            for item in payload.get(key, []):
+            items = payload.get(key, [])
+            if not isinstance(items, list):
+                raise FormatError(f"overrides {key} must be a list of [a, b] pairs")
+            for item in items:
                 if not (isinstance(item, list) and len(item) == 2):
                     raise FormatError(f"overrides {key} entries must be [a, b] pairs")
-                out.append((str(item[0]), str(item[1])))
-            return out
+            return [(str(a), str(b)) for a, b in items]
         return cls(merge=pairs("merge"), split=pairs("split"))
 
 
@@ -194,11 +190,17 @@ def groups_to_json_dict(groups: Iterable[AggregatedGroup], params: AggregationPa
 
 
 def groups_from_json_dict(payload: dict) -> list[AggregatedGroup]:
-    """Rebuild aggregated groups from a group artifact payload."""
+    """Rebuild aggregated groups from a group artifact payload.
+
+    Each group needs a non-empty list of string members and a positive integer total.
+    """
     try:
-        return [
-            AggregatedGroup(tuple(str(m) for m in g["members"]), int(g["total_count"]))
-            for g in payload["groups"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed group artifact: {exc}") from exc
+        entries = [(g["members"], g["total_count"]) for g in payload["groups"]]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"malformed group artifact: {exc!r}") from exc
+    for members, total in entries:
+        if not (isinstance(members, list) and members and all(isinstance(m, str) for m in members)):
+            raise FormatError(f"malformed group artifact: members {members!r} are not label strings")
+        if not artifacts.is_int(total, 1):
+            raise FormatError(f"malformed group artifact: total_count {total!r} is not positive")
+    return [AggregatedGroup(tuple(members), total) for members, total in entries]

@@ -1,0 +1,67 @@
+"""The one file layer: every write is atomic, every JSON input is checked.
+
+``write`` puts the bytes in a temporary sibling and moves it into place with
+``os.replace``, so a write cut off midway leaves the previous file (or none).
+``read_object`` turns an unreadable, non-UTF-8, non-JSON or non-object file
+into one error.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+
+from .errors import DataError, FormatError, RecallScanError
+
+
+def write(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` whole or not at all."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def json_text(payload: dict) -> str:
+    """The one JSON encoding: two-space indent, UTF-8 text, keys in insertion order."""
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
+def write_json(path: Path, payload: dict) -> None:
+    write(path, json_text(payload).encode("utf-8"))
+
+
+def parse_object(data: bytes, name: str, error: type[RecallScanError] = FormatError) -> dict:
+    """The JSON object ``data`` holds; bad UTF-8, bad JSON or another value raise ``error``."""
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, nesting too deep
+        raise error(f"{name} is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise error(f"{name} must hold a JSON object")
+    return payload
+
+
+def read_object(path: Path, name: str, error: type[RecallScanError] = FormatError) -> dict:
+    """The JSON object in the file ``path``; any failure raises ``error``."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {name} {path}: {exc}") from exc
+    return parse_object(data, f"{name} {path}", error)
+
+
+def require(path: Path, producer: str) -> Path:
+    """``path`` if it exists; otherwise a ``DataError`` naming the stage that makes it."""
+    if not path.exists():
+        raise DataError(f"missing input artifact {path}; run {producer} first")
+    return path
+
+
+def is_int(value, least: int) -> bool:
+    """An integer of at least ``least``; ``true`` and ``false`` are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+

@@ -62,16 +62,12 @@ def _run(stage_fn, config_path: str | None, flags: dict) -> None:
         cfg = stages.PipelineConfig.from_sources(config_path, flags)
         stages.echo_config(cfg)
         summary = stage_fn(cfg)
-    except RecallScanError as exc:
-        line = json.dumps(
-            {"error": type(exc).__name__, "exit_code": exc.exit_code, "message": str(exc)}
-        )
-        click.echo(line, err=True)
-        sys.exit(exc.exit_code)
-    except OSError as exc:
-        line = json.dumps({"error": "OSError", "exit_code": 4, "message": str(exc)})
-        click.echo(line, err=True)
-        sys.exit(4)
+    except (RecallScanError, OSError) as exc:
+        # An OSError is a file that could not be read or written: exit 4 like a data error.
+        code = getattr(exc, "exit_code", 4)
+        error = type(exc).__name__ if isinstance(exc, RecallScanError) else "OSError"
+        click.echo(json.dumps({"error": error, "exit_code": code, "message": str(exc)}), err=True)
+        sys.exit(code)
     click.echo(summary)
 
 

@@ -8,6 +8,7 @@ import io
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from . import artifacts
 from .errors import FormatError
 
 DATASET_HEADER = (
@@ -200,7 +201,7 @@ def write_dataset(records: list[RecallRecord], path: str | Path) -> None:
     writer.writerow(DATASET_HEADER)
     for rec in records:
         writer.writerow(_record_row(rec))
-    Path(path).write_bytes(buf.getvalue().encode("utf-8"))
+    artifacts.write(Path(path), buf.getvalue().encode("utf-8"))
 
 
 def read_dataset(path: str | Path) -> list[RecallRecord]:
@@ -208,7 +209,7 @@ def read_dataset(path: str | Path) -> list[RecallRecord]:
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"cannot read dataset {path}: {exc}") from exc
     if not rows or tuple(rows[0]) != DATASET_HEADER:
         raise FormatError(f"dataset {path} does not carry the expected header")

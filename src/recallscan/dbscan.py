@@ -15,7 +15,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DataError, FormatError
+from . import artifacts
+from .errors import ContractError, FormatError
 from .textprep import cosine_distance, cosine_matrix, normalize_label, tf_vector
 
 NOISE = -1
@@ -240,23 +241,22 @@ def clusters_to_json_dict(result: RootCauseClusters) -> dict:
     }
 
 
-def summaries_from_json_dict(payload: dict) -> list[ClusterSummary]:
-    """Rebuild cluster summaries from a cluster artifact payload."""
-    try:
-        return [
-            ClusterSummary(int(c["id"]), str(c["label"]), int(c["count"]))
-            for c in payload["clusters"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed cluster artifact: {exc}") from exc
+def clusters_from_json_dict(payload: dict) -> tuple[list[ClusterSummary], list[ClusterSummary]]:
+    """Rebuild the cluster summaries and the noise entries (none when absent) of a cluster artifact.
 
-
-def noise_from_json_dict(payload: dict) -> list[ClusterSummary]:
-    """Rebuild the noise entries of a cluster artifact payload (none when absent)."""
+    Each entry needs an integer id (noise gets ``NOISE``), a string label and a
+    positive integer count.
+    """
     try:
-        return [
-            ClusterSummary(NOISE, str(n["label"]), int(n["count"]))
-            for n in payload.get("noise", [])
-        ]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed noise entry in cluster artifact: {exc!r}") from exc
+        clusters = [ClusterSummary(c["id"], c["label"], c["count"]) for c in payload["clusters"]]
+        noise = [ClusterSummary(NOISE, n["label"], n["count"]) for n in payload.get("noise", [])]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"malformed cluster artifact: {exc!r}") from exc
+    for s in clusters + noise:
+        if not (artifacts.is_int(s.cluster_id, NOISE) and isinstance(s.label, str)
+                and artifacts.is_int(s.count, 1)):
+            raise FormatError(
+                f"malformed cluster artifact entry {s}: needs an integer id, "
+                "a string label and a positive integer count"
+            )
+    return clusters, noise

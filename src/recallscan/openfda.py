@@ -3,22 +3,21 @@
 Pages are fetched with the documented ``search`` / ``limit`` / ``skip``
 parameters and written verbatim to ``<cache_dir>/<endpoint>/<page>.json``
 before anything else happens, so later parses are reproducible byte for
-byte. A cached page is never re-fetched. Pages and the manifest go through a
-temporary file and ``os.replace``, so a write cut off midway leaves no page
+byte. A cached page is never re-fetched. Pages and the manifest are written
+atomically (``artifacts.write``), so a write cut off midway leaves no page
 behind and the next run fetches it again.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import json
-import os
 import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable
 
+from . import artifacts
 from .errors import ContractError, FormatError, ParseError, RequestError, TransportError
 
 RECALL_URL = "https://api.fda.gov/device/recall.json"
@@ -97,11 +96,8 @@ def _requests_get(url: str, params: dict, timeout: float) -> tuple[int, bytes]:
 
 def _results(payload: bytes, page_index: int) -> list[dict]:
     """The ``results`` array of a response body; every entry must be an object."""
-    try:
-        body = json.loads(payload)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"page {page_index}: response body is not valid JSON: {exc}") from exc
-    results = body.get("results") if isinstance(body, dict) else None
+    body = artifacts.parse_object(payload, f"page {page_index} response body", ParseError)
+    results = body.get("results")
     if not isinstance(results, list):
         raise ParseError(f"page {page_index}: response carries no results array")
     if not all(isinstance(entry, dict) for entry in results):
@@ -114,10 +110,10 @@ def _is_empty_result(status: int, body: bytes) -> bool:
     if status != 404:
         return False
     try:
-        error = json.loads(body).get("error", {})
-    except (UnicodeDecodeError, json.JSONDecodeError):
+        error = artifacts.parse_object(body, "404 body").get("error")
+    except FormatError:
         return False
-    return error.get("code") == "NOT_FOUND"
+    return isinstance(error, dict) and error.get("code") == "NOT_FOUND"
 
 
 def _fetch_one(
@@ -161,25 +157,13 @@ def _load_manifest(endpoint_dir: Path) -> dict:
     path = endpoint_dir / MANIFEST_NAME
     if not path.exists():
         return {"pages": {}}
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable cache manifest {path}: {exc}") from exc
-
-
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` whole or not at all."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _save_manifest(endpoint_dir: Path, manifest: dict) -> None:
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _write_atomic(endpoint_dir / MANIFEST_NAME, text.encode("utf-8"))
+    manifest = artifacts.read_object(path, "cache manifest")
+    pages, exhausted_at = manifest.get("pages", {}), manifest.get("exhausted_at")
+    if not (isinstance(pages, dict) and all(isinstance(p, dict) for p in pages.values())):
+        raise FormatError(f"cache manifest {path}: pages must map page numbers to objects")
+    if exhausted_at is not None and not artifacts.is_int(exhausted_at, 0):
+        raise FormatError(f"cache manifest {path}: exhausted_at must be a page number")
+    return manifest
 
 
 def fetch_pages(
@@ -231,16 +215,16 @@ def fetch_pages(
                 # The API reported the result set exhausted at this index;
                 # remember that so reruns stay fully cache-served.
                 manifest["exhausted_at"] = index
-                _save_manifest(endpoint_dir, manifest)
+                artifacts.write_json(endpoint_dir / MANIFEST_NAME, manifest)
                 break
             count = len(_results(payload, index))  # a malformed body is never cached
             retrieved_at = dt.datetime.now(dt.timezone.utc).isoformat()
-            _write_atomic(page_path, payload)
+            artifacts.write(page_path, payload)
             manifest["pages"][str(index)] = {
                 "retrieved_at": retrieved_at,
                 "record_count": count,
             }
-            _save_manifest(endpoint_dir, manifest)
+            artifacts.write_json(endpoint_dir / MANIFEST_NAME, manifest)
         pages.append(
             RawPage(
                 page_index=index,

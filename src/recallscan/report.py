@@ -14,10 +14,10 @@ import csv
 import dataclasses
 import io
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from . import artifacts
 from .dataset import RecallRecord
 from .errors import ContractError, DataError, UsageError
 
@@ -175,10 +175,6 @@ def _md_escape(s: str) -> str:
     return s.replace("|", "\\|")
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-
-
 def _report_markdown(report: RankedReport) -> str:
     lines = [f"## {report.title}", ""]
     for key in sorted(report.metadata):
@@ -306,13 +302,13 @@ _RENDERERS = {
     RankedReport: {
         "markdown": _report_markdown,
         "csv": _report_csv,
-        "json": lambda report: _json_text(_report_json_dict(report)),
+        "json": lambda report: artifacts.json_text(_report_json_dict(report)),
         "svg-bars": _report_svg,
     },
     ComparisonReport: {
         "markdown": _comparison_markdown,
         "csv": _comparison_csv,
-        "json": lambda comparison: _json_text(_comparison_json_dict(comparison)),
+        "json": lambda comparison: artifacts.json_text(_comparison_json_dict(comparison)),
     },
 }
 
@@ -351,7 +347,7 @@ def _json_files(doc: ReportDocument) -> list[tuple[str, bytes]]:
         "top_firms": _report_json_dict(doc.top_firms) if doc.top_firms else None,
         "top_devices": _report_json_dict(doc.top_devices) if doc.top_devices else None,
     }
-    return [("report.json", _json_text(payload).encode("utf-8"))]
+    return [("report.json", artifacts.json_text(payload).encode("utf-8"))]
 
 
 def _csv_files(doc: ReportDocument) -> list[tuple[str, bytes]]:

@@ -11,13 +11,12 @@ from __future__ import annotations
 import dataclasses
 import datetime as dt
 import hashlib
-import json
 import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import openfda
+from . import artifacts, openfda
 from .aggregate import (
     DEFAULT_THETA,
     AggregationParams,
@@ -38,9 +37,8 @@ from .dbscan import (
     DEFAULT_MIN_PTS,
     DbscanParams,
     cluster_root_causes,
+    clusters_from_json_dict,
     clusters_to_json_dict,
-    noise_from_json_dict,
-    summaries_from_json_dict,
 )
 from .errors import DataError, TransportError, UsageError
 from .fixtures import FIXTURE_BUILDERS
@@ -113,12 +111,7 @@ class PipelineConfig:
         """
         values = dataclasses.asdict(cls())
         if config_path:
-            try:
-                loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise UsageError(f"cannot parse config file {config_path}: {exc}") from exc
-            if not isinstance(loaded, dict):
-                raise UsageError(f"config file {config_path} must hold a JSON object")
+            loaded = artifacts.read_object(Path(config_path), "config file", UsageError)
             unknown = set(loaded) - set(values)
             if unknown:
                 raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -140,17 +133,8 @@ class PipelineConfig:
         return Path(self.out)
 
 
-def write_json_artifact(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-
-
-def read_json_artifact(path: Path) -> dict:
-    if not path.exists():
-        raise DataError(f"missing input artifact {path}; run the previous stage first")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"corrupt artifact {path}: {exc}") from exc
+def _read_artifact(path: Path, producer: str) -> dict:
+    return artifacts.read_object(artifacts.require(path, producer), "artifact")
 
 
 def _sha256(path: Path) -> str:
@@ -164,14 +148,13 @@ def write_sidecar(out_dir: Path, stage: str, inputs: list[Path], params: dict) -
         "inputs": {p.name: _sha256(p) for p in inputs if p.exists()},
         "params": params,
     }
-    (out_dir / f"{stage}.meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    artifacts.write_json(out_dir / f"{stage}.meta.json", meta)
 
 
 def echo_config(cfg: PipelineConfig) -> None:
+    # The key is a secret, so the echo never holds it; a replay reads it from the flag or env.
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_json_artifact(cfg.out_dir / CONFIG_ECHO_FILE, cfg.to_dict())
+    artifacts.write_json(cfg.out_dir / CONFIG_ECHO_FILE, {**cfg.to_dict(), "api_key": None})
 
 
 def _fetch_spec(cfg: PipelineConfig, endpoint: openfda.Endpoint) -> openfda.FetchSpec:
@@ -244,7 +227,7 @@ def build_stage(cfg: PipelineConfig) -> str:
         source = {"cache_dir": cfg.cache_dir}
 
     write_dataset(records, out / DATASET_FILE)
-    write_json_artifact(out / CLEANING_REPORT_FILE, report.to_dict())
+    artifacts.write_json(out / CLEANING_REPORT_FILE, report.to_dict())
     write_sidecar(out, "build", [out / DATASET_FILE], {**source, "rules": {
         "date_from": cfg.date_from.isoformat(), "date_to": cfg.date_to.isoformat()}})
     return f"build: {len(records)} records -> {out / DATASET_FILE}"
@@ -253,9 +236,7 @@ def build_stage(cfg: PipelineConfig) -> str:
 def cluster_stage(cfg: PipelineConfig) -> str:
     """Cluster root causes and write the cluster artifact."""
     out = cfg.out_dir
-    dataset_path = out / DATASET_FILE
-    if not dataset_path.exists():
-        raise DataError(f"missing input artifact {dataset_path}; run build first")
+    dataset_path = artifacts.require(out / DATASET_FILE, "build")
     records = read_dataset(dataset_path)
     if not records:
         raise DataError(f"dataset {dataset_path} holds no records; nothing to cluster")
@@ -263,7 +244,7 @@ def cluster_stage(cfg: PipelineConfig) -> str:
     result = cluster_root_causes(
         [r.root_cause_description for r in records], params
     )
-    write_json_artifact(out / CLUSTERS_FILE, clusters_to_json_dict(result))
+    artifacts.write_json(out / CLUSTERS_FILE, clusters_to_json_dict(result))
     write_sidecar(out, "cluster", [dataset_path], {"eps": cfg.eps, "min_pts": cfg.min_pts})
     return (
         f"cluster: {result.cluster_count} clusters over {result.clustered_count} records, "
@@ -275,14 +256,13 @@ def aggregate_stage(cfg: PipelineConfig) -> str:
     """Aggregate cluster labels into groups and write the group artifact."""
     out = cfg.out_dir
     clusters_path = out / CLUSTERS_FILE
-    payload = read_json_artifact(clusters_path)
-    summaries = summaries_from_json_dict(payload)
+    summaries, _ = clusters_from_json_dict(_read_artifact(clusters_path, "cluster"))
     if not summaries:
         raise DataError(f"{clusters_path} holds no clusters; nothing to aggregate")
     params = AggregationParams(prefix_len=cfg.prefix_len, theta=cfg.theta)
     overrides = MergeOverrides.from_file(cfg.overrides_file) if cfg.overrides_file else None
     groups = aggregate(summaries, params, overrides)
-    write_json_artifact(out / GROUPS_FILE, groups_to_json_dict(groups, params))
+    artifacts.write_json(out / GROUPS_FILE, groups_to_json_dict(groups, params))
     write_sidecar(
         out, "aggregate", [clusters_path], {"prefix_len": cfg.prefix_len, "theta": cfg.theta}
     )
@@ -295,19 +275,18 @@ def report_stage(cfg: PipelineConfig) -> str:
     clusters_path = out / CLUSTERS_FILE
     groups_path = out / GROUPS_FILE
     dataset_path = out / DATASET_FILE
-    cluster_payload = read_json_artifact(clusters_path)
-    summaries = summaries_from_json_dict(cluster_payload)
-    groups = groups_from_json_dict(read_json_artifact(groups_path))
+    summaries, noise = clusters_from_json_dict(_read_artifact(clusters_path, "cluster"))
+    groups = groups_from_json_dict(_read_artifact(groups_path, "aggregate"))
     if not summaries or not groups:
         raise DataError("empty cluster or group artifact; nothing to report")
     records = read_dataset(dataset_path) if dataset_path.exists() else []
-    noise_count = sum(n.count for n in noise_from_json_dict(cluster_payload))
+    noise_count = sum(n.count for n in noise)
 
     doc = build_document(summaries, groups, noise_count, records, cfg.top)
     files = WRITERS[cfg.format](doc)
     for name, payload in files:
-        (out / name).write_bytes(payload)
-    write_json_artifact(out / REPORT_METADATA_FILE, doc.metadata)
+        artifacts.write(out / name, payload)
+    artifacts.write_json(out / REPORT_METADATA_FILE, doc.metadata)
     write_sidecar(
         out,
         "report",

@@ -159,9 +159,10 @@ def test_unknown_flag_exits_2(runner):
 
 def test_bad_config_file_exits_2(tmp_path, runner):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    result = runner.invoke(main, ["report", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert result.exit_code == 2
+    for text in ("{not json", "[" * 100_000):  # the second nests deeper than the decoder recurses
+        cfg.write_text(text)
+        result = runner.invoke(main, ["report", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        single_error_line(result, 2, "UsageError")
 
 
 def test_unknown_config_key_exits_2(tmp_path, runner):
@@ -256,14 +257,19 @@ def test_flags_override_config_file(tmp_path, runner):
     assert effective["fixture"] == "table2"
 
 
-def test_api_key_falls_back_to_environment_where_the_flag_exists(tmp_path, runner):
+def test_api_key_falls_back_to_environment_where_the_flag_exists(tmp_path, runner, monkeypatch):
+    api = FakeOpenFDA()
+    monkeypatch.setattr(openfda, "_requests_get", api)
     out = tmp_path / "out"
     env = {openfda.API_KEY_ENV: "from-env"}
-    assert runner.invoke(main, ["build", "--fixture", "table2", "--out", str(out)], env=env).exit_code == 0
-    assert json.loads((out / "effective_config.json").read_text())["api_key"] == "from-env"
-    # Stages without --api-key never use the key, so it stays out of their config echo.
-    assert runner.invoke(main, ["cluster", "--out", str(out)], env=env).exit_code == 0
-    assert json.loads((out / "effective_config.json").read_text())["api_key"] is None
+    for stage in ("fetch", "build"):
+        args = [stage, "--out", str(out), "--cache-dir", str(tmp_path / "cache")]
+        assert runner.invoke(main, args, env=env).exit_code == 0
+        # The key is a secret: no artifact, sidecar, config echo or cache file holds it.
+        assert json.loads((out / "effective_config.json").read_text())["api_key"] is None
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert files and not [p.name for p in files if b"from-env" in p.read_bytes()]
+    assert api.calls and all(params["api_key"] == "from-env" for _, params in api.calls)
 
 
 def test_stage_by_stage_matches_pipeline(tmp_path, runner):
@@ -386,17 +392,56 @@ def test_malformed_date_in_dataset_exits_4(tmp_path, runner):
     assert "dataset.csv" in line["message"] and "row 3" in line["message"]
     assert "2018-13-45" in line["message"]
 
+    # Bytes that are not UTF-8, and a stray quote that runs past the csv field limit.
+    header = b"product_code,event_date_posted,recalling_firm,root_cause_description,"
+    header += b"product_quantity,device_name,device_class\r\n"
+    for body in (b"FRN,2018-01-02,Firm \xff,Cause,,Pump,2\r\n", b'FRN,2018-01-02,"' + b"x" * 200_000):
+        dataset.write_bytes(header + body)
+        line = single_error_line(runner.invoke(main, ["cluster", "--out", str(out)]), 4, "FormatError")
+        assert "dataset.csv" in line["message"]
 
-def test_noise_entry_without_count_exits_4(tmp_path, runner):
+
+@pytest.mark.parametrize(
+    "name, key, value, word",
+    [
+        ("clusters.json", "noise", [{"label": "Rare cause"}], "count"),
+        ("clusters.json", "count", 0, "count"),
+        ("clusters.json", "count", -3, "count"),
+        ("clusters.json", "count", 5.7, "count"),
+        ("clusters.json", "count", True, "count"),
+        ("groups.json", "members", "abc", "members"),
+        ("groups.json", "members", [], "members"),
+        ("groups.json", "members", ["Process control", 7], "members"),
+        ("groups.json", "total_count", 0, "total_count"),
+        ("groups.json", "total_count", 5.7, "total_count"),
+    ],
+    ids=["noise-without-count", "count-0", "count-negative", "count-float", "count-bool",
+         "members-string", "members-empty", "members-non-string", "total-0", "total-float"],
+)
+def test_noise_entry_without_count_exits_4(fixture_run, tmp_path, runner, name, key, value, word):
     out = tmp_path / "out"
-    assert invoke(runner, "pipeline", "--fixture", "table2", "--out", out).exit_code == 0
-    clusters_path = out / "clusters.json"
-    clusters = json.loads(clusters_path.read_text(encoding="utf-8"))
-    clusters["noise"] = [{"label": "Rare cause"}]
-    clusters_path.write_text(json.dumps(clusters), encoding="utf-8")
+    shutil.copytree(fixture_run, out)
+    path = out / name
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if key == "noise":
+        payload["noise"] = value
+    else:
+        payload["clusters" if name == "clusters.json" else "groups"][0][key] = value
+    path.write_text(json.dumps(payload), encoding="utf-8")
     result = runner.invoke(main, ["report", "--out", str(out)])
-    assert result.exit_code == 4
-    stderr = result.stderr.strip().splitlines()
-    assert len(stderr) == 1 and "Traceback" not in result.stderr
-    line = json.loads(stderr[0])
-    assert line["error"] == "FormatError" and "count" in line["message"]
+    line = single_error_line(result, 4, "FormatError")
+    assert word in line["message"]
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    ['[]', 'null', '{"pages": []}', '{"pages": {"0": 5}}', '{"exhausted_at": "x", "pages": {}}'],
+)
+def test_malformed_cache_manifest_exits_4(tmp_path, runner, monkeypatch, manifest):
+    monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA())
+    args = ["--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")]
+    assert runner.invoke(main, ["fetch", *args]).exit_code == 0
+    (tmp_path / "cache" / "recall" / "manifest.json").write_text(manifest, encoding="utf-8")
+    monkeypatch.setattr(openfda, "_requests_get", fail_on_network)
+    line = single_error_line(runner.invoke(main, ["build", *args]), 4, "FormatError")
+    assert "manifest" in line["message"]

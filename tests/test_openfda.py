@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 import requests
 
+from recallscan import stages
+from recallscan.dataset import write_dataset
 from recallscan.errors import (
     ContractError,
     FormatError,
@@ -22,7 +24,7 @@ from recallscan.openfda import (
     parse_recall_page,
 )
 
-from .conftest import FakeOpenFDA
+from .conftest import FakeOpenFDA, sample_records
 
 NO_SLEEP = lambda s: None
 
@@ -160,6 +162,10 @@ def test_client_error_maps_to_request_error(tmp_path):
     api = FakeOpenFDA(status_first=403)
     with pytest.raises(RequestError, match="HTTP 403"):
         fetch_pages(spec(page_size=4, max_pages=1), tmp_path, get=api, sleep=NO_SLEEP)
+    # A 404 is the end of the data only with openFDA's {"error": {"code": "NOT_FOUND"}} body.
+    for body in (b"[]", b'{"error": "gone"}', b"not json"):
+        with pytest.raises(RequestError, match="HTTP 404"):
+            fetch_pages(spec(page_size=4, max_pages=1), tmp_path, get=lambda *a: (404, body), sleep=NO_SLEEP)
 
 
 def test_server_error_retries_then_transport_error(tmp_path):
@@ -200,7 +206,7 @@ def test_page_write_cut_off_midway_is_fetched_again(tmp_path, monkeypatch):
     real_write = Path.write_bytes
 
     def cut_off(self, data):
-        if self.name.startswith("1.json"):
+        if self.name.startswith(("1.json", "clusters.json")):
             real_write(self, data[: len(data) // 2])
             raise OSError("no space left on device")
         return real_write(self, data)
@@ -220,6 +226,18 @@ def test_page_write_cut_off_midway_is_fetched_again(tmp_path, monkeypatch):
     assert [p.record_count for p in pages] == [4, 4, 2]
     assert [params["skip"] for _, params in api.calls[calls_before:]] == [4, 8]
     assert json.loads((endpoint_dir / "1.json").read_bytes())["results"] == api.recalls[4:8]
+
+    # A stage artifact cut off midway leaves the previous file whole and no temporary file.
+    out = tmp_path / "out"
+    out.mkdir()
+    write_dataset(sample_records(), out / "dataset.csv")
+    previous = b'{"previous": true}\n'
+    (out / "clusters.json").write_bytes(previous)
+    monkeypatch.setattr(Path, "write_bytes", cut_off)
+    with pytest.raises(OSError):
+        stages.cluster_stage(stages.PipelineConfig(out=str(out), min_pts=2))
+    assert (out / "clusters.json").read_bytes() == previous
+    assert not list(out.glob("*.tmp"))
 
 
 def test_api_key_is_sent_when_configured(tmp_path):
