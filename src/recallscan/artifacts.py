@@ -16,7 +16,8 @@ from .errors import DataError, FormatError, RecallScanError
 
 
 def write(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` whole or not at all."""
+    """Write ``data`` to ``path`` whole or not at all, making its directory if needed."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_bytes(data)

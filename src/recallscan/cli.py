@@ -60,8 +60,8 @@ def _apply(options):
 def _run(stage_fn, config_path: str | None, flags: dict) -> None:
     try:
         cfg = stages.PipelineConfig.from_sources(config_path, flags)
-        stages.echo_config(cfg)
         summary = stage_fn(cfg)
+        stages.echo_config(cfg)  # only a stage that succeeded is echoed
     except (RecallScanError, OSError) as exc:
         # An OSError is a file that could not be read or written: exit 4 like a data error.
         code = getattr(exc, "exit_code", 4)

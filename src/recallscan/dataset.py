@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import io
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import artifacts
 from .errors import FormatError
@@ -28,10 +31,15 @@ UNKNOWN_DEVICE_CLASS = "unknown"
 # These all occur inside legitimate FDA category names and firm names.
 ALLOWED_PUNCTUATION = set("/,()-.")
 
+# Any ASCII character the cleaning pass would strip: for ASCII, str.isalnum()
+# holds exactly for [0-9A-Za-z].
+_DIRT = re.compile(
+    "[^0-9A-Za-z " + "".join(re.escape(ch) for ch in sorted(ALLOWED_PUNCTUATION)) + "]"
+)
 
-@dataclass(frozen=True)
-class RecallRecord:
-    """One cleaned, merged recall event."""
+
+class RecallRecord(NamedTuple):
+    """One cleaned, merged recall event (an immutable tuple, fields in DATASET_HEADER order)."""
 
     product_code: str
     event_date_posted: dt.date | None
@@ -78,6 +86,7 @@ class CleaningReport:
         }
 
 
+@functools.cache
 def parse_date(value: str) -> dt.date | None:
     """Accept YYYY-MM-DD or YYYYMMDD; anything else is an absent date."""
     for fmt in ("%Y-%m-%d", "%Y%m%d"):
@@ -120,13 +129,13 @@ def merge_datasets(
             device_name, device_class = "", UNKNOWN_DEVICE_CLASS
         records.append(
             RecallRecord(
-                product_code=code,
-                event_date_posted=parse_date(entry.get("event_date_posted", "")),
-                recalling_firm=entry.get("recalling_firm", ""),
-                root_cause_description=entry.get("root_cause_description", ""),
-                product_quantity=entry.get("product_quantity", ""),
-                device_name=device_name,
-                device_class=device_class,
+                code,
+                parse_date(entry.get("event_date_posted", "")),
+                entry.get("recalling_firm", ""),
+                entry.get("root_cause_description", ""),
+                entry.get("product_quantity", ""),
+                device_name,
+                device_class,
             )
         )
     stats.unmatched_product_codes = len(unmatched)
@@ -134,6 +143,8 @@ def merge_datasets(
 
 
 def _strip_text(s: str) -> tuple[str, int]:
+    if s.isascii() and _DIRT.search(s) is None:
+        return s, 0
     kept = [ch for ch in s if ch.isalnum() or ch == " " or ch in ALLOWED_PUNCTUATION]
     return "".join(kept), len(s) - len(kept)
 
@@ -169,7 +180,7 @@ def clean(
         if not stripped["root_cause_description"].strip():
             report.dropped_null_root_cause += 1
             continue
-        cleaned = replace(rec, **stripped)
+        cleaned = rec._replace(**stripped) if removed else rec
         if cleaned in seen:
             report.dropped_duplicates += 1
             continue
@@ -223,15 +234,5 @@ def read_dataset(path: str | Path) -> list[RecallRecord]:
             raise FormatError(
                 f"dataset {path} row {idx} has a malformed event_date_posted {row[1]!r}"
             ) from exc
-        records.append(
-            RecallRecord(
-                product_code=row[0],
-                event_date_posted=posted,
-                recalling_firm=row[2],
-                root_cause_description=row[3],
-                product_quantity=row[4],
-                device_name=row[5],
-                device_class=row[6],
-            )
-        )
+        records.append(RecallRecord(row[0], posted, *row[2:]))
     return records

@@ -190,7 +190,8 @@ def cluster_root_causes(
     label of a cluster is the original-case spelling of its most frequent
     member (earliest first occurrence on ties).
     """
-    normalized = [normalize_label(s) for s in root_causes]
+    norm_of = {s: normalize_label(s) for s in dict.fromkeys(root_causes)}  # once per raw text
+    normalized = [norm_of[s] for s in root_causes]
     order: dict[str, int] = {}
     canonical: dict[str, str] = {}
     weights: dict[str, int] = {}

@@ -153,7 +153,6 @@ def write_sidecar(out_dir: Path, stage: str, inputs: list[Path], params: dict) -
 
 def echo_config(cfg: PipelineConfig) -> None:
     # The key is a secret, so the echo never holds it; a replay reads it from the flag or env.
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(cfg.out_dir / CONFIG_ECHO_FILE, {**cfg.to_dict(), "api_key": None})
 
 

@@ -142,6 +142,20 @@ def test_contract_violation_exits_5(tmp_path, runner):
     assert line["error"] == "ContractError"
 
 
+def test_failed_stage_leaves_the_config_echo_unchanged(tmp_path, runner):
+    out = tmp_path / "out"
+    assert invoke(runner, "pipeline", "--fixture", "table2", "--out", out).exit_code == 0
+    echo = (out / "effective_config.json").read_bytes()
+    assert json.loads(echo)["min_pts"] == 4
+    single_error_line(runner.invoke(main, ["cluster", "--min-pts", "0", "--out", str(out)]), 5, "ContractError")
+    # The echo still describes the run that wrote clusters.json.
+    assert (out / "effective_config.json").read_bytes() == echo
+    assert json.loads((out / "clusters.json").read_text())["params"]["min_pts"] == 4
+    fresh = tmp_path / "fresh"
+    single_error_line(runner.invoke(main, ["cluster", "--out", str(fresh)]), 4, "DataError")
+    assert not (fresh / "effective_config.json").exists()
+
+
 def test_network_failure_exits_3(tmp_path, runner, monkeypatch):
     monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA(fail_first=99))
     monkeypatch.setattr(openfda, "BACKOFF_BASE_SECONDS", 0.0)

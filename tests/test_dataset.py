@@ -1,15 +1,19 @@
 import datetime as dt
 import hashlib
+import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from recallscan.dataset import (
+    ALLOWED_PUNCTUATION,
     DATASET_HEADER,
     CleaningRules,
     RecallRecord,
+    _strip_text,
     clean,
     merge_datasets,
+    parse_date,
     read_dataset,
     write_dataset,
 )
@@ -33,6 +37,65 @@ def record(**overrides) -> RecallRecord:
     )
     base.update(overrides)
     return RecallRecord(**base)
+
+
+# --- record type -------------------------------------------------------------
+
+
+def test_record_fields_follow_the_dataset_header_and_are_read_only():
+    assert RecallRecord._fields == DATASET_HEADER
+    rec = record()
+    for name in DATASET_HEADER:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, "x")
+    assert rec == record() and hash(rec) == hash(record())
+
+
+# --- reference rules the fast paths must match ---------------------------------
+
+
+def strip_text_ref(s: str) -> tuple[str, int]:
+    kept = [ch for ch in s if ch.isalnum() or ch == " " or ch in ALLOWED_PUNCTUATION]
+    return "".join(kept), len(s) - len(kept)
+
+
+def parse_date_ref(value: str) -> dt.date | None:
+    for fmt in ("%Y-%m-%d", "%Y%m%d"):
+        try:
+            return dt.datetime.strptime(value, fmt).date()
+        except ValueError:
+            continue
+    return None
+
+
+mixed_text = st.one_of(
+    st.text(),
+    st.text(alphabet=string.printable + "".join(ALLOWED_PUNCTUATION) + "é²٣"),
+    st.text(alphabet="ab1 /,()-.é²٣"),
+)
+
+
+@given(mixed_text)
+@example("")
+@example("Process design")
+@example("Process\tdesign")
+@example("Nonconforming Material/Component (each), 1.5-2")
+@example("Café² ٣")
+@example("Smith & Nephew")
+def test_strip_text_matches_the_per_character_rule(s):
+    assert _strip_text(s) == strip_text_ref(s)
+
+
+@given(st.one_of(st.text(), st.text(alphabet="0123456789-"), st.dates().map(str)))
+@example("2024-1-5")
+@example("20240105")
+@example("")
+@example("2024-02-30")
+@example(" 2024-01-05")
+def test_parse_date_matches_the_two_format_rule(s):
+    expected = parse_date_ref(s)
+    assert parse_date(s) == expected
+    assert parse_date(s) == expected  # a memoised repeat gives the same answer
 
 
 # --- merge -----------------------------------------------------------------
@@ -122,6 +185,15 @@ def test_clean_keeps_allowed_punctuation():
     kept, report = clean([rec], RULES)
     assert kept[0] == rec
     assert report.stripped_char_count == 0
+
+
+@given(st.builds(record, root_cause_description=st.text(alphabet="ab ?*é", max_size=6),
+                 recalling_firm=st.sampled_from(["Smith & Nephew", "Baxter, Inc."])))
+@example(record())
+def test_clean_copies_a_record_only_when_it_stripped_something(rec):
+    kept, report = clean([rec], RULES)
+    if kept:
+        assert (kept[0] is rec) == (report.stripped_char_count == 0)
 
 
 def test_clean_deduplicates_keeping_first():
