@@ -21,7 +21,6 @@ from .dataset import (
 )
 from .dbscan import (
     NOISE,
-    ClusterAssignment,
     ClusterSummary,
     DbscanParams,
     RootCauseClusters,
@@ -47,7 +46,6 @@ from .report import (
     top_firms,
 )
 from .textprep import (
-    TokenVector,
     cosine_distance,
     lcs_similarity,
     normalize_label,
@@ -58,7 +56,6 @@ from .textprep import (
 __all__ = [
     "AggregatedGroup",
     "AggregationParams",
-    "ClusterAssignment",
     "ClusterSummary",
     "CleaningReport",
     "CleaningRules",
@@ -74,7 +71,6 @@ __all__ = [
     "RawPage",
     "RecallRecord",
     "RootCauseClusters",
-    "TokenVector",
     "aggregate",
     "clean",
     "cluster_root_causes",

@@ -76,9 +76,10 @@ class MergeOverrides:
             if not isinstance(items, list):
                 raise FormatError(f"overrides {key} must be a list of [a, b] pairs")
             for item in items:
-                if not (isinstance(item, list) and len(item) == 2):
-                    raise FormatError(f"overrides {key} entries must be [a, b] pairs")
-            return [(str(a), str(b)) for a, b in items]
+                if not (isinstance(item, list) and len(item) == 2
+                        and all(isinstance(label, str) for label in item)):
+                    raise FormatError(f"overrides {key} entries must be [a, b] pairs of strings")
+            return [(a, b) for a, b in items]
         return cls(merge=pairs("merge"), split=pairs("split"))
 
 

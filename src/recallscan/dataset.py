@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import artifacts
-from .errors import FormatError
+from .errors import ContractError, FormatError
 
 DATASET_HEADER = (
     "product_code",
@@ -64,6 +64,10 @@ class CleaningRules:
 
     date_from: dt.date
     date_to: dt.date
+
+    def __post_init__(self):
+        if self.date_from > self.date_to:
+            raise ContractError(f"date_from {self.date_from} is after date_to {self.date_to}")
 
 
 @dataclass

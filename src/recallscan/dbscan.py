@@ -1,23 +1,25 @@
-"""Deterministic DBSCAN over an abstract point set and distance oracle.
+"""Deterministic DBSCAN over one distance matrix: cosine distance over token counts.
 
-The generic entry points work on any indexed collection plus a symmetric
-distance callable. ``cluster_root_causes`` is the pipeline-facing layer: it
-collapses records with identical normalised labels into weighted unique
-points before clustering (provably equivalent to clustering every record,
-see the property tests) and produces per-cluster summaries.
+``dbscan`` clusters the points of a square distance matrix; ``dbscan_weighted``
+builds that matrix from token-count vectors with ``cosine_matrix``.
+``cluster_root_causes`` is the pipeline-facing layer: it collapses records
+with identical normalised labels into weighted unique points before
+clustering (provably equivalent to clustering every record, see the property
+tests) and produces per-cluster summaries.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import artifacts
 from .errors import ContractError, FormatError
-from .textprep import cosine_distance, cosine_matrix, normalize_label, tf_vector
+from .textprep import cosine_matrix, normalize_label, tf_vector
 
 NOISE = -1
 
@@ -39,68 +41,48 @@ class DbscanParams:
             raise ContractError(f"min_pts must be >= 1, got {self.min_pts}")
 
 
-@dataclass
-class ClusterAssignment:
-    """Per-point labels (cluster id or NOISE) plus the number of clusters.
-
-    Ids are contiguous from 0 and follow the order of first core-point
-    discovery along the input scan.
-    """
-
-    labels: list[int]
-    cluster_count: int
-
-
-def _pairwise_matrix(points: Sequence[Any], distance: Callable[[Any, Any], float]) -> np.ndarray:
-    """Dense symmetric distance matrix; ``cosine_distance`` takes one exact matmul."""
-    n = len(points)
-    for i in range(n):
-        if distance(points[i], points[i]) != 0:
-            raise ContractError(f"distance(p, p) must be 0, violated at index {i}")
-    if distance is cosine_distance:
-        dist = cosine_matrix(points)
-    else:
-        dist = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                dist[i, j] = dist[j, i] = float(distance(points[i], points[j]))
-    if n and dist.min() < 0:
-        i, j = np.argwhere(dist < 0)[0]
-        raise ContractError(f"negative distance between indices {i} and {j}")
-    _spot_check_symmetry(points, distance, dist)
-    return dist
-
-
-def _spot_check_symmetry(points, distance, dist) -> None:
-    # Deterministic sample; full verification would double the oracle calls.
-    # Both orders are compared, so a matrix built without the oracle is
-    # checked against it too.
-    n = len(points)
-    step = max(1, n // 8)
-    for i in range(0, n, step):
-        j = n - 1 - i
-        if i == j:
-            continue
-        if float(distance(points[j], points[i])) != dist[i, j]:
-            raise ContractError(f"distance oracle is asymmetric on pair ({i}, {j})")
-        if float(distance(points[i], points[j])) != dist[i, j]:
-            raise ContractError(f"distance matrix disagrees with the oracle on pair ({i}, {j})")
-
-
-def _propagate_labels(
-    dist: np.ndarray, eps: float, min_pts: int, weights: np.ndarray
+def dbscan(
+    dist: np.ndarray,
+    params: DbscanParams = DbscanParams(),
+    weights: Sequence[int] | None = None,
 ) -> list[int]:
-    """Weighted DBSCAN label propagation over a dense distance matrix.
+    """Weighted DBSCAN over a square distance matrix: one cluster id or NOISE per point.
 
-    A point is core when the summed weight of its eps-neighbourhood, itself
-    included, reaches ``min_pts``. Points are scanned in input order and
-    neighbourhoods expanded in ascending index order; cluster ids count up
-    from 0 in order of discovery, and a border point keeps the id of the
-    first cluster that reaches it. Neighbourhoods are taken one row at a
-    time, so no n x n temporary is built.
+    Point ``i`` stands for ``weights[i]`` coincident records (1 when no
+    weights are given). A point is core when the summed weight of its
+    eps-neighbourhood, itself included, reaches ``min_pts``. Points are
+    scanned in input order and neighbourhoods expanded in ascending index
+    order; cluster ids count up from 0 in order of discovery, and a border
+    point keeps the id of the first cluster that reaches it. Low-density
+    points come back as NOISE.
+
+    The matrix must have a zero diagonal and no negative entry, and a
+    deterministic sample of pairs must be symmetric. Neither these checks nor
+    the neighbourhoods (taken one row at a time) build an n x n temporary.
     """
-    n = len(weights)
-    core = [int(weights[dist[p] <= eps].sum()) >= min_pts for p in range(n)]
+    dist = np.asarray(dist, dtype=np.float64)
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise ContractError(f"distance matrix must be square, got shape {dist.shape}")
+    n = len(dist)
+    w = np.ones(n, dtype=np.int64) if weights is None else np.asarray(list(weights), dtype=np.int64)
+    if len(w) != n:
+        raise ContractError("weights and points must have equal length")
+    if n and w.min() < 1:
+        raise ContractError("weights must be positive integers")
+    nonzero = np.flatnonzero(np.diagonal(dist))
+    if nonzero.size:
+        raise ContractError(f"self-distance must be 0, violated at index {nonzero[0]}")
+    if n and dist.min() < 0:
+        i, j = np.unravel_index(dist.argmin(), dist.shape)
+        raise ContractError(f"negative distance between indices {i} and {j}")
+    # Deterministic sample; a full check (dist == dist.T) would build an n x n temporary.
+    for i in range(0, n, max(1, n // 8)):
+        j = n - 1 - i
+        if dist[i, j] != dist[j, i]:
+            raise ContractError(f"distance matrix is asymmetric on pair ({i}, {j})")
+
+    eps, min_pts = float(params.eps), int(params.min_pts)
+    core = [int(w[dist[p] <= eps].sum()) >= min_pts for p in range(n)]
     labels = [NOISE] * n
     cluster = 0
     for i in range(n):
@@ -118,35 +100,13 @@ def _propagate_labels(
     return labels
 
 
-def dbscan(
-    points: Sequence[Any],
-    distance: Callable[[Any, Any], float],
-    params: DbscanParams = DbscanParams(),
-) -> ClusterAssignment:
-    """Cluster ``points`` with exact O(n^2) neighbourhood computation.
-
-    Points are scanned in input order and neighbourhoods expanded in
-    ascending index order, so the result is fully deterministic. Low-density
-    points come back as NOISE rather than joining any cluster.
-    """
-    return dbscan_weighted(points, [1] * len(points), distance, params)
-
-
 def dbscan_weighted(
-    points: Sequence[Any],
+    vectors: Sequence[dict[str, int]],
     weights: Sequence[int],
-    distance: Callable[[Any, Any], float],
     params: DbscanParams = DbscanParams(),
-) -> ClusterAssignment:
-    """DBSCAN where ``points[i]`` stands for ``weights[i]`` coincident records."""
-    if len(weights) != len(points):
-        raise ContractError("weights and points must have equal length")
-    w = np.asarray(list(weights), dtype=np.int64)
-    if w.size and w.min() < 1:
-        raise ContractError("weights must be positive integers")
-    dist = _pairwise_matrix(points, distance)
-    labels = _propagate_labels(dist, float(params.eps), int(params.min_pts), w)
-    return ClusterAssignment(labels=labels, cluster_count=max(labels, default=NOISE) + 1)
+) -> list[int]:
+    """DBSCAN by cosine distance; token counts ``vectors[i]`` stand for ``weights[i]`` records."""
+    return dbscan(cosine_matrix(vectors), params, weights)
 
 
 @dataclass(frozen=True)
@@ -186,7 +146,7 @@ def cluster_root_causes(
     """Cluster free-text root causes by cosine distance over token counts.
 
     Records with the same normalised label collapse into one weighted point,
-    so the distance oracle runs once per unique label pair. The canonical
+    so the cosine matrix holds one row per unique label. The canonical
     label of a cluster is the original-case spelling of its most frequent
     member (earliest first occurrence on ties).
     """
@@ -204,22 +164,20 @@ def cluster_root_causes(
 
     uniques = list(order)  # first-occurrence order
     vectors = [tf_vector(u) for u in uniques]
-    assignment = dbscan_weighted(
-        vectors, [weights[u] for u in uniques], cosine_distance, params
-    )
+    labels = dbscan_weighted(vectors, [weights[u] for u in uniques], params)
 
-    record_labels = [assignment.labels[order[norm]] for norm in normalized]
+    record_labels = [labels[order[norm]] for norm in normalized]
 
     summaries: list[ClusterSummary] = []
-    for cid in range(assignment.cluster_count):
-        members = [u for u, lab in zip(uniques, assignment.labels) if lab == cid]
+    for cid in range(max(labels, default=NOISE) + 1):
+        members = [u for u, lab in zip(uniques, labels) if lab == cid]
         rep = max(members, key=lambda u: (weights[u], -order[u]))
         summaries.append(
             ClusterSummary(cid, canonical[rep], sum(weights[u] for u in members))
         )
     noise = [
         ClusterSummary(NOISE, canonical[u], weights[u])
-        for u, lab in zip(uniques, assignment.labels)
+        for u, lab in zip(uniques, labels)
         if lab == NOISE
     ]
     return RootCauseClusters(
@@ -246,7 +204,7 @@ def clusters_from_json_dict(payload: dict) -> tuple[list[ClusterSummary], list[C
     """Rebuild the cluster summaries and the noise entries (none when absent) of a cluster artifact.
 
     Each entry needs an integer id (noise gets ``NOISE``), a string label and a
-    positive integer count.
+    positive integer count; no two entries share a label and no two clusters an id.
     """
     try:
         clusters = [ClusterSummary(c["id"], c["label"], c["count"]) for c in payload["clusters"]]
@@ -260,4 +218,9 @@ def clusters_from_json_dict(payload: dict) -> tuple[list[ClusterSummary], list[C
                 f"malformed cluster artifact entry {s}: needs an integer id, "
                 "a string label and a positive integer count"
             )
+    for key, values in (("label", [s.label for s in clusters + noise]),
+                        ("id", [s.cluster_id for s in clusters])):
+        repeated = [v for v, c in Counter(values).items() if c > 1]
+        if repeated:
+            raise FormatError(f"malformed cluster artifact: {key} {repeated[0]!r} appears twice")
     return clusters, noise

@@ -40,7 +40,7 @@ from .dbscan import (
     clusters_from_json_dict,
     clusters_to_json_dict,
 )
-from .errors import DataError, TransportError, UsageError
+from .errors import ContractError, DataError, TransportError, UsageError
 from .fixtures import FIXTURE_BUILDERS
 from .report import FORMATS, WRITERS, build_document
 from .textprep import DEFAULT_PREFIX_LEN
@@ -108,6 +108,8 @@ class PipelineConfig:
 
         A value of the field's type is kept; a string is parsed to that type
         (flags always arrive as strings). Anything else is a ``UsageError``.
+        A value out of range is a ``ContractError``, raised here so that no
+        stage has written a file yet.
         """
         values = dataclasses.asdict(cls())
         if config_path:
@@ -126,7 +128,21 @@ class PipelineConfig:
                 raise UsageError(
                     f"unknown {key} {values[key]!r}; choose one of {', '.join(choices)}"
                 )
-        return cls(**values)
+        cfg = cls(**values)
+        # The range rules live in these classes; building them checks every value.
+        cfg.cleaning_rules(), cfg.dbscan_params(), cfg.aggregation_params()
+        if cfg.top < 1:
+            raise ContractError(f"top k must be >= 1, got {cfg.top}")
+        return cfg
+
+    def cleaning_rules(self) -> CleaningRules:
+        return CleaningRules(date_from=self.date_from, date_to=self.date_to)
+
+    def dbscan_params(self) -> DbscanParams:
+        return DbscanParams(eps=self.eps, min_pts=self.min_pts)
+
+    def aggregation_params(self) -> AggregationParams:
+        return AggregationParams(prefix_len=self.prefix_len, theta=self.theta)
 
     @property
     def out_dir(self) -> Path:
@@ -199,7 +215,7 @@ def _offline_get(url, params, timeout):
 def build_stage(cfg: PipelineConfig) -> str:
     """Merge, clean and persist the canonical dataset (from cache or fixture)."""
     out = cfg.out_dir
-    rules = CleaningRules(date_from=cfg.date_from, date_to=cfg.date_to)
+    rules = cfg.cleaning_rules()
     if cfg.fixture is not None:
         raw = FIXTURE_BUILDERS[cfg.fixture](cfg.date_from, cfg.date_to)
         records, report = clean(raw, rules)
@@ -239,10 +255,7 @@ def cluster_stage(cfg: PipelineConfig) -> str:
     records = read_dataset(dataset_path)
     if not records:
         raise DataError(f"dataset {dataset_path} holds no records; nothing to cluster")
-    params = DbscanParams(eps=cfg.eps, min_pts=cfg.min_pts)
-    result = cluster_root_causes(
-        [r.root_cause_description for r in records], params
-    )
+    result = cluster_root_causes([r.root_cause_description for r in records], cfg.dbscan_params())
     artifacts.write_json(out / CLUSTERS_FILE, clusters_to_json_dict(result))
     write_sidecar(out, "cluster", [dataset_path], {"eps": cfg.eps, "min_pts": cfg.min_pts})
     return (
@@ -258,7 +271,7 @@ def aggregate_stage(cfg: PipelineConfig) -> str:
     summaries, _ = clusters_from_json_dict(_read_artifact(clusters_path, "cluster"))
     if not summaries:
         raise DataError(f"{clusters_path} holds no clusters; nothing to aggregate")
-    params = AggregationParams(prefix_len=cfg.prefix_len, theta=cfg.theta)
+    params = cfg.aggregation_params()
     overrides = MergeOverrides.from_file(cfg.overrides_file) if cfg.overrides_file else None
     groups = aggregate(summaries, params, overrides)
     artifacts.write_json(out / GROUPS_FILE, groups_to_json_dict(groups, params))

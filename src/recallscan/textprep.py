@@ -1,6 +1,7 @@
 """Root-cause text normalisation and the two string metrics of the pipeline.
 
-Cosine distance over term-frequency vectors drives the clustering step;
+Cosine distance over token-count dicts (``tf_vector``), one pair at a time or
+as one matrix (``cosine_matrix``), drives the clustering step;
 normalised longest-common-subsequence similarity over label prefixes drives
 the group aggregation step. Everything here is pure and deterministic.
 """
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,24 +27,13 @@ def normalize_label(s: str) -> str:
     return " ".join(s.lower().translate(_TRANSFORM).split())
 
 
-@dataclass(frozen=True)
-class TokenVector:
-    """Sparse term-frequency vector for one normalised label."""
-
-    source_label: str
-    counts: dict[str, int]
-
-    def __bool__(self) -> bool:
-        return bool(self.counts)
+def tf_vector(s: str) -> dict[str, int]:
+    """Token counts of an already-normalised string; empty string gives an empty dict."""
+    return dict(Counter(s.split()))
 
 
-def tf_vector(s: str) -> TokenVector:
-    """Token counts of an already-normalised string; empty string gives an empty vector."""
-    return TokenVector(source_label=s, counts=dict(Counter(s.split())))
-
-
-def cosine_distance(a: TokenVector, b: TokenVector) -> float:
-    """1 - cos(a, b) in [0, 1].
+def cosine_distance(a: dict[str, int], b: dict[str, int]) -> float:
+    """1 - cos(a, b) in [0, 1] over two token-count dicts.
 
     Identical vectors are exactly 0 and the value is exactly symmetric: the
     dot product and squared norms are integer sums, so no float ordering
@@ -54,17 +43,17 @@ def cosine_distance(a: TokenVector, b: TokenVector) -> float:
         return 0.0
     if not a or not b:
         return 1.0
-    if a.counts == b.counts:
+    if a == b:
         return 0.0
-    small, large = (a.counts, b.counts) if len(a.counts) <= len(b.counts) else (b.counts, a.counts)
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
     dot = sum(c * large[t] for t, c in small.items() if t in large)
-    qa = sum(c * c for c in a.counts.values())
-    qb = sum(c * c for c in b.counts.values())
+    qa = sum(c * c for c in a.values())
+    qb = sum(c * c for c in b.values())
     cos = dot / math.sqrt(qa * qb)
     return min(1.0, max(0.0, 1.0 - cos))
 
 
-def cosine_matrix(vectors: Sequence[TokenVector]) -> np.ndarray:
+def cosine_matrix(vectors: Sequence[dict[str, int]]) -> np.ndarray:
     """All pairwise ``cosine_distance`` values as one u x u float64 matrix.
 
     The result equals the scalar function bit for bit on every pair. Token
@@ -77,15 +66,16 @@ def cosine_matrix(vectors: Sequence[TokenVector]) -> np.ndarray:
     as the float conversion of the scalar path's integer product does, and
     the division, ``1 - x`` and the clip follow the scalar expression step
     for step. Rows are normalised in place, so no n x n temporary is
-    allocated.
+    allocated. A deterministic sample of pairs is compared with
+    ``cosine_distance``; a mismatch raises ContractError.
     """
     vocab: dict[str, int] = {}
     for v in vectors:
-        for token in v.counts:
+        for token in v:
             vocab.setdefault(token, len(vocab))
     counts = np.zeros((len(vectors), len(vocab)), dtype=np.float64)
     for i, v in enumerate(vectors):
-        for token, c in v.counts.items():
+        for token, c in v.items():
             counts[i, vocab[token]] = c
     q = np.einsum("ij,ij->i", counts, counts)
     if q.size and q.max() >= 2.0**53:
@@ -101,6 +91,11 @@ def cosine_matrix(vectors: Sequence[TokenVector]) -> np.ndarray:
     dist[:, empty] = 1.0
     dist[np.ix_(empty, empty)] = 0.0
     np.fill_diagonal(dist, 0.0)
+    n = len(vectors)
+    for i in range(0, n, max(1, n // 8)):
+        j = n - 1 - i
+        if cosine_distance(vectors[i], vectors[j]) != dist[i, j]:
+            raise ContractError(f"cosine matrix disagrees with cosine_distance on pair ({i}, {j})")
     return dist
 
 

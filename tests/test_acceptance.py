@@ -200,18 +200,14 @@ def test_c07_engine_matches_reference_on_1000_random_instances():
         min_pts = int(rng.integers(1, 7))
         if trial % 2 == 0:
             pts = [float(x) for x in rng.random(n)]
-            dist_fn = lambda a, b: abs(a - b)
-            matrix = [[abs(a - b) for b in pts] for a in pts]
+            matrix = np.array([[abs(a - b) for b in pts] for a in pts])
         else:
             # Symmetric, zero-diagonal, deliberately non-metric.
-            m = rng.random((n, n))
-            m = (m + m.T) / 2.0
-            np.fill_diagonal(m, 0.0)
-            pts = list(range(n))
-            dist_fn = lambda a, b: float(m[a, b])
-            matrix = m.tolist()
-        got = dbscan(pts, dist_fn, DbscanParams(eps, min_pts)).labels
-        want = dbscan_ref(matrix, eps, min_pts)
+            matrix = rng.random((n, n))
+            matrix = (matrix + matrix.T) / 2.0
+            np.fill_diagonal(matrix, 0.0)
+        got = dbscan(matrix, DbscanParams(eps, min_pts))
+        want = dbscan_ref(matrix.tolist(), eps, min_pts)
         assert canonical_partition(got) == canonical_partition(want), (
             f"trial {trial}: eps={eps} min_pts={min_pts}"
         )

@@ -13,7 +13,7 @@ from recallscan.aggregate import (
     groups_to_json_dict,
 )
 from recallscan.dbscan import ClusterSummary
-from recallscan.errors import ContractError
+from recallscan.errors import ContractError, FormatError
 from recallscan.reference import REFERENCE_INITIATORS, TOTAL_CASES
 from recallscan.textprep import prefix_key
 
@@ -176,6 +176,10 @@ def test_overrides_file_roundtrip(tmp_path):
     path.write_text('{"merge": [["A", "B"]], "split": []}')
     overrides = MergeOverrides.from_file(path)
     assert overrides.merge == [("A", "B")] and overrides.split == []
+    for text in ('{"split": [[1, 2]]}', '{"merge": [[null, "Process control"]]}'):
+        path.write_text(text)  # a pair item that is not a string is not coerced
+        with pytest.raises(FormatError, match="strings"):
+            MergeOverrides.from_file(path)
 
 
 def test_group_artifact_payload_sorted():

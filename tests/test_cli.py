@@ -133,13 +133,29 @@ def test_cluster_without_dataset_exits_4(tmp_path, runner):
     assert result.exit_code == 4
 
 
-def test_contract_violation_exits_5(tmp_path, runner):
+@pytest.mark.parametrize(
+    "args, word",
+    [
+        (["cluster", "--min-pts", "0"], "min_pts"),
+        (["pipeline", "--fixture", "table2", "--eps", "-1"], "eps"),
+        (["pipeline", "--fixture", "table2", "--theta", "1.5"], "theta"),
+        (["pipeline", "--fixture", "table2", "--prefix-len", "0"], "prefix_len"),
+        (["pipeline", "--fixture", "table2", "--top", "0"], "k must be >= 1"),
+        (["build", "--fixture", "table2", "--from", "2020-01-02", "--to", "2020-01-01"], "date_from"),
+        (["build", "--fixture", "table2", "--from", "2020-01-05", "--to", "2020-01-01"], "date_from"),
+    ],
+    ids=["min-pts-0", "eps-negative", "theta-above-1", "prefix-len-0", "top-0",
+         "window-reversed-by-a-day", "window-reversed"],
+)
+def test_contract_violation_exits_5(fixture_run, tmp_path, runner, args, word):
+    # An out-of-range value is rejected before any stage runs, so the
+    # previous run's files, sidecars included, stay exactly as they were.
     out = tmp_path / "out"
-    assert invoke(runner, "build", "--fixture", "table2", "--out", out).exit_code == 0
-    result = runner.invoke(main, ["cluster", "--min-pts", "0", "--out", str(out)])
-    assert result.exit_code == 5
-    line = json.loads(result.stderr.strip().splitlines()[-1])
-    assert line["error"] == "ContractError"
+    shutil.copytree(fixture_run, out)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    line = single_error_line(runner.invoke(main, [*args, "--out", str(out)]), 5, "ContractError")
+    assert word in line["message"]
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def test_failed_stage_leaves_the_config_echo_unchanged(tmp_path, runner):
@@ -428,9 +444,11 @@ def test_malformed_date_in_dataset_exits_4(tmp_path, runner):
         ("groups.json", "members", ["Process control", 7], "members"),
         ("groups.json", "total_count", 0, "total_count"),
         ("groups.json", "total_count", 5.7, "total_count"),
+        ("clusters.json", "label", "Device Design", "label"),
     ],
     ids=["noise-without-count", "count-0", "count-negative", "count-float", "count-bool",
-         "members-string", "members-empty", "members-non-string", "total-0", "total-float"],
+         "members-string", "members-empty", "members-non-string", "total-0", "total-float",
+         "label-repeated"],
 )
 def test_noise_entry_without_count_exits_4(fixture_run, tmp_path, runner, name, key, value, word):
     out = tmp_path / "out"

@@ -1,25 +1,31 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from recallscan.dbscan import (
     NOISE,
-    _pairwise_matrix,
     DbscanParams,
     cluster_root_causes,
+    clusters_from_json_dict,
     clusters_to_json_dict,
     dbscan,
     dbscan_weighted,
 )
-from recallscan.errors import ContractError
+from recallscan.errors import ContractError, FormatError
 from recallscan.reference import REFERENCE_INITIATORS, TOTAL_CASES
-from recallscan.textprep import cosine_distance, normalize_label, tf_vector
+from recallscan.textprep import normalize_label, tf_vector
 
 from .oracles import canonical_partition, dbscan_ref
 
 
-def absdist(a, b):
-    return abs(a - b)
+def absmatrix(pts):
+    """|a - b| for every pair of 1-d points."""
+    a = np.asarray(pts, dtype=np.float64)
+    return np.abs(a[:, None] - a[None, :])
+
+
+def matrix(points, distance):
+    return np.array([[distance(a, b) for b in points] for a in points], dtype=np.float64)
 
 
 def test_params_validation():
@@ -39,18 +45,15 @@ def test_non_finite_eps_is_rejected(eps):
 
 def test_identical_copies_form_one_cluster():
     vec = tf_vector("process control")
-    result = dbscan([vec] * 6, cosine_distance, DbscanParams(0.1, 4))
-    assert result.cluster_count == 1
-    assert result.labels == [0] * 6
+    assert dbscan_weighted([vec] * 6, [1] * 6, DbscanParams(0.1, 4)) == [0] * 6
 
 
 def test_below_density_copies_are_noise():
     # 3 copies with min_pts=4 and everything else at distance 1.
     points = [tf_vector("rare cause")] * 3 + [tf_vector("common cause")] * 5
-    result = dbscan(points, cosine_distance, DbscanParams(0.1, 4))
-    assert result.labels[:3] == [NOISE] * 3
-    assert result.labels[3:] == [0] * 5
-    assert result.cluster_count == 1
+    labels = dbscan_weighted(points, [1] * 8, DbscanParams(0.1, 4))
+    assert labels[:3] == [NOISE] * 3
+    assert labels[3:] == [0] * 5
 
 
 def test_asymmetric_distance_is_rejected():
@@ -60,12 +63,18 @@ def test_asymmetric_distance_is_rejected():
         return 0.2 if a < b else 0.4
 
     with pytest.raises(ContractError):
-        dbscan([0, 1, 2, 3], skewed, DbscanParams(0.3, 2))
+        dbscan(matrix([0, 1, 2, 3], skewed), DbscanParams(0.3, 2))
 
 
 def test_nonzero_self_distance_is_rejected():
     with pytest.raises(ContractError):
-        dbscan([1, 2], lambda a, b: 1.0, DbscanParams(0.5, 1))
+        dbscan(np.ones((2, 2)), DbscanParams(0.5, 1))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 1, 1)])
+def test_non_square_matrix_is_rejected(shape):
+    with pytest.raises(ContractError, match="square"):
+        dbscan(np.zeros(shape), DbscanParams(0.5, 1))
 
 
 def test_matches_reference_on_random_sweeps():
@@ -74,11 +83,12 @@ def test_matches_reference_on_random_sweeps():
         n = int(rng.integers(2, 41))
         pts = [float(x) for x in rng.random(n)]
         eps = float(rng.choice([0.02, 0.05, 0.1, 0.2]))
-        min_pts = int(rng.integers(1, 6))
-        got = dbscan(pts, absdist, DbscanParams(eps, min_pts)).labels
-        dist = [[absdist(a, b) for b in pts] for a in pts]
-        want = dbscan_ref(dist, eps, min_pts)
-        assert canonical_partition(got) == canonical_partition(want)
+        min_pts = int(rng.integers(1, 9))
+        weights = [int(w) for w in rng.integers(1, 6, size=n)]
+        dist = absmatrix(pts)
+        got = dbscan(dist, DbscanParams(eps, min_pts), weights)
+        want = dbscan_ref(dist.tolist(), eps, min_pts, weights)
+        assert got == want  # same scan order, so the ids agree too
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,17 +98,31 @@ def test_matches_reference_on_random_sweeps():
     st.sampled_from([0.03, 0.1, 0.25]),
     st.integers(min_value=1, max_value=5),
 )
+# 0.375 is a border point of both clusters; the scan order decides which one it joins.
+@example(pts=[0.5, 0.75, 0.125, 0.0, 0.0, 0.75, 0.375], perm=[1, 2, 0, *range(3, 25)],
+         eps=0.25, min_pts=4)
 def test_partition_is_permutation_covariant(pts, perm, eps, min_pts):
+    # Noise and the partition of core points do not depend on the scan order
+    # (Ester et al., KDD 1996). A border point within eps of core points of
+    # two clusters joins the one found first, so for border points the test
+    # asserts that they sit next to a core point of their own cluster.
     params = DbscanParams(eps, min_pts)
-    base = dbscan(pts, absdist, params).labels
+    dist = absmatrix(pts)
+    base = dbscan(dist, params)
     order = [p for p in perm if p < len(pts)]
     shuffled = [pts[i] for i in order]
-    relabeled = dbscan(shuffled, absdist, params).labels
-    # Map shuffled labels back to original positions and compare partitions.
+    relabeled = dbscan(absmatrix(shuffled), params)
+    # Map shuffled labels back to original positions.
     back = [0] * len(pts)
     for pos, orig in enumerate(order):
         back[orig] = relabeled[pos]
-    assert canonical_partition(base) == canonical_partition(back)
+    core = [i for i in range(len(pts)) if (dist[i] <= eps).sum() >= min_pts]
+    assert canonical_partition([base[i] for i in core]) == canonical_partition([back[i] for i in core])
+    for labels in (base, back):
+        for i, label in enumerate(labels):
+            near_core = [j for j in core if dist[i, j] <= eps]
+            assert (label == NOISE) == (not near_core)
+            assert label == NOISE or any(labels[j] == label for j in near_core)
 
 
 def test_raising_min_pts_only_grows_noise():
@@ -106,7 +130,7 @@ def test_raising_min_pts_only_grows_noise():
     pts = [float(x) for x in rng.random(40)]
     noise_sets = []
     for min_pts in range(1, 7):
-        labels = dbscan(pts, absdist, DbscanParams(0.05, min_pts)).labels
+        labels = dbscan(absmatrix(pts), DbscanParams(0.05, min_pts))
         noise_sets.append({i for i, l in enumerate(labels) if l == NOISE})
     for smaller, larger in zip(noise_sets, noise_sets[1:]):
         assert smaller <= larger
@@ -123,17 +147,17 @@ def test_two_valued_metric_collapses_to_label_classes(labels, min_pts):
     def d(a, b):
         return 0.0 if a == b else 1.0
 
-    result = dbscan(labels, d, DbscanParams(0.1, min_pts))
+    got = dbscan(matrix(labels, d), DbscanParams(0.1, min_pts))
     from collections import Counter
 
     counts = Counter(labels)
-    for value, label in zip(labels, result.labels):
+    for value, label in zip(labels, got):
         if counts[value] >= min_pts:
             assert label != NOISE
         else:
             assert label == NOISE
     clustered_values = {v for v, c in counts.items() if c >= min_pts}
-    assert result.cluster_count == len(clustered_values)
+    assert max(got) + 1 == len(clustered_values)
 
 
 @settings(max_examples=80, deadline=None)
@@ -164,7 +188,7 @@ def test_weighted_unique_path_equals_per_record_path(causes, min_pts, eps):
     params = DbscanParams(eps, min_pts)
     optimized = cluster_root_causes(causes, params).record_labels
     vectors = [tf_vector(normalize_label(c)) for c in causes]
-    plain = dbscan(vectors, cosine_distance, params).labels
+    plain = dbscan_weighted(vectors, [1] * len(vectors), params)
     assert optimized == plain
 
 
@@ -181,11 +205,11 @@ def test_every_cluster_contains_a_core_point():
     rng = np.random.default_rng(3)
     pts = [float(x) for x in rng.random(50)]
     eps, min_pts = 0.04, 3
-    result = dbscan(pts, absdist, DbscanParams(eps, min_pts))
-    for cid in range(result.cluster_count):
-        member_idx = [i for i, l in enumerate(result.labels) if l == cid]
+    labels = dbscan(absmatrix(pts), DbscanParams(eps, min_pts))
+    for cid in range(max(labels) + 1):
+        member_idx = [i for i, l in enumerate(labels) if l == cid]
         assert any(
-            sum(1 for j in range(len(pts)) if absdist(pts[i], pts[j]) <= eps) >= min_pts
+            sum(1 for j in range(len(pts)) if abs(pts[i] - pts[j]) <= eps) >= min_pts
             for i in member_idx
         )
 
@@ -193,28 +217,23 @@ def test_every_cluster_contains_a_core_point():
 def test_cluster_ids_follow_first_discovery_order():
     # Two well-separated dense groups; the group seen first takes id 0.
     pts = [0.9, 0.9, 0.9, 0.1, 0.1, 0.1]
-    labels = dbscan(pts, absdist, DbscanParams(0.05, 3)).labels
+    labels = dbscan(absmatrix(pts), DbscanParams(0.05, 3))
     assert labels == [0, 0, 0, 1, 1, 1]
 
 
 def test_weighted_input_validation():
     vec = tf_vector("x")
     with pytest.raises(ContractError):
-        dbscan_weighted([vec], [1, 2], cosine_distance)
+        dbscan_weighted([vec], [1, 2])
     with pytest.raises(ContractError):
-        dbscan_weighted([vec], [0], cosine_distance)
+        dbscan_weighted([vec], [0])
 
 
 def test_weighted_empty_singleton_and_lonely_noise():
-    def d(a, b):
-        return 0.0 if a == b else 1.0
-
-    empty = dbscan_weighted([], [], d, DbscanParams(0.1, 1))
-    assert (empty.labels, empty.cluster_count) == ([], 0)
-    one = dbscan_weighted(["a"], [1], d, DbscanParams(0.1, 1))
-    assert (one.labels, one.cluster_count) == ([0], 1)
-    lonely = dbscan_weighted(["a"], [1], d, DbscanParams(0.1, 2))
-    assert (lonely.labels, lonely.cluster_count) == ([NOISE], 0)
+    vec = tf_vector("a")
+    assert dbscan_weighted([], [], DbscanParams(0.1, 1)) == []
+    assert dbscan_weighted([vec], [1], DbscanParams(0.1, 1)) == [0]
+    assert dbscan_weighted([vec], [1], DbscanParams(0.1, 2)) == [NOISE]
 
 
 def test_cluster_artifact_payload_is_sorted():
@@ -238,22 +257,20 @@ def test_canonical_label_preserves_original_case():
     assert result.summaries[0].count == 5
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.sampled_from(["process", "control", "design", "use", "error"]), max_size=5),
-        max_size=20,
-    )
-)
-def test_cosine_fast_path_equals_oracle_loop(token_lists):
-    # The matmul path is taken only for cosine_distance itself; a wrapper
-    # forces the per-pair loop, and both matrices must agree bit for bit.
-    vectors = [tf_vector(" ".join(tokens)) for tokens in token_lists]
-    fast = _pairwise_matrix(vectors, cosine_distance)
-    loop = _pairwise_matrix(vectors, lambda a, b: cosine_distance(a, b))
-    assert fast.tobytes() == loop.tobytes()
-
-
 def test_negative_distance_is_rejected():
     with pytest.raises(ContractError, match="negative distance between indices 0 and 2"):
-        dbscan([0, 1, 2], lambda a, b: 0.0 if a == b else (-1.0 if {a, b} == {0, 2} else 0.5))
+        dbscan(matrix([0, 1, 2], lambda a, b: 0.0 if a == b else (-1.0 if {a, b} == {0, 2} else 0.5)))
+
+
+@pytest.mark.parametrize(
+    "clusters, noise, repeated",
+    [
+        ([{"id": 0, "label": "A", "count": 5}, {"id": 0, "label": "B", "count": 4}], [], "id 0"),
+        ([{"id": 0, "label": "A", "count": 5}], [{"label": "A", "count": 1}], "label 'A'"),
+    ],
+    ids=["id", "noise-label"],
+)
+def test_cluster_artifact_rejects_repeated_labels_and_ids(clusters, noise, repeated):
+    with pytest.raises(FormatError, match=repeated):
+        clusters_from_json_dict({"clusters": clusters, "noise": noise})
+

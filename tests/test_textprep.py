@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from recallscan.errors import ContractError
 from recallscan.reference import REFERENCE_INITIATORS
 from recallscan.textprep import (
-    TokenVector,
     _lcs_length,
     cosine_distance,
     cosine_matrix,
@@ -46,10 +45,11 @@ def test_normalize_label_idempotent(s):
 
 
 def test_tf_vector_counts():
-    assert tf_vector("process control").counts == {"process": 1, "control": 1}
-    assert tf_vector("process change control").counts == {"process": 1, "change": 1, "control": 1}
-    assert tf_vector("").counts == {}
-    assert tf_vector("a a b").counts == {"a": 2, "b": 1}
+    assert tf_vector("process control") == {"process": 1, "control": 1}
+    assert tf_vector("process change control") == {"process": 1, "change": 1, "control": 1}
+    assert tf_vector("") == {}
+    assert tf_vector("a a b") == {"a": 2, "b": 1}
+    assert type(tf_vector("a")) is dict
 
 
 def test_cosine_distance_known_values():
@@ -134,7 +134,7 @@ def test_lcs_length_matches_full_table(a, b):
 @given(labels_text, labels_text)
 def test_cosine_matches_reference(sa, sb):
     a, b = tf_vector(normalize_label(sa)), tf_vector(normalize_label(sb))
-    assert abs(cosine_distance(a, b) - cosine_distance_ref(a.counts, b.counts)) < 1e-12
+    assert abs(cosine_distance(a, b) - cosine_distance_ref(a, b)) < 1e-12
 
 
 # Few words, so labels repeat tokens, permute each other and share counts;
@@ -174,4 +174,14 @@ def test_cosine_matrix_edge_cases():
 
 def test_cosine_matrix_rejects_counts_beyond_exact_range():
     with pytest.raises(ContractError):
-        cosine_matrix([TokenVector("x", {"x": 2**27}), tf_vector("x")])
+        cosine_matrix([{"x": 2**27}, tf_vector("x")])
+
+
+def test_cosine_matrix_rejects_disagreement_with_scalar(monkeypatch):
+    # The sampled pairs are checked against cosine_distance; a matrix that
+    # drifted from the scalar definition must not reach DBSCAN.
+    from recallscan import textprep
+
+    monkeypatch.setattr(textprep, "cosine_distance", lambda a, b: 0.5)
+    with pytest.raises(ContractError, match="disagrees"):
+        cosine_matrix([tf_vector("a"), tf_vector("b"), tf_vector("a b")])
