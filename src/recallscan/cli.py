@@ -7,7 +7,7 @@ import sys
 
 import click
 
-from . import stages
+from . import __version__, stages
 from .errors import RecallScanError
 from .fixtures import FIXTURE_BUILDERS
 from .openfda import API_KEY_ENV
@@ -48,15 +48,6 @@ _COMMON_OPTIONS = [
 ]
 
 
-def _apply(options):
-    def wrap(f):
-        for option in reversed(options):
-            f = option(f)
-        return f
-
-    return wrap
-
-
 def _run(stage_fn, config_path: str | None, flags: dict) -> None:
     try:
         cfg = stages.PipelineConfig.from_sources(config_path, flags)
@@ -71,59 +62,38 @@ def _run(stage_fn, config_path: str | None, flags: dict) -> None:
     click.echo(summary)
 
 
+# Each command and its option groups; every command also takes the common options.
+COMMANDS = (
+    ("fetch", _FETCH_OPTIONS),
+    ("build", _FETCH_OPTIONS + _BUILD_OPTIONS),
+    ("cluster", _CLUSTER_OPTIONS),
+    ("aggregate", _AGGREGATE_OPTIONS),
+    ("report", _REPORT_OPTIONS),
+    ("pipeline", _FETCH_OPTIONS + _BUILD_OPTIONS + _CLUSTER_OPTIONS + _AGGREGATE_OPTIONS + _REPORT_OPTIONS),
+)
+
+
 @click.group()
-@click.version_option()
+@click.version_option(version=__version__)
 def main():
     """Deterministic recall-initiator analysis over openFDA device data."""
 
 
-@main.command()
-@_apply(_FETCH_OPTIONS + _COMMON_OPTIONS)
-def fetch(config_path, **flags):
-    """Download recall and classification pages into the cache."""
-    _run(stages.fetch_stage, config_path, flags)
+def _register(name: str, options: list) -> None:
+    """Add the command ``name``: it runs ``stages.<name>_stage`` and takes its help from it."""
+    stage = f"{name}_stage"
+
+    def command(config_path, **flags):
+        # Looked up per call, so a stage function replaced after import is the one that runs.
+        _run(getattr(stages, stage), config_path, flags)
+
+    for option in reversed(options + _COMMON_OPTIONS):
+        command = option(command)
+    main.command(name, help=getattr(stages, stage).__doc__)(command)
 
 
-@main.command()
-@_apply(_FETCH_OPTIONS + _BUILD_OPTIONS + _COMMON_OPTIONS)
-def build(config_path, **flags):
-    """Merge, clean and persist the canonical dataset."""
-    _run(stages.build_stage, config_path, flags)
-
-
-@main.command()
-@_apply(_CLUSTER_OPTIONS + _COMMON_OPTIONS)
-def cluster(config_path, **flags):
-    """Cluster root-cause texts and write clusters.json."""
-    _run(stages.cluster_stage, config_path, flags)
-
-
-@main.command()
-@_apply(_AGGREGATE_OPTIONS + _COMMON_OPTIONS)
-def aggregate(config_path, **flags):
-    """Merge cluster labels into groups and write groups.json."""
-    _run(stages.aggregate_stage, config_path, flags)
-
-
-@main.command()
-@_apply(_REPORT_OPTIONS + _COMMON_OPTIONS)
-def report(config_path, **flags):
-    """Render ranked reports from the stage artifacts."""
-    _run(stages.report_stage, config_path, flags)
-
-
-@main.command()
-@_apply(
-    _FETCH_OPTIONS
-    + _BUILD_OPTIONS
-    + _CLUSTER_OPTIONS
-    + _AGGREGATE_OPTIONS
-    + _REPORT_OPTIONS
-    + _COMMON_OPTIONS
-)
-def pipeline(config_path, **flags):
-    """Run fetch, build, cluster, aggregate and report in sequence."""
-    _run(stages.pipeline_stage, config_path, flags)
+for _name, _options in COMMANDS:
+    _register(_name, _options)
 
 
 if __name__ == "__main__":

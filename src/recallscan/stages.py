@@ -1,9 +1,9 @@
 """Pipeline stages and their file artifacts.
 
-Every stage reads the previous stage's artifact from the output directory,
-writes its own artifact plus a ``<stage>.meta.json`` sidecar (input hashes,
-parameters, timestamp), and returns a one-line summary for the CLI. All
-artifacts are deterministic; only the sidecars carry timestamps.
+``INPUTS`` is the artifact graph. Every stage writes its artifacts plus a
+``<stage>.meta.json`` sidecar (input hashes, config, timestamp) and returns
+a one-line summary for the CLI. All artifacts are deterministic; only the
+sidecars carry timestamps.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .dbscan import (
     clusters_from_json_dict,
     clusters_to_json_dict,
 )
-from .errors import ContractError, DataError, TransportError, UsageError
+from .errors import ContractError, DataError, FormatError, TransportError, UsageError
 from .fixtures import FIXTURE_BUILDERS
 from .report import FORMATS, WRITERS, build_document
 from .textprep import DEFAULT_PREFIX_LEN
@@ -51,6 +51,15 @@ CLUSTERS_FILE = "clusters.json"
 GROUPS_FILE = "groups.json"
 CONFIG_ECHO_FILE = "effective_config.json"
 REPORT_METADATA_FILE = "report_metadata.json"
+
+# Each stage's input files in the output directory, and the stage that writes each.
+INPUTS: dict[str, dict[str, str]] = {
+    "fetch": {},
+    "build": {},
+    "cluster": {DATASET_FILE: "build"},
+    "aggregate": {CLUSTERS_FILE: "cluster"},
+    "report": {CLUSTERS_FILE: "cluster", GROUPS_FILE: "aggregate", DATASET_FILE: "build"},
+}
 
 
 _PARSERS = {int: int, float: float, dt.date: dt.date.fromisoformat}
@@ -97,9 +106,10 @@ class PipelineConfig:
     overrides_file: str | None = None
 
     def to_dict(self) -> dict:
+        """JSON values, the API key null: it is a secret, so no written file holds it."""
         return {
             key: value.isoformat() if isinstance(value, dt.date) else value
-            for key, value in dataclasses.asdict(self).items()
+            for key, value in {**dataclasses.asdict(self), "api_key": None}.items()
         }
 
     @classmethod
@@ -131,6 +141,7 @@ class PipelineConfig:
         cfg = cls(**values)
         # The range rules live in these classes; building them checks every value.
         cfg.cleaning_rules(), cfg.dbscan_params(), cfg.aggregation_params()
+        cfg.fetch_spec(openfda.Endpoint.RECALL)
         if cfg.top < 1:
             raise ContractError(f"top k must be >= 1, got {cfg.top}")
         return cfg
@@ -144,64 +155,79 @@ class PipelineConfig:
     def aggregation_params(self) -> AggregationParams:
         return AggregationParams(prefix_len=self.prefix_len, theta=self.theta)
 
+    def fetch_spec(self, endpoint: openfda.Endpoint) -> openfda.FetchSpec:
+        return openfda.FetchSpec(
+            endpoint=endpoint,
+            date_from=self.date_from,
+            date_to=self.date_to,
+            page_size=self.page_size,
+            max_pages=self.max_pages,
+            api_key=self.api_key,
+        )
+
     @property
     def out_dir(self) -> Path:
         return Path(self.out)
-
-
-def _read_artifact(path: Path, producer: str) -> dict:
-    return artifacts.read_object(artifacts.require(path, producer), "artifact")
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_sidecar(out_dir: Path, stage: str, inputs: list[Path], params: dict) -> None:
+def _input(cfg: PipelineConfig, stage: str, name: str) -> Path:
+    """The input ``name`` of ``stage``; if it is missing, a ``DataError`` naming its producer."""
+    return artifacts.require(cfg.out_dir / name, INPUTS[stage][name])
+
+
+def check_lineage(cfg: PipelineConfig, stage: str) -> None:
+    """Refuse an input of ``stage`` built from files that have changed since.
+
+    The sidecar of the stage that wrote each input holds the sha256 of what
+    that stage read. A file it recorded that now exists with other bytes makes
+    the input stale (``DataError``). No sidecar means no check, so hand-made
+    and older artifacts still run; a malformed one is a ``FormatError``.
+    """
+    out = cfg.out_dir
+    for name, producer in INPUTS[stage].items():
+        sidecar = out / f"{producer}.meta.json"
+        if not INPUTS[producer] or not sidecar.exists():
+            continue
+        recorded = artifacts.read_object(sidecar, "sidecar").get("inputs")
+        if not isinstance(recorded, dict) or not all(isinstance(h, str) for h in recorded.values()):
+            raise FormatError(f"sidecar {sidecar}: inputs must map file names to sha256 strings")
+        for upstream in INPUTS[producer]:
+            path = out / upstream
+            if upstream in recorded and path.exists() and _sha256(path) != recorded[upstream]:
+                raise DataError(
+                    f"{name} is stale: {upstream} changed after {producer} ran; rerun {producer}"
+                )
+
+
+def write_sidecar(cfg: PipelineConfig, stage: str, **extra) -> None:
+    """``<stage>.meta.json``: the hashes of the inputs ``stage`` read and the run's config."""
+    out = cfg.out_dir
     meta = {
         "stage": stage,
         "created_at": dt.datetime.now(dt.timezone.utc).isoformat(),
-        "inputs": {p.name: _sha256(p) for p in inputs if p.exists()},
-        "params": params,
+        "inputs": {name: _sha256(out / name) for name in INPUTS[stage] if (out / name).exists()},
+        "params": cfg.to_dict(),
+        **extra,
     }
-    artifacts.write_json(out_dir / f"{stage}.meta.json", meta)
+    artifacts.write_json(out / f"{stage}.meta.json", meta)
 
 
 def echo_config(cfg: PipelineConfig) -> None:
-    # The key is a secret, so the echo never holds it; a replay reads it from the flag or env.
-    artifacts.write_json(cfg.out_dir / CONFIG_ECHO_FILE, {**cfg.to_dict(), "api_key": None})
-
-
-def _fetch_spec(cfg: PipelineConfig, endpoint: openfda.Endpoint) -> openfda.FetchSpec:
-    return openfda.FetchSpec(
-        endpoint=endpoint,
-        date_from=cfg.date_from,
-        date_to=cfg.date_to,
-        page_size=cfg.page_size,
-        max_pages=cfg.max_pages,
-        api_key=cfg.api_key,
-    )
+    # A replay reads the key from the flag or the environment.
+    artifacts.write_json(cfg.out_dir / CONFIG_ECHO_FILE, cfg.to_dict())
 
 
 def fetch_stage(cfg: PipelineConfig, *, get=None) -> str:
     """Download recall and classification pages into the cache."""
     totals = {}
     for endpoint in (openfda.Endpoint.RECALL, openfda.Endpoint.CLASSIFICATION):
-        pages = openfda.fetch_pages(_fetch_spec(cfg, endpoint), cfg.cache_dir, get=get)
+        pages = openfda.fetch_pages(cfg.fetch_spec(endpoint), cfg.cache_dir, get=get)
         totals[endpoint.value] = sum(p.record_count for p in pages)
-    write_sidecar(
-        cfg.out_dir,
-        "fetch",
-        [],
-        {
-            "cache_dir": cfg.cache_dir,
-            "date_from": cfg.date_from.isoformat(),
-            "date_to": cfg.date_to.isoformat(),
-            "page_size": cfg.page_size,
-            "max_pages": cfg.max_pages,
-            "records": totals,
-        },
-    )
+    write_sidecar(cfg, "fetch", records=totals)
     return (
         f"fetch: {totals['recall']} recall and {totals['classification']} "
         f"classification records cached in {cfg.cache_dir}"
@@ -213,13 +239,12 @@ def _offline_get(url, params, timeout):
 
 
 def build_stage(cfg: PipelineConfig) -> str:
-    """Merge, clean and persist the canonical dataset (from cache or fixture)."""
+    """Merge, clean and persist the canonical dataset, from the cache or a fixture."""
     out = cfg.out_dir
     rules = cfg.cleaning_rules()
     if cfg.fixture is not None:
         raw = FIXTURE_BUILDERS[cfg.fixture](cfg.date_from, cfg.date_to)
         records, report = clean(raw, rules)
-        source: dict = {"fixture": cfg.fixture}
     else:
         recalls, classifications = [], []
         for endpoint, parse, sink in (
@@ -228,7 +253,7 @@ def build_stage(cfg: PipelineConfig) -> str:
         ):
             try:
                 pages = openfda.fetch_pages(
-                    _fetch_spec(cfg, endpoint), cfg.cache_dir, get=_offline_get, sleep=lambda s: None
+                    cfg.fetch_spec(endpoint), cfg.cache_dir, get=_offline_get, sleep=lambda s: None
                 )
             except TransportError as exc:
                 raise DataError(f"cache incomplete ({exc}); run fetch first") from exc
@@ -239,25 +264,23 @@ def build_stage(cfg: PipelineConfig) -> str:
         merged, stats = merge_datasets(recalls, classifications)
         records, report = clean(merged, rules)
         report.unmatched_product_codes = stats.unmatched_product_codes
-        source = {"cache_dir": cfg.cache_dir}
 
     write_dataset(records, out / DATASET_FILE)
     artifacts.write_json(out / CLEANING_REPORT_FILE, report.to_dict())
-    write_sidecar(out, "build", [out / DATASET_FILE], {**source, "rules": {
-        "date_from": cfg.date_from.isoformat(), "date_to": cfg.date_to.isoformat()}})
+    write_sidecar(cfg, "build")
     return f"build: {len(records)} records -> {out / DATASET_FILE}"
 
 
 def cluster_stage(cfg: PipelineConfig) -> str:
-    """Cluster root causes and write the cluster artifact."""
+    """Cluster root-cause texts and write clusters.json."""
     out = cfg.out_dir
-    dataset_path = artifacts.require(out / DATASET_FILE, "build")
+    dataset_path = _input(cfg, "cluster", DATASET_FILE)
     records = read_dataset(dataset_path)
     if not records:
         raise DataError(f"dataset {dataset_path} holds no records; nothing to cluster")
     result = cluster_root_causes([r.root_cause_description for r in records], cfg.dbscan_params())
     artifacts.write_json(out / CLUSTERS_FILE, clusters_to_json_dict(result))
-    write_sidecar(out, "cluster", [dataset_path], {"eps": cfg.eps, "min_pts": cfg.min_pts})
+    write_sidecar(cfg, "cluster")
     return (
         f"cluster: {result.cluster_count} clusters over {result.clustered_count} records, "
         f"{result.noise_count} noise -> {out / CLUSTERS_FILE}"
@@ -265,33 +288,33 @@ def cluster_stage(cfg: PipelineConfig) -> str:
 
 
 def aggregate_stage(cfg: PipelineConfig) -> str:
-    """Aggregate cluster labels into groups and write the group artifact."""
+    """Merge cluster labels into groups and write groups.json."""
     out = cfg.out_dir
-    clusters_path = out / CLUSTERS_FILE
-    summaries, _ = clusters_from_json_dict(_read_artifact(clusters_path, "cluster"))
+    clusters_path = _input(cfg, "aggregate", CLUSTERS_FILE)
+    summaries, _ = clusters_from_json_dict(artifacts.read_object(clusters_path, "artifact"))
     if not summaries:
         raise DataError(f"{clusters_path} holds no clusters; nothing to aggregate")
     params = cfg.aggregation_params()
     overrides = MergeOverrides.from_file(cfg.overrides_file) if cfg.overrides_file else None
+    check_lineage(cfg, "aggregate")
     groups = aggregate(summaries, params, overrides)
     artifacts.write_json(out / GROUPS_FILE, groups_to_json_dict(groups, params))
-    write_sidecar(
-        out, "aggregate", [clusters_path], {"prefix_len": cfg.prefix_len, "theta": cfg.theta}
-    )
+    write_sidecar(cfg, "aggregate")
     return f"aggregate: {len(groups)} groups -> {out / GROUPS_FILE}"
 
 
 def report_stage(cfg: PipelineConfig) -> str:
-    """Render ranked reports from the cluster and group artifacts."""
+    """Render ranked reports from the stage artifacts."""
     out = cfg.out_dir
-    clusters_path = out / CLUSTERS_FILE
-    groups_path = out / GROUPS_FILE
-    dataset_path = out / DATASET_FILE
-    summaries, noise = clusters_from_json_dict(_read_artifact(clusters_path, "cluster"))
-    groups = groups_from_json_dict(_read_artifact(groups_path, "aggregate"))
+    clusters = artifacts.read_object(_input(cfg, "report", CLUSTERS_FILE), "artifact")
+    summaries, noise = clusters_from_json_dict(clusters)
+    groups = artifacts.read_object(_input(cfg, "report", GROUPS_FILE), "artifact")
+    groups = groups_from_json_dict(groups)
     if not summaries or not groups:
         raise DataError("empty cluster or group artifact; nothing to report")
+    dataset_path = out / DATASET_FILE
     records = read_dataset(dataset_path) if dataset_path.exists() else []
+    check_lineage(cfg, "report")
     noise_count = sum(n.count for n in noise)
 
     doc = build_document(summaries, groups, noise_count, records, cfg.top)
@@ -299,18 +322,13 @@ def report_stage(cfg: PipelineConfig) -> str:
     for name, payload in files:
         artifacts.write(out / name, payload)
     artifacts.write_json(out / REPORT_METADATA_FILE, doc.metadata)
-    write_sidecar(
-        out,
-        "report",
-        [clusters_path, groups_path, dataset_path],
-        {"top": cfg.top, "format": cfg.format},
-    )
+    write_sidecar(cfg, "report")
     names = ", ".join(name for name, _ in files)
     return f"report: {names} (shares over {doc.metadata['clustered_records']} clustered records)"
 
 
 def pipeline_stage(cfg: PipelineConfig, *, get=None) -> str:
-    """fetch -> build -> cluster -> aggregate -> report (fetch skipped for fixtures)."""
+    """Run fetch, build, cluster, aggregate and report in sequence (a fixture skips fetch)."""
     lines = []
     if cfg.fixture is None:
         lines.append(fetch_stage(cfg, get=get))

@@ -44,6 +44,8 @@ CONSUMERS = {
     "out/clusters.json": ["report", "--out", "out"],
     "out/groups.json": ["report", "--out", "out"],
     "out/dataset.csv": ["cluster", "--min-pts", "2", "--out", "out"],
+    "out/cluster.meta.json": ["aggregate", "--out", "out"],
+    "out/aggregate.meta.json": ["report", "--out", "out"],
 }
 
 
@@ -139,6 +141,10 @@ MANIFEST = "cache/recall/manifest.json"
 @example(target="cfg.json", mutation=("bytes", 0.5))
 @example(target="out/dataset.csv", mutation=("bytes", 0.5))
 @example(target="out/dataset.csv", mutation=("cut", 0.5))
+@example(target="out/cluster.meta.json", mutation=("cut", 0.5))
+@example(target="out/cluster.meta.json", mutation=("set", ("inputs", "dataset.csv"), "x"))
+@example(target="out/aggregate.meta.json", mutation=("bytes", 0.5))
+@example(target="out/aggregate.meta.json", mutation=("set", ("inputs",), []))
 def test_damaged_input_exits_with_a_documented_code(workspace, tmp_path_factory, target, mutation):
     runner = CliRunner()
     with runner.isolated_filesystem(temp_dir=tmp_path_factory.getbasetemp()) as cwd:

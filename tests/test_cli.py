@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from recallscan import openfda
+from recallscan import __version__, openfda, stages
 from recallscan.cli import main
 
 from .conftest import FakeOpenFDA
@@ -143,9 +143,11 @@ def test_cluster_without_dataset_exits_4(tmp_path, runner):
         (["pipeline", "--fixture", "table2", "--top", "0"], "k must be >= 1"),
         (["build", "--fixture", "table2", "--from", "2020-01-02", "--to", "2020-01-01"], "date_from"),
         (["build", "--fixture", "table2", "--from", "2020-01-05", "--to", "2020-01-01"], "date_from"),
+        (["pipeline", "--fixture", "table2", "--page-size", "0"], "page_size"),
+        (["pipeline", "--fixture", "table2", "--max-pages", "0"], "max_pages"),
     ],
     ids=["min-pts-0", "eps-negative", "theta-above-1", "prefix-len-0", "top-0",
-         "window-reversed-by-a-day", "window-reversed"],
+         "window-reversed-by-a-day", "window-reversed", "page-size-0", "max-pages-0"],
 )
 def test_contract_violation_exits_5(fixture_run, tmp_path, runner, args, word):
     # An out-of-range value is rejected before any stage runs, so the
@@ -477,3 +479,86 @@ def test_malformed_cache_manifest_exits_4(tmp_path, runner, monkeypatch, manifes
     monkeypatch.setattr(openfda, "_requests_get", fail_on_network)
     line = single_error_line(runner.invoke(main, ["build", *args]), 4, "FormatError")
     assert "manifest" in line["message"]
+
+
+def test_version_exits_0(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert __version__ == "0.1.0" and result.output.strip().endswith("0.1.0")
+
+
+def test_commands_are_the_stages():
+    stage_names = {name.removesuffix("_stage") for name in vars(stages) if name.endswith("_stage")}
+    assert set(main.commands) == stage_names == {*stages.INPUTS, "pipeline"}
+    assert main.commands["cluster"].help == stages.cluster_stage.__doc__
+
+
+def test_command_runs_the_stage_function_bound_at_call_time(tmp_path, runner, monkeypatch):
+    # A stage replaced after import (as a tracer does) is the one the command runs.
+    seen = []
+    monkeypatch.setattr(stages, "cluster_stage", lambda cfg: seen.append(cfg.min_pts) or "replaced")
+    result = runner.invoke(main, ["cluster", "--min-pts", "7", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert result.output == "replaced\n" and seen == [7]
+
+
+def report_files(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in out.glob("report*")}
+
+
+def test_report_over_reclustered_artifacts_is_refused(fixture_run, tmp_path, runner):
+    # groups.json was built from the clusters.json that cluster --min-pts 100 replaced.
+    out = tmp_path / "out"
+    shutil.copytree(fixture_run, out)
+    assert invoke(runner, "cluster", "--min-pts", 100, "--out", out).exit_code == 0
+    before = report_files(out)
+    line = single_error_line(runner.invoke(main, ["report", "--out", str(out)]), 4, "DataError")
+    assert line["message"] == (
+        "groups.json is stale: clusters.json changed after aggregate ran; rerun aggregate"
+    )
+    assert report_files(out) == before
+    assert invoke(runner, "aggregate", "--out", out).exit_code == 0
+    result = invoke(runner, "report", "--out", out)
+    assert result.exit_code == 0 and "over 5934 clustered records" in result.output
+
+
+def test_aggregate_over_a_rebuilt_dataset_is_refused(fixture_run, tmp_path, runner):
+    out = tmp_path / "out"
+    shutil.copytree(fixture_run, out)
+    assert invoke(runner, "build", "--fixture", "table2", "--from", "2019-01-01", "--out", out).exit_code == 0
+    groups = (out / "groups.json").read_bytes()
+    line = single_error_line(runner.invoke(main, ["aggregate", "--out", str(out)]), 4, "DataError")
+    assert line["message"] == (
+        "clusters.json is stale: dataset.csv changed after cluster ran; rerun cluster"
+    )
+    assert (out / "groups.json").read_bytes() == groups
+    # report sees the same stale clusters.json through cluster.meta.json.
+    line = single_error_line(runner.invoke(main, ["report", "--out", str(out)]), 4, "DataError")
+    assert "rerun cluster" in line["message"]
+    for stage in ("cluster", "aggregate", "report"):
+        assert invoke(runner, stage, "--out", out).exit_code == 0, stage
+
+
+def test_artifacts_without_sidecars_are_not_checked(fixture_run, tmp_path, runner):
+    # Hand-made or older artifacts carry no sidecar, and so no lineage to check.
+    out = tmp_path / "out"
+    shutil.copytree(fixture_run, out)
+    assert invoke(runner, "cluster", "--min-pts", 100, "--out", out).exit_code == 0
+    for sidecar in out.glob("*.meta.json"):
+        sidecar.unlink()
+    assert invoke(runner, "report", "--out", out).exit_code == 0
+    assert invoke(runner, "aggregate", "--out", out).exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b'{"inputs": {"clusters.json": "ab', b'{"inputs": {"\xff": "ab"}}', b'{"inputs": []}',
+     b'{"inputs": {"clusters.json": 5}}', b'{"stage": "aggregate"}', b"[]"],
+    ids=["cut", "not-utf-8", "inputs-list", "hash-not-string", "no-inputs", "not-object"],
+)
+def test_malformed_sidecar_exits_4(fixture_run, tmp_path, runner, payload):
+    out = tmp_path / "out"
+    shutil.copytree(fixture_run, out)
+    (out / "aggregate.meta.json").write_bytes(payload)
+    line = single_error_line(runner.invoke(main, ["report", "--out", str(out)]), 4, "FormatError")
+    assert "aggregate.meta.json" in line["message"]
