@@ -71,6 +71,9 @@ class MergeOverrides:
     @classmethod
     def from_file(cls, path: str | Path) -> "MergeOverrides":
         payload = artifacts.read_object(Path(path), "overrides file")
+        unknown = set(payload) - {"merge", "split"}
+        if unknown:
+            raise FormatError(f"unknown overrides keys: {', '.join(sorted(unknown))}")
         def pairs(key):
             items = payload.get(key, [])
             if not isinstance(items, list):

@@ -36,7 +36,9 @@ REQUEST_TIMEOUT_SECONDS = 30
 
 MANIFEST_NAME = "manifest.json"
 
-# get(url, params, timeout) -> (status_code, body_bytes); a failed request raises OSError
+# get(url, params, timeout) -> (status_code, body_bytes). Only an OSError is
+# retried; any other exception ends the fetch at once, which is how ``build``
+# reads the cache without a request.
 Transport = Callable[[str, dict, float], tuple[int, bytes]]
 
 
@@ -84,7 +86,6 @@ class RawPage:
     page_index: int
     payload: bytes
     record_count: int
-    retrieved_at: str
 
 
 def _requests_get(url: str, params: dict, timeout: float) -> tuple[int, bytes]:
@@ -128,29 +129,23 @@ def _fetch_one(
         params["api_key"] = spec.api_key
 
     name = f"{spec.endpoint.value} page {page_index}"
-    last_failure = ""
+    failure = ""
     for attempt in range(RETRY_ATTEMPTS):
+        if attempt:
+            sleep(BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
         try:
             status, body = get(spec.endpoint.url, params, REQUEST_TIMEOUT_SECONDS)
         except OSError as exc:
-            last_failure = str(exc)
-            if attempt + 1 < RETRY_ATTEMPTS:
-                sleep(BACKOFF_BASE_SECONDS * 2**attempt)
+            failure = str(exc)
             continue
         if status == 200:
             return body
         if _is_empty_result(status, body):
             return None
-        if status == 429 or status >= 500:
-            last_failure = f"HTTP {status}"
-            if attempt + 1 < RETRY_ATTEMPTS:
-                sleep(BACKOFF_BASE_SECONDS * 2**attempt)
-            continue
-        excerpt = body[:200].decode("utf-8", errors="replace")
-        raise RequestError(status, f"{name}: {excerpt}")
-    raise TransportError(
-        f"{name}: giving up after {RETRY_ATTEMPTS} attempts ({last_failure})"
-    )
+        if status != 429 and status < 500:
+            raise RequestError(status, f"{name}: {body[:200].decode('utf-8', errors='replace')}")
+        failure = f"HTTP {status}"
+    raise TransportError(f"{name}: giving up after {RETRY_ATTEMPTS} attempts ({failure})")
 
 
 def _load_manifest(endpoint_dir: Path) -> dict:
@@ -158,7 +153,7 @@ def _load_manifest(endpoint_dir: Path) -> dict:
     if not path.exists():
         return {"pages": {}}
     manifest = artifacts.read_object(path, "cache manifest")
-    pages, exhausted_at = manifest.get("pages", {}), manifest.get("exhausted_at")
+    pages, exhausted_at = manifest.setdefault("pages", {}), manifest.get("exhausted_at")
     if not (isinstance(pages, dict) and all(isinstance(p, dict) for p in pages.values())):
         raise FormatError(f"cache manifest {path}: pages must map page numbers to objects")
     if exhausted_at is not None and not artifacts.is_int(exhausted_at, 0):
@@ -182,22 +177,19 @@ def fetch_pages(
     """
     get = get or _requests_get
     endpoint_dir = Path(cache_dir) / spec.endpoint.value
-    endpoint_dir.mkdir(parents=True, exist_ok=True)
-
     manifest = _load_manifest(endpoint_dir)
-    recorded_search = manifest.get("search", spec.search_expression())
-    if manifest.get("pages") and (
-        recorded_search != spec.search_expression()
-        or manifest.get("page_size", spec.page_size) != spec.page_size
-    ):
+    # Pages and an end-of-data marker answer only the query that was sent.
+    query = {
+        "endpoint": spec.endpoint.value,
+        "search": spec.search_expression(),
+        "page_size": spec.page_size,
+    }
+    if any(key in manifest and manifest[key] != value for key, value in query.items()):
         raise FormatError(
             f"cache at {endpoint_dir} was built with different query parameters; "
             "point --cache-dir at a fresh directory"
         )
-    manifest["endpoint"] = spec.endpoint.value
-    manifest["search"] = spec.search_expression()
-    manifest["page_size"] = spec.page_size
-    manifest.setdefault("pages", {})
+    manifest.update(query)
 
     pages: list[RawPage] = []
     for index in range(spec.max_pages):
@@ -205,44 +197,44 @@ def fetch_pages(
         if exhausted_at is not None and index >= exhausted_at:
             break
         page_path = endpoint_dir / f"{index}.json"
-        if page_path.exists():
-            payload = page_path.read_bytes()
-            count = len(_results(payload, index))
-            retrieved_at = manifest["pages"].get(str(index), {}).get("retrieved_at", "")
-        else:
-            payload = _fetch_one(spec, index, get, sleep)
-            if payload is None:
-                # The API reported the result set exhausted at this index;
-                # remember that so reruns stay fully cache-served.
-                manifest["exhausted_at"] = index
-                artifacts.write_json(endpoint_dir / MANIFEST_NAME, manifest)
-                break
-            count = len(_results(payload, index))  # a malformed body is never cached
-            retrieved_at = dt.datetime.now(dt.timezone.utc).isoformat()
+        cached = page_path.exists()
+        payload = page_path.read_bytes() if cached else _fetch_one(spec, index, get, sleep)
+        if payload is None:
+            # The API reported the result set exhausted at this index;
+            # remember that so reruns stay fully cache-served.
+            manifest["exhausted_at"] = index
+            artifacts.write_json(endpoint_dir / MANIFEST_NAME, manifest)
+            break
+        count = len(_results(payload, index))  # a malformed body is never cached
+        if not cached:
             artifacts.write(page_path, payload)
             manifest["pages"][str(index)] = {
-                "retrieved_at": retrieved_at,
+                "retrieved_at": dt.datetime.now(dt.timezone.utc).isoformat(),
                 "record_count": count,
             }
             artifacts.write_json(endpoint_dir / MANIFEST_NAME, manifest)
-        pages.append(
-            RawPage(
-                page_index=index,
-                payload=payload,
-                record_count=count,
-                retrieved_at=retrieved_at,
-            )
-        )
+        pages.append(RawPage(page_index=index, payload=payload, record_count=count))
         if count < spec.page_size:
             break
     return pages
 
 
-def _entry_text(entry: dict, key: str) -> str:
-    value = entry.get(key)
-    if value is None:
-        return ""
-    return value if isinstance(value, str) else str(value)
+_RECALL_FIELDS = (
+    "product_code", "event_date_posted", "recalling_firm", "root_cause_description", "product_quantity"
+)
+_CLASSIFICATION_FIELDS = ("product_code", "device_name", "device_class")
+
+
+def _parse_page(page: RawPage, fields: tuple[str, ...]) -> list[dict]:
+    """One dict of ``fields`` per entry, as text; an absent or null field is ``""``."""
+    rows = []
+    for entry in _results(page.payload, page.page_index):
+        row = {}
+        for key in fields:
+            value = entry.get(key)
+            row[key] = "" if value is None else value if isinstance(value, str) else str(value)
+        rows.append(row)
+    return rows
 
 
 def parse_recall_page(page: RawPage) -> list[dict]:
@@ -250,25 +242,9 @@ def parse_recall_page(page: RawPage) -> list[dict]:
 
     Absent fields become empty strings, never fabricated values.
     """
-    return [
-        {
-            "product_code": _entry_text(entry, "product_code"),
-            "event_date_posted": _entry_text(entry, "event_date_posted"),
-            "recalling_firm": _entry_text(entry, "recalling_firm"),
-            "root_cause_description": _entry_text(entry, "root_cause_description"),
-            "product_quantity": _entry_text(entry, "product_quantity"),
-        }
-        for entry in _results(page.payload, page.page_index)
-    ]
+    return _parse_page(page, _RECALL_FIELDS)
 
 
 def parse_classification_page(page: RawPage) -> list[dict]:
     """Extract product_code, device_name and device_class per entry."""
-    return [
-        {
-            "product_code": _entry_text(entry, "product_code"),
-            "device_name": _entry_text(entry, "device_name"),
-            "device_class": _entry_text(entry, "device_class"),
-        }
-        for entry in _results(page.payload, page.page_index)
-    ]
+    return _parse_page(page, _CLASSIFICATION_FIELDS)

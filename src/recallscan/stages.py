@@ -40,7 +40,7 @@ from .dbscan import (
     clusters_from_json_dict,
     clusters_to_json_dict,
 )
-from .errors import ContractError, DataError, FormatError, TransportError, UsageError
+from .errors import ContractError, DataError, FormatError, UsageError
 from .fixtures import FIXTURE_BUILDERS
 from .report import FORMATS, WRITERS, build_document
 from .textprep import DEFAULT_PREFIX_LEN
@@ -234,10 +234,6 @@ def fetch_stage(cfg: PipelineConfig, *, get=None) -> str:
     )
 
 
-def _offline_get(url, params, timeout):
-    raise ConnectionError("network access disabled for this stage")
-
-
 def build_stage(cfg: PipelineConfig) -> str:
     """Merge, clean and persist the canonical dataset, from the cache or a fixture."""
     out = cfg.out_dir
@@ -251,16 +247,17 @@ def build_stage(cfg: PipelineConfig) -> str:
             (openfda.Endpoint.RECALL, openfda.parse_recall_page, recalls),
             (openfda.Endpoint.CLASSIFICATION, openfda.parse_classification_page, classifications),
         ):
-            try:
-                pages = openfda.fetch_pages(
-                    cfg.fetch_spec(endpoint), cfg.cache_dir, get=_offline_get, sleep=lambda s: None
+            def not_cached(url, params, timeout, endpoint=endpoint):  # a DataError is not retried
+                page = params["skip"] // params["limit"]
+                raise DataError(
+                    f"{endpoint.value} page {page} is not cached under {cfg.cache_dir}; run fetch first"
                 )
-            except TransportError as exc:
-                raise DataError(f"cache incomplete ({exc}); run fetch first") from exc
-            for page in pages:
+
+            for page in openfda.fetch_pages(cfg.fetch_spec(endpoint), cfg.cache_dir, get=not_cached):
                 sink.extend(parse(page))
         if not recalls:
-            raise DataError(f"no cached recall pages under {cfg.cache_dir}; run fetch first")
+            search = cfg.fetch_spec(openfda.Endpoint.RECALL).search_expression()
+            raise DataError(f"the recall query {search} returned no records; nothing to build")
         merged, stats = merge_datasets(recalls, classifications)
         records, report = clean(merged, rules)
         report.unmatched_product_codes = stats.unmatched_product_codes

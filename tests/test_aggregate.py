@@ -180,6 +180,9 @@ def test_overrides_file_roundtrip(tmp_path):
         path.write_text(text)  # a pair item that is not a string is not coerced
         with pytest.raises(FormatError, match="strings"):
             MergeOverrides.from_file(path)
+    path.write_text('{"merges": [["Process design", "Process control"]]}')  # a misspelled key
+    with pytest.raises(FormatError, match="merges"):
+        MergeOverrides.from_file(path)
 
 
 def test_group_artifact_payload_sorted():

@@ -117,6 +117,39 @@ def test_build_without_cache_exits_4(tmp_path, runner):
     assert line["exit_code"] == 4 and "fetch" in line["message"]
 
 
+def test_build_reads_the_cache_without_requests(tmp_path, runner, monkeypatch):
+    calls = []
+    monkeypatch.setattr(openfda, "_requests_get", lambda *a: calls.append(a))
+    cache = tmp_path / "cache"
+    result = runner.invoke(main, ["build", "--out", str(tmp_path / "out"), "--cache-dir", str(cache)])
+    assert result.exit_code == 4
+    assert "recall page 0 is not cached under" in json.loads(result.stderr)["message"]
+    assert not cache.exists()
+
+    # A cache with a page missing names that page.
+    monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA())
+    flags = ["--cache-dir", str(cache), "--page-size", "4", "--max-pages", "3"]
+    assert invoke(runner, "fetch", "--out", tmp_path / "out", *flags).exit_code == 0
+    (cache / "recall" / "1.json").unlink()
+    monkeypatch.setattr(openfda, "_requests_get", lambda *a: calls.append(a))
+    result = runner.invoke(main, ["build", "--out", str(tmp_path / "out"), *flags])
+    assert result.exit_code == 4
+    line = json.loads(result.stderr)
+    assert line["exit_code"] == 4 and "recall page 1 is not cached under" in line["message"]
+    assert calls == []
+
+
+def test_build_after_fetch_of_no_records_names_the_query(tmp_path, runner, monkeypatch):
+    monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA(recalls=[]))
+    flags = ["--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")]
+    assert invoke(runner, "fetch", *flags).exit_code == 0
+    result = runner.invoke(main, ["build", *flags])
+    assert result.exit_code == 4
+    message = json.loads(result.stderr)["message"]
+    assert "returned no records" in message
+    assert "event_date_posted:[2018-01-01 TO 2024-04-15]" in message
+
+
 def test_cluster_on_empty_dataset_exits_4(tmp_path, runner):
     out = tmp_path / "out"
     out.mkdir()

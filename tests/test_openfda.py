@@ -43,7 +43,7 @@ def spec(**overrides) -> FetchSpec:
 
 def page_of(entries, index=0) -> RawPage:
     payload = json.dumps({"results": entries}).encode()
-    return RawPage(index, payload, len(entries), "2024-01-01T00:00:00+00:00")
+    return RawPage(index, payload, len(entries))
 
 
 # --- FetchSpec ---------------------------------------------------------------
@@ -135,6 +135,14 @@ def test_cache_parameter_mismatch_is_rejected(tmp_path):
     fetch_pages(spec(page_size=4, max_pages=1), tmp_path, get=api, sleep=NO_SLEEP)
     with pytest.raises(FormatError):
         fetch_pages(spec(page_size=5, max_pages=1), tmp_path, get=api, sleep=NO_SLEEP)
+    # An end-of-data marker from another date window is no answer for this one.
+    marker = spec(date_from=dt.date(2030, 1, 1), date_to=dt.date(2030, 2, 1))
+    assert fetch_pages(marker, tmp_path / "m", get=FakeOpenFDA(recalls=[]), sleep=NO_SLEEP) == []
+    api = FakeOpenFDA()
+    with pytest.raises(FormatError, match="different query parameters"):
+        fetch_pages(spec(), tmp_path / "m", get=api, sleep=NO_SLEEP)
+    assert api.calls == []
+    assert fetch_pages(marker, tmp_path / "m", get=api, sleep=NO_SLEEP) == [] and api.calls == []
 
 
 def test_retry_then_success(tmp_path):
@@ -142,6 +150,36 @@ def test_retry_then_success(tmp_path):
     pages = fetch_pages(spec(page_size=4, max_pages=1), tmp_path, get=api, sleep=NO_SLEEP)
     assert pages[0].record_count == 4
     assert len(api.calls) == 3
+
+
+ONE_RECORD = (200, json.dumps({"results": [{"product_code": "A"}]}).encode())
+
+
+@pytest.mark.parametrize(
+    "replies, schedule",
+    [
+        ([OSError("reset")] * 3, [1.0, 2.0]),
+        ([(500, b"{}")] * 3, [1.0, 2.0]),
+        ([(429, b"{}"), ONE_RECORD], [1.0]),
+        ([ONE_RECORD], []),
+    ],
+)
+def test_retry_backoff_schedule(tmp_path, replies, schedule):
+    replies, slept = list(replies), []
+
+    def get(url, params, timeout):
+        reply = replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    if replies[-1] is ONE_RECORD:
+        pages = fetch_pages(spec(page_size=4, max_pages=1), tmp_path, get=get, sleep=slept.append)
+        assert pages[0].record_count == 1
+    else:
+        with pytest.raises(TransportError):
+            fetch_pages(spec(page_size=4, max_pages=1), tmp_path, get=get, sleep=slept.append)
+    assert slept == schedule  # one backoff before each retry, none after the last attempt
 
 
 def test_transport_error_names_the_failing_page(tmp_path):
@@ -311,7 +349,7 @@ def test_parse_classification_page_fields():
 
 
 def test_parse_error_carries_page_index():
-    bad = RawPage(3, b"{broken", 0, "")
+    bad = RawPage(3, b"{broken", 0)
     with pytest.raises(ParseError, match="page 3"):
         parse_recall_page(bad)
 
