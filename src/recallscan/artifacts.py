@@ -12,7 +12,7 @@ import json
 import os
 from pathlib import Path
 
-from .errors import DataError, FormatError, RecallScanError
+from .errors import FormatError, RecallScanError
 
 
 def write(path: Path, data: bytes) -> None:
@@ -53,13 +53,6 @@ def read_object(path: Path, name: str, error: type[RecallScanError] = FormatErro
     except OSError as exc:
         raise error(f"cannot read {name} {path}: {exc}") from exc
     return parse_object(data, f"{name} {path}", error)
-
-
-def require(path: Path, producer: str) -> Path:
-    """``path`` if it exists; otherwise a ``DataError`` naming the stage that makes it."""
-    if not path.exists():
-        raise DataError(f"missing input artifact {path}; run {producer} first")
-    return path
 
 
 def is_int(value, least: int) -> bool:

@@ -7,7 +7,7 @@ import datetime as dt
 import functools
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -81,13 +81,7 @@ class CleaningReport:
     unmatched_product_codes: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "dropped_null_root_cause": self.dropped_null_root_cause,
-            "dropped_duplicates": self.dropped_duplicates,
-            "dropped_date_outliers": self.dropped_date_outliers,
-            "stripped_char_count": self.stripped_char_count,
-            "unmatched_product_codes": self.unmatched_product_codes,
-        }
+        return asdict(self)
 
 
 @functools.cache

@@ -90,34 +90,33 @@ def _coerce_item(item) -> tuple[tuple[str, ...], int]:
     return (str(item.label),), int(item.count)  # a cluster summary
 
 
+def _ranking(pairs: list[tuple[tuple[str, ...], int]], k: int | None = None) -> list[RankedEntry]:
+    """The first ``k`` (members, count) pairs by descending count, ties by first member."""
+    total = sum(count for _, count in pairs)
+    ordered = sorted(pairs, key=lambda pc: (-pc[1], pc[0][0]))
+    return [
+        RankedEntry(rank=i, members=members, count=count, share=count / total)
+        for i, (members, count) in enumerate(ordered[:k], start=1)
+    ]
+
+
 def rank_initiators(items: Sequence) -> list[RankedEntry]:
     """Rank cluster summaries or aggregated groups by descending count.
 
     Shares use the summed input count as denominator (noise is already
-    excluded upstream). Ties order lexicographically by first member label;
-    ranks are contiguous from 1.
+    excluded upstream); ranks are contiguous from 1.
     """
     pairs = [_coerce_item(item) for item in items]
     if not pairs:
         raise DataError("nothing to rank: empty input")
-    total = sum(count for _, count in pairs)
-    pairs.sort(key=lambda pc: (-pc[1], pc[0][0]))
-    return [
-        RankedEntry(rank=i, members=members, count=count, share=count / total)
-        for i, (members, count) in enumerate(pairs, start=1)
-    ]
+    return _ranking(pairs)
 
 
 def _counted_ranking(values: Iterable[str], k: int) -> list[RankedEntry]:
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
     counts = collections.Counter(value or UNSPECIFIED for value in values)
-    total = sum(counts.values())
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [
-        RankedEntry(rank=i, members=(name,), count=count, share=count / total)
-        for i, (name, count) in enumerate(ordered[:k], start=1)
-    ]
+    return _ranking([((name,), count) for name, count in counts.items()], k)
 
 
 def top_firms(records: Sequence[RecallRecord], k: int = 10) -> list[RankedEntry]:

@@ -3,7 +3,8 @@
 ``INPUTS`` is the artifact graph. Every stage writes its artifacts plus a
 ``<stage>.meta.json`` sidecar (input hashes, config, timestamp) and returns
 a one-line summary for the CLI. All artifacts are deterministic; only the
-sidecars carry timestamps.
+sidecars carry timestamps. A stage reads its inputs with ``load`` and writes
+with ``save``; inside ``pipeline`` the values saved are handed on in ``run``.
 """
 
 from __future__ import annotations
@@ -174,9 +175,26 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _input(cfg: PipelineConfig, stage: str, name: str) -> Path:
-    """The input ``name`` of ``stage``; if it is missing, a ``DataError`` naming its producer."""
-    return artifacts.require(cfg.out_dir / name, INPUTS[stage][name])
+def load(cfg: PipelineConfig, stage: str, name: str, run: dict | None = None):
+    """The input ``name`` of ``stage``: its value in ``run``, else its file parsed, which for
+    JSON gives that same payload dict. A missing file is a ``DataError`` naming its producer.
+    """
+    if run and name in run:
+        return run[name]
+    path = cfg.out_dir / name
+    if not path.exists():
+        raise DataError(f"missing input artifact {path}; run {INPUTS[stage][name]} first")
+    return read_dataset(path) if name == DATASET_FILE else artifacts.read_object(path, "artifact")
+
+
+def save(cfg: PipelineConfig, name: str, value, run: dict | None = None) -> None:
+    """Write the artifact ``name`` from ``value`` and keep ``value`` in ``run`` for later stages."""
+    if name == DATASET_FILE:
+        write_dataset(value, cfg.out_dir / name)
+    else:
+        artifacts.write_json(cfg.out_dir / name, value)
+    if run is not None:
+        run[name] = value
 
 
 def check_lineage(cfg: PipelineConfig, stage: str) -> None:
@@ -221,12 +239,14 @@ def echo_config(cfg: PipelineConfig) -> None:
     artifacts.write_json(cfg.out_dir / CONFIG_ECHO_FILE, cfg.to_dict())
 
 
-def fetch_stage(cfg: PipelineConfig, *, get=None) -> str:
+def fetch_stage(cfg: PipelineConfig, *, get=None, run: dict | None = None) -> str:
     """Download recall and classification pages into the cache."""
     totals = {}
     for endpoint in (openfda.Endpoint.RECALL, openfda.Endpoint.CLASSIFICATION):
         pages = openfda.fetch_pages(cfg.fetch_spec(endpoint), cfg.cache_dir, get=get)
         totals[endpoint.value] = sum(p.record_count for p in pages)
+        if run is not None:
+            run[endpoint] = pages
     write_sidecar(cfg, "fetch", records=totals)
     return (
         f"fetch: {totals['recall']} recall and {totals['classification']} "
@@ -234,9 +254,8 @@ def fetch_stage(cfg: PipelineConfig, *, get=None) -> str:
     )
 
 
-def build_stage(cfg: PipelineConfig) -> str:
+def build_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
     """Merge, clean and persist the canonical dataset, from the cache or a fixture."""
-    out = cfg.out_dir
     rules = cfg.cleaning_rules()
     if cfg.fixture is not None:
         raw = FIXTURE_BUILDERS[cfg.fixture](cfg.date_from, cfg.date_to)
@@ -253,7 +272,10 @@ def build_stage(cfg: PipelineConfig) -> str:
                     f"{endpoint.value} page {page} is not cached under {cfg.cache_dir}; run fetch first"
                 )
 
-            for page in openfda.fetch_pages(cfg.fetch_spec(endpoint), cfg.cache_dir, get=not_cached):
+            # A pipeline's fetch left its pages in ``run``; popped, they die with this loop.
+            for page in run.pop(endpoint) if run and endpoint in run else openfda.fetch_pages(
+                cfg.fetch_spec(endpoint), cfg.cache_dir, get=not_cached
+            ):
                 sink.extend(parse(page))
         if not recalls:
             search = cfg.fetch_spec(openfda.Endpoint.RECALL).search_expression()
@@ -262,55 +284,49 @@ def build_stage(cfg: PipelineConfig) -> str:
         records, report = clean(merged, rules)
         report.unmatched_product_codes = stats.unmatched_product_codes
 
-    write_dataset(records, out / DATASET_FILE)
-    artifacts.write_json(out / CLEANING_REPORT_FILE, report.to_dict())
+    save(cfg, DATASET_FILE, records, run)
+    save(cfg, CLEANING_REPORT_FILE, report.to_dict(), run)
     write_sidecar(cfg, "build")
-    return f"build: {len(records)} records -> {out / DATASET_FILE}"
+    return f"build: {len(records)} records -> {cfg.out_dir / DATASET_FILE}"
 
 
-def cluster_stage(cfg: PipelineConfig) -> str:
+def cluster_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
     """Cluster root-cause texts and write clusters.json."""
-    out = cfg.out_dir
-    dataset_path = _input(cfg, "cluster", DATASET_FILE)
-    records = read_dataset(dataset_path)
+    records = load(cfg, "cluster", DATASET_FILE, run)
     if not records:
-        raise DataError(f"dataset {dataset_path} holds no records; nothing to cluster")
+        raise DataError(f"dataset {cfg.out_dir / DATASET_FILE} holds no records; nothing to cluster")
     result = cluster_root_causes([r.root_cause_description for r in records], cfg.dbscan_params())
-    artifacts.write_json(out / CLUSTERS_FILE, clusters_to_json_dict(result))
+    save(cfg, CLUSTERS_FILE, clusters_to_json_dict(result), run)
     write_sidecar(cfg, "cluster")
     return (
         f"cluster: {result.cluster_count} clusters over {result.clustered_count} records, "
-        f"{result.noise_count} noise -> {out / CLUSTERS_FILE}"
+        f"{result.noise_count} noise -> {cfg.out_dir / CLUSTERS_FILE}"
     )
 
 
-def aggregate_stage(cfg: PipelineConfig) -> str:
+def aggregate_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
     """Merge cluster labels into groups and write groups.json."""
     out = cfg.out_dir
-    clusters_path = _input(cfg, "aggregate", CLUSTERS_FILE)
-    summaries, _ = clusters_from_json_dict(artifacts.read_object(clusters_path, "artifact"))
+    summaries, _ = clusters_from_json_dict(load(cfg, "aggregate", CLUSTERS_FILE, run))
     if not summaries:
-        raise DataError(f"{clusters_path} holds no clusters; nothing to aggregate")
+        raise DataError(f"{out / CLUSTERS_FILE} holds no clusters; nothing to aggregate")
     params = cfg.aggregation_params()
     overrides = MergeOverrides.from_file(cfg.overrides_file) if cfg.overrides_file else None
     check_lineage(cfg, "aggregate")
     groups = aggregate(summaries, params, overrides)
-    artifacts.write_json(out / GROUPS_FILE, groups_to_json_dict(groups, params))
+    save(cfg, GROUPS_FILE, groups_to_json_dict(groups, params), run)
     write_sidecar(cfg, "aggregate")
     return f"aggregate: {len(groups)} groups -> {out / GROUPS_FILE}"
 
 
-def report_stage(cfg: PipelineConfig) -> str:
+def report_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
     """Render ranked reports from the stage artifacts."""
     out = cfg.out_dir
-    clusters = artifacts.read_object(_input(cfg, "report", CLUSTERS_FILE), "artifact")
-    summaries, noise = clusters_from_json_dict(clusters)
-    groups = artifacts.read_object(_input(cfg, "report", GROUPS_FILE), "artifact")
-    groups = groups_from_json_dict(groups)
+    summaries, noise = clusters_from_json_dict(load(cfg, "report", CLUSTERS_FILE, run))
+    groups = groups_from_json_dict(load(cfg, "report", GROUPS_FILE, run))
     if not summaries or not groups:
         raise DataError("empty cluster or group artifact; nothing to report")
-    dataset_path = out / DATASET_FILE
-    records = read_dataset(dataset_path) if dataset_path.exists() else []
+    records = load(cfg, "report", DATASET_FILE, run) if (out / DATASET_FILE).exists() else []
     check_lineage(cfg, "report")
     noise_count = sum(n.count for n in noise)
 
@@ -318,7 +334,7 @@ def report_stage(cfg: PipelineConfig) -> str:
     files = WRITERS[cfg.format](doc)
     for name, payload in files:
         artifacts.write(out / name, payload)
-    artifacts.write_json(out / REPORT_METADATA_FILE, doc.metadata)
+    save(cfg, REPORT_METADATA_FILE, doc.metadata, run)
     write_sidecar(cfg, "report")
     names = ", ".join(name for name, _ in files)
     return f"report: {names} (shares over {doc.metadata['clustered_records']} clustered records)"
@@ -326,11 +342,8 @@ def report_stage(cfg: PipelineConfig) -> str:
 
 def pipeline_stage(cfg: PipelineConfig, *, get=None) -> str:
     """Run fetch, build, cluster, aggregate and report in sequence (a fixture skips fetch)."""
-    lines = []
-    if cfg.fixture is None:
-        lines.append(fetch_stage(cfg, get=get))
-    lines.append(build_stage(cfg))
-    lines.append(cluster_stage(cfg))
-    lines.append(aggregate_stage(cfg))
-    lines.append(report_stage(cfg))
+    run: dict = {}  # saved values by file name and fetch's pages by endpoint, for the next stages
+    lines = [fetch_stage(cfg, get=get, run=run)] if cfg.fixture is None else []
+    for stage in (build_stage, cluster_stage, aggregate_stage, report_stage):
+        lines.append(stage(cfg, run=run))
     return "\n".join(lines)

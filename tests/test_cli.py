@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import shutil
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from recallscan import __version__, openfda, stages
+from recallscan import __version__, artifacts, openfda, stages
 from recallscan.cli import main
 
 from .conftest import FakeOpenFDA
@@ -337,21 +338,83 @@ def test_api_key_falls_back_to_environment_where_the_flag_exists(tmp_path, runne
     assert api.calls and all(params["api_key"] == "from-env" for _, params in api.calls)
 
 
-def test_stage_by_stage_matches_pipeline(tmp_path, runner):
+# Flags of a FakeOpenFDA run: every sample row fits in three pages of four.
+FAKE_FETCH = ("--page-size", 4, "--max-pages", 3)
+
+
+@pytest.mark.parametrize("source", ["fixture", "cache"])
+def test_stage_by_stage_matches_pipeline(tmp_path, runner, monkeypatch, source):
+    if source == "fixture":
+        whole_flags, steps = ("--fixture", "table2"), [("build", "--fixture", "table2"), ("cluster",)]
+    else:
+        # Each side fetches into its own cache: the pipeline's build takes the
+        # pages its fetch returned, the staged build reads them from disk.
+        monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA())
+        fetch = (*FAKE_FETCH, "--cache-dir", tmp_path / "staged-cache")
+        whole_flags = (*FAKE_FETCH, "--cache-dir", tmp_path / "whole-cache", "--min-pts", 2)
+        steps = [("fetch", *fetch), ("build", *fetch), ("cluster", "--min-pts", 2)]
     whole = tmp_path / "whole"
-    assert invoke(runner, "pipeline", "--fixture", "table2", "--out", whole).exit_code == 0
+    assert invoke(runner, "pipeline", *whole_flags, "--out", whole).exit_code == 0
     staged = tmp_path / "staged"
-    for args in (
-        ("build", "--fixture", "table2"),
-        ("cluster",),
-        ("aggregate",),
-        ("report",),
-    ):
+    for args in (*steps, ("aggregate",), ("report",)):
         assert invoke(runner, *args, "--out", staged).exit_code == 0
     ha, hb = artifact_hashes(whole), artifact_hashes(staged)
     # Each invocation echoes its own flags, so the config echo legitimately differs.
     ha.pop("effective_config.json"), hb.pop("effective_config.json")
     assert ha == hb
+
+
+def test_pipeline_parses_nothing_it_wrote(tmp_path, runner, monkeypatch):
+    def no_dataset_read(path):
+        raise AssertionError(f"pipeline parsed {path} back")
+
+    read_object = artifacts.read_object
+
+    def no_artifact_read(path, name, *args):
+        assert path.name not in (stages.CLUSTERS_FILE, stages.GROUPS_FILE), path
+        return read_object(path, name, *args)
+
+    monkeypatch.setattr(stages, "read_dataset", no_dataset_read)
+    monkeypatch.setattr(artifacts, "read_object", no_artifact_read)
+    result = invoke(runner, "pipeline", "--fixture", "table2", "--out", tmp_path / "fixture")
+    assert result.exit_code == 0, result.output
+
+    # On the cache path every page is decoded twice: fetch counts it, build parses it.
+    decoded = []
+    results = openfda._results
+
+    def counted_results(payload, page_index):
+        decoded.append(payload)
+        return results(payload, page_index)
+
+    monkeypatch.setattr(openfda, "_results", counted_results)
+    monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA())
+    cache = tmp_path / "cache"
+    for out in ("cold", "warm"):  # pages fetched into the cache, then served from it
+        decoded.clear()
+        flags = (*FAKE_FETCH, "--cache-dir", cache, "--min-pts", 2)
+        result = invoke(runner, "pipeline", *flags, "--out", tmp_path / out)
+        assert result.exit_code == 0, result.output
+        pages = [p.read_bytes() for p in sorted(cache.glob("*/[0-9]*.json"))]
+        assert len(pages) == 6
+        assert collections.Counter(decoded) == {page: 2 for page in pages}
+
+
+def test_pipeline_calls_each_stage_through_the_module(tmp_path, monkeypatch):
+    # perfbench/probe.py times each stage by replacing these module attributes.
+    calls = collections.Counter()
+    for name in ("fetch", "build", "cluster", "aggregate", "report"):
+        def counted(*args, stage=getattr(stages, f"{name}_stage"), name=name, **kwargs):
+            calls[name] += 1
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(stages, f"{name}_stage", counted)
+    cfg = stages.PipelineConfig(
+        out=str(tmp_path / "out"), cache_dir=str(tmp_path / "cache"), page_size=4, max_pages=3,
+        min_pts=2,
+    )
+    stages.pipeline_stage(cfg, get=FakeOpenFDA())
+    assert calls == {name: 1 for name in ("fetch", "build", "cluster", "aggregate", "report")}
 
 
 def test_report_formats_produce_expected_files(tmp_path, runner):
