@@ -31,10 +31,8 @@ from .dbscan import (
 from .openfda import (
     Endpoint,
     FetchSpec,
-    RawPage,
+    Page,
     fetch_pages,
-    parse_classification_page,
-    parse_recall_page,
 )
 from .report import (
     ComparisonReport,
@@ -66,9 +64,9 @@ __all__ = [
     "MergeOverrides",
     "MergeStats",
     "NOISE",
+    "Page",
     "RankedEntry",
     "RankedReport",
-    "RawPage",
     "RecallRecord",
     "RootCauseClusters",
     "aggregate",
@@ -82,8 +80,6 @@ __all__ = [
     "lcs_similarity",
     "merge_datasets",
     "normalize_label",
-    "parse_classification_page",
-    "parse_recall_page",
     "prefix_key",
     "rank_initiators",
     "read_dataset",

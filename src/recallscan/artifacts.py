@@ -1,29 +1,39 @@
 """The one file layer: every write is atomic, every JSON input is checked.
 
-``write`` puts the bytes in a temporary sibling and moves it into place with
-``os.replace``, so a write cut off midway leaves the previous file (or none).
+``replacing`` hands out a temporary sibling to write and moves it into place
+with ``os.replace``, so a write cut off midway leaves the previous file (or
+none); ``write`` and every other file write go through it.
 ``read_object`` turns an unreadable, non-UTF-8, non-JSON or non-object file
 into one error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+from collections.abc import Iterator
 from pathlib import Path
 
 from .errors import FormatError, RecallScanError
 
 
-def write(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` whole or not at all, making its directory if needed."""
+@contextlib.contextmanager
+def replacing(path: Path) -> Iterator[Path]:
+    """A temporary sibling of ``path`` to write, moved onto ``path`` if the block succeeds."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(data)
+        yield tmp
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` whole or not at all, making its directory if needed."""
+    with replacing(path) as tmp:
+        tmp.write_bytes(data)
 
 
 def json_text(payload: dict) -> str:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import functools
-import io
 import re
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -140,6 +140,11 @@ def merge_datasets(
     return records, stats
 
 
+_TEXT_FIELDS = (
+    "product_code", "recalling_firm", "root_cause_description", "product_quantity", "device_name"
+)
+
+
 def _strip_text(s: str) -> tuple[str, int]:
     if s.isascii() and _DIRT.search(s) is None:
         return s, 0
@@ -162,23 +167,18 @@ def clean(
     survivors: list[RecallRecord] = []
     seen: set[RecallRecord] = set()
     for rec in records:
-        stripped = {}
-        removed = 0
-        for field_name in (
-            "product_code",
-            "recalling_firm",
-            "root_cause_description",
-            "product_quantity",
-            "device_name",
-        ):
-            value, n = _strip_text(getattr(rec, field_name))
-            stripped[field_name] = value
-            removed += n
-        report.stripped_char_count += removed
-        if not stripped["root_cause_description"].strip():
+        cleaned = rec
+        text = rec.product_code + rec.recalling_firm + rec.root_cause_description
+        text += rec.product_quantity + rec.device_name
+        if not text.isascii() or _DIRT.search(text) is not None:
+            stripped = {name: _strip_text(getattr(rec, name)) for name in _TEXT_FIELDS}
+            removed = sum(n for _, n in stripped.values())
+            if removed:  # non-ASCII letters alone are kept, and so is the record
+                report.stripped_char_count += removed
+                cleaned = rec._replace(**{name: value for name, (value, _) in stripped.items()})
+        if not cleaned.root_cause_description.strip():
             report.dropped_null_root_cause += 1
             continue
-        cleaned = rec._replace(**stripped) if removed else rec
         if cleaned in seen:
             report.dropped_duplicates += 1
             continue
@@ -191,26 +191,15 @@ def clean(
     return survivors, report
 
 
-def _record_row(rec: RecallRecord) -> list[str]:
-    return [
-        rec.product_code,
-        rec.event_date_posted.isoformat() if rec.event_date_posted else "",
-        rec.recalling_firm,
-        rec.root_cause_description,
-        rec.product_quantity,
-        rec.device_name,
-        rec.device_class,
-    ]
+def write_dataset(records: Iterable[RecallRecord], path: str | Path) -> None:
+    """Stream the canonical CSV (UTF-8, RFC-4180 quoting, CRLF rows) into place.
 
-
-def write_dataset(records: list[RecallRecord], path: str | Path) -> None:
-    """Write the canonical CSV (UTF-8, RFC-4180 quoting, CRLF rows)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(DATASET_HEADER)
-    for rec in records:
-        writer.writerow(_record_row(rec))
-    artifacts.write(Path(path), buf.getvalue().encode("utf-8"))
+    A date is written in ISO form and an absent one as an empty field.
+    """
+    with artifacts.replacing(Path(path)) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(DATASET_HEADER)
+        writer.writerows(records)
 
 
 def read_dataset(path: str | Path) -> list[RecallRecord]:

@@ -5,7 +5,8 @@ parameters and written verbatim to ``<cache_dir>/<endpoint>/<page>.json``
 before anything else happens, so later parses are reproducible byte for
 byte. A cached page is never re-fetched. Pages and the manifest are written
 atomically (``artifacts.write``), so a write cut off midway leaves no page
-behind and the next run fetches it again.
+behind and the next run fetches it again. ``fetch_pages`` decodes each body
+once and keeps only the endpoint's fields of each entry, never the bytes.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ class Endpoint(Enum):
         return RECALL_URL if self is Endpoint.RECALL else CLASSIFICATION_URL
 
 
+# The fields a page keeps of each entry, in dataset order.
+_FIELDS = {
+    Endpoint.RECALL: (
+        "product_code", "event_date_posted", "recalling_firm", "root_cause_description", "product_quantity"
+    ),
+    Endpoint.CLASSIFICATION: ("product_code", "device_name", "device_class"),
+}
+
+
 @dataclass(frozen=True)
 class FetchSpec:
     """What to fetch: endpoint, date window and pagination bounds."""
@@ -80,12 +90,18 @@ class FetchSpec:
 
 
 @dataclass(frozen=True)
-class RawPage:
-    """One verbatim response body, exactly as received."""
+class Page:
+    """One response body, decoded: a dict of the endpoint's fields per entry, as text (an
+    absent or null field is ``""``), and the ``meta.results.total`` it reports, if any.
+    """
 
     page_index: int
-    payload: bytes
-    record_count: int
+    rows: list[dict]
+    total: int | None
+
+    @property
+    def record_count(self) -> int:
+        return len(self.rows)
 
 
 def _requests_get(url: str, params: dict, timeout: float) -> tuple[int, bytes]:
@@ -95,15 +111,25 @@ def _requests_get(url: str, params: dict, timeout: float) -> tuple[int, bytes]:
     return resp.status_code, resp.content
 
 
-def _results(payload: bytes, page_index: int) -> list[dict]:
-    """The ``results`` array of a response body; every entry must be an object."""
+def _parse_page(payload: bytes, page_index: int, fields: tuple[str, ...]) -> Page:
+    """The one decode of a response body; its ``results`` entries must all be objects."""
     body = artifacts.parse_object(payload, f"page {page_index} response body", ParseError)
     results = body.get("results")
     if not isinstance(results, list):
         raise ParseError(f"page {page_index}: response carries no results array")
     if not all(isinstance(entry, dict) for entry in results):
         raise ParseError(f"page {page_index}: non-object result entry")
-    return results
+    rows = []
+    for entry in results:
+        row = {}
+        for key in fields:
+            value = entry.get(key)
+            row[key] = "" if value is None else value if isinstance(value, str) else str(value)
+        rows.append(row)
+    meta = body.get("meta")
+    total = meta.get("results") if isinstance(meta, dict) else None
+    total = total.get("total") if isinstance(total, dict) else None
+    return Page(page_index, rows, total if artifacts.is_int(total, 0) else None)
 
 
 def _is_empty_result(status: int, body: bytes) -> bool:
@@ -167,8 +193,8 @@ def fetch_pages(
     *,
     get: Transport | None = None,
     sleep: Callable[[float], None] = time.sleep,
-) -> list[RawPage]:
-    """Return pages 0..k in order, fetching only what the cache lacks.
+) -> list[Page]:
+    """Return pages 0..k in order, decoded, fetching only what the cache lacks.
 
     Pagination stops early when a page comes back with fewer than
     ``page_size`` records (or the API reports the result set exhausted).
@@ -191,7 +217,7 @@ def fetch_pages(
         )
     manifest.update(query)
 
-    pages: list[RawPage] = []
+    pages: list[Page] = []
     for index in range(spec.max_pages):
         exhausted_at = manifest.get("exhausted_at")
         if exhausted_at is not None and index >= exhausted_at:
@@ -205,46 +231,15 @@ def fetch_pages(
             manifest["exhausted_at"] = index
             artifacts.write_json(endpoint_dir / MANIFEST_NAME, manifest)
             break
-        count = len(_results(payload, index))  # a malformed body is never cached
+        page = _parse_page(payload, index, _FIELDS[spec.endpoint])  # a malformed body is never cached
         if not cached:
             artifacts.write(page_path, payload)
             manifest["pages"][str(index)] = {
                 "retrieved_at": dt.datetime.now(dt.timezone.utc).isoformat(),
-                "record_count": count,
+                "record_count": page.record_count,
             }
             artifacts.write_json(endpoint_dir / MANIFEST_NAME, manifest)
-        pages.append(RawPage(page_index=index, payload=payload, record_count=count))
-        if count < spec.page_size:
+        pages.append(page)
+        if page.record_count < spec.page_size:
             break
     return pages
-
-
-_RECALL_FIELDS = (
-    "product_code", "event_date_posted", "recalling_firm", "root_cause_description", "product_quantity"
-)
-_CLASSIFICATION_FIELDS = ("product_code", "device_name", "device_class")
-
-
-def _parse_page(page: RawPage, fields: tuple[str, ...]) -> list[dict]:
-    """One dict of ``fields`` per entry, as text; an absent or null field is ``""``."""
-    rows = []
-    for entry in _results(page.payload, page.page_index):
-        row = {}
-        for key in fields:
-            value = entry.get(key)
-            row[key] = "" if value is None else value if isinstance(value, str) else str(value)
-        rows.append(row)
-    return rows
-
-
-def parse_recall_page(page: RawPage) -> list[dict]:
-    """Extract the five recall fields per entry, in payload order.
-
-    Absent fields become empty strings, never fabricated values.
-    """
-    return _parse_page(page, _RECALL_FIELDS)
-
-
-def parse_classification_page(page: RawPage) -> list[dict]:
-    """Extract product_code, device_name and device_class per entry."""
-    return _parse_page(page, _CLASSIFICATION_FIELDS)

@@ -13,6 +13,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import math
+import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -172,7 +173,8 @@ class PipelineConfig:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def load(cfg: PipelineConfig, stage: str, name: str, run: dict | None = None):
@@ -241,13 +243,18 @@ def echo_config(cfg: PipelineConfig) -> None:
 
 def fetch_stage(cfg: PipelineConfig, *, get=None, run: dict | None = None) -> str:
     """Download recall and classification pages into the cache."""
-    totals = {}
+    totals, reported = {}, {}
     for endpoint in (openfda.Endpoint.RECALL, openfda.Endpoint.CLASSIFICATION):
         pages = openfda.fetch_pages(cfg.fetch_spec(endpoint), cfg.cache_dir, get=get)
         totals[endpoint.value] = sum(p.record_count for p in pages)
+        if pages and pages[-1].total is not None:
+            reported[endpoint.value] = pages[-1].total
         if run is not None:
             run[endpoint] = pages
-    write_sidecar(cfg, "fetch", records=totals)
+    write_sidecar(cfg, "fetch", records=totals, reported=reported)
+    short = [f"{name} {totals[name]} of {n}" for name, n in reported.items() if totals[name] < n]
+    if short:  # a pull cut off by max_pages
+        print("warning: fetched fewer records than openFDA reports:", ", ".join(short), file=sys.stderr)
     return (
         f"fetch: {totals['recall']} recall and {totals['classification']} "
         f"classification records cached in {cfg.cache_dir}"
@@ -256,16 +263,13 @@ def fetch_stage(cfg: PipelineConfig, *, get=None, run: dict | None = None) -> st
 
 def build_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
     """Merge, clean and persist the canonical dataset, from the cache or a fixture."""
-    rules = cfg.cleaning_rules()
+    rules, merge = cfg.cleaning_rules(), {}
     if cfg.fixture is not None:
         raw = FIXTURE_BUILDERS[cfg.fixture](cfg.date_from, cfg.date_to)
         records, report = clean(raw, rules)
     else:
-        recalls, classifications = [], []
-        for endpoint, parse, sink in (
-            (openfda.Endpoint.RECALL, openfda.parse_recall_page, recalls),
-            (openfda.Endpoint.CLASSIFICATION, openfda.parse_classification_page, classifications),
-        ):
+        rows: dict[openfda.Endpoint, list[dict]] = {endpoint: [] for endpoint in openfda.Endpoint}
+        for endpoint, sink in rows.items():
             def not_cached(url, params, timeout, endpoint=endpoint):  # a DataError is not retried
                 page = params["skip"] // params["limit"]
                 raise DataError(
@@ -276,17 +280,19 @@ def build_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
             for page in run.pop(endpoint) if run and endpoint in run else openfda.fetch_pages(
                 cfg.fetch_spec(endpoint), cfg.cache_dir, get=not_cached
             ):
-                sink.extend(parse(page))
+                sink.extend(page.rows)
+        recalls, classifications = rows.values()  # in Endpoint order
         if not recalls:
             search = cfg.fetch_spec(openfda.Endpoint.RECALL).search_expression()
             raise DataError(f"the recall query {search} returned no records; nothing to build")
         merged, stats = merge_datasets(recalls, classifications)
         records, report = clean(merged, rules)
         report.unmatched_product_codes = stats.unmatched_product_codes
+        merge = {"duplicate_classification_codes": stats.duplicate_classification_codes}
 
     save(cfg, DATASET_FILE, records, run)
     save(cfg, CLEANING_REPORT_FILE, report.to_dict(), run)
-    write_sidecar(cfg, "build")
+    write_sidecar(cfg, "build", **merge)
     return f"build: {len(records)} records -> {cfg.out_dir / DATASET_FILE}"
 
 

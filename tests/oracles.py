@@ -1,8 +1,8 @@
 """Independent reference implementations used to check the engine paths.
 
 Each oracle follows the textbook definition directly with no shared code:
-full-table LCS, union-vocabulary cosine, fixed-point DBSCAN expansion, and
-plain counting. Kept deliberately simple and quadratic.
+full-table LCS, union-vocabulary cosine, fixed-point DBSCAN expansion,
+per-field cleaning and plain counting. Kept deliberately simple and quadratic.
 """
 
 from __future__ import annotations
@@ -91,3 +91,41 @@ def count_ranking(values, k: int) -> list[tuple[str, int]]:
     counts = Counter(v if v else "(unspecified)" for v in values)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return ordered[:k]
+
+
+CLEANED_FIELDS = (
+    "product_code", "recalling_firm", "root_cause_description", "product_quantity", "device_name"
+)
+KEPT_PUNCTUATION = set("/,()-.")
+
+
+def clean_ref(records, date_from, date_to) -> tuple[list, dict[str, int]]:
+    """Strip every text field character by character, then drop blank root causes,
+    repeats (first kept) and dates outside [date_from, date_to], absent ones included.
+    """
+    counts = dict.fromkeys(
+        ("dropped_null_root_cause", "dropped_duplicates", "dropped_date_outliers",
+         "stripped_char_count"),
+        0,
+    )
+    survivors, seen = [], set()
+    for rec in records:
+        stripped = {}
+        for name in CLEANED_FIELDS:
+            value = getattr(rec, name)
+            kept = "".join(ch for ch in value if ch.isalnum() or ch == " " or ch in KEPT_PUNCTUATION)
+            counts["stripped_char_count"] += len(value) - len(kept)
+            stripped[name] = kept
+        rec = rec._replace(**stripped)
+        if not rec.root_cause_description.strip():
+            counts["dropped_null_root_cause"] += 1
+        elif rec in seen:
+            counts["dropped_duplicates"] += 1
+        else:
+            seen.add(rec)
+            date = rec.event_date_posted
+            if date is None or not date_from <= date <= date_to:
+                counts["dropped_date_outliers"] += 1
+            else:
+                survivors.append(rec)
+    return survivors, counts

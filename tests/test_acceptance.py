@@ -26,7 +26,7 @@ from recallscan.dbscan import (
     dbscan,
 )
 from recallscan.errors import TransportError
-from recallscan.openfda import Endpoint, FetchSpec, fetch_pages, parse_recall_page
+from recallscan.openfda import Endpoint, FetchSpec, fetch_pages
 from recallscan.reference import REFERENCE_GROUPS, REFERENCE_INITIATORS, TOTAL_CASES
 from recallscan.report import rank_initiators
 from recallscan.textprep import cosine_distance, lcs_similarity, tf_vector
@@ -268,7 +268,7 @@ def test_c10_live_api_smoke(tmp_path):
         pages = fetch_pages(spec, tmp_path)
     except (TransportError, requests.RequestException) as exc:
         pytest.skip(f"live openFDA unreachable: {exc}")
-    records = parse_recall_page(pages[0]) if pages else []
+    records = pages[0].rows if pages else []
     assert len(records) <= 1000
     expected = {
         "product_code",

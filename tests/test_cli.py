@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from recallscan import __version__, artifacts, openfda, stages
 from recallscan.cli import main
 
-from .conftest import FakeOpenFDA
+from .conftest import FakeOpenFDA, classification_entries
 
 
 @pytest.fixture
@@ -138,6 +138,44 @@ def test_build_reads_the_cache_without_requests(tmp_path, runner, monkeypatch):
     line = json.loads(result.stderr)
     assert line["exit_code"] == 4 and "recall page 1 is not cached under" in line["message"]
     assert calls == []
+
+
+def test_fetch_records_reported_totals_and_warns_when_cut_short(tmp_path, runner, monkeypatch):
+    monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA())  # 10 recalls, 9 classifications
+    out = tmp_path / "out"
+    flags = ("--out", out, "--cache-dir", tmp_path / "cache", "--page-size", 4)
+    cut = invoke(runner, "fetch", *flags, "--max-pages", 2)
+    assert cut.exit_code == 0, cut.output
+    meta = json.loads((out / "fetch.meta.json").read_text())
+    assert meta["records"] == {"recall": 8, "classification": 8}
+    assert meta["reported"] == {"recall": 10, "classification": 9}
+    warning, = cut.stderr.splitlines()
+    assert warning.startswith("warning: ") and "recall 8 of 10, classification 8 of 9" in warning
+
+    full = invoke(runner, "fetch", *flags, "--max-pages", 3)
+    assert full.exit_code == 0 and full.stderr == ""
+    meta = json.loads((out / "fetch.meta.json").read_text())
+    assert meta["records"] == meta["reported"] == {"recall": 10, "classification": 9}
+
+    # A body that reports no total records none and warns of nothing.
+    body = json.dumps({"results": [{"product_code": "A"}]}).encode()
+    monkeypatch.setattr(openfda, "_requests_get", lambda *a: (200, body))
+    bare = invoke(runner, "fetch", "--out", out, "--cache-dir", tmp_path / "bare", "--page-size", 4)
+    assert bare.exit_code == 0 and bare.stderr == ""
+    assert json.loads((out / "fetch.meta.json").read_text())["reported"] == {}
+
+
+def test_build_sidecar_records_duplicate_classification_codes(tmp_path, runner, monkeypatch):
+    classifications = classification_entries()
+    api = FakeOpenFDA(classifications=[*classifications, classifications[0]])
+    monkeypatch.setattr(openfda, "_requests_get", api)
+    out = tmp_path / "out"
+    flags = ("--out", out, "--cache-dir", tmp_path / "cache", *FAKE_FETCH)
+    assert invoke(runner, "fetch", *flags).exit_code == 0
+    assert invoke(runner, "build", *flags).exit_code == 0
+    assert json.loads((out / "build.meta.json").read_text())["duplicate_classification_codes"] == 1
+    # The hash-pinned cleaning report keeps its fields.
+    assert "duplicate_classification_codes" not in json.loads((out / "cleaning_report.json").read_text())
 
 
 def test_build_after_fetch_of_no_records_names_the_query(tmp_path, runner, monkeypatch):
@@ -379,25 +417,30 @@ def test_pipeline_parses_nothing_it_wrote(tmp_path, runner, monkeypatch):
     result = invoke(runner, "pipeline", "--fixture", "table2", "--out", tmp_path / "fixture")
     assert result.exit_code == 0, result.output
 
-    # On the cache path every page is decoded twice: fetch counts it, build parses it.
+    # On the cache path every page is decoded once, by fetch_pages, also in a stand-alone build.
     decoded = []
-    results = openfda._results
+    parse_object = artifacts.parse_object
 
-    def counted_results(payload, page_index):
-        decoded.append(payload)
-        return results(payload, page_index)
+    def counted_parse(data, *args):
+        decoded.append(data)
+        return parse_object(data, *args)
 
-    monkeypatch.setattr(openfda, "_results", counted_results)
+    monkeypatch.setattr(artifacts, "parse_object", counted_parse)
     monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA())
     cache = tmp_path / "cache"
-    for out in ("cold", "warm"):  # pages fetched into the cache, then served from it
+    # Pages fetched into the cache, then served from it, then read by build alone.
+    for command, out, extra in (
+        ("pipeline", "cold", ("--min-pts", 2)),
+        ("pipeline", "warm", ("--min-pts", 2)),
+        ("build", "alone", ()),
+    ):
         decoded.clear()
-        flags = (*FAKE_FETCH, "--cache-dir", cache, "--min-pts", 2)
-        result = invoke(runner, "pipeline", *flags, "--out", tmp_path / out)
+        flags = (*FAKE_FETCH, "--cache-dir", cache, *extra)
+        result = invoke(runner, command, *flags, "--out", tmp_path / out)
         assert result.exit_code == 0, result.output
         pages = [p.read_bytes() for p in sorted(cache.glob("*/[0-9]*.json"))]
         assert len(pages) == 6
-        assert collections.Counter(decoded) == {page: 2 for page in pages}
+        assert collections.Counter(d for d in decoded if d in pages) == {page: 1 for page in pages}
 
 
 def test_pipeline_calls_each_stage_through_the_module(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
+import csv
 import datetime as dt
 import hashlib
+import io
 import string
 
 import pytest
@@ -21,6 +23,7 @@ from recallscan.errors import FormatError
 from recallscan.fixtures import table2_records
 
 from .conftest import classification_entries, recall_entries, sample_records
+from .oracles import clean_ref
 
 RULES = CleaningRules(dt.date(2018, 1, 1), dt.date(2024, 4, 15))
 
@@ -233,6 +236,31 @@ def test_clean_is_idempotent(recs):
     assert report.stripped_char_count == 0
 
 
+dirty_text = st.one_of(st.text(alphabet="ab /,.&?*\té²٣", max_size=5), st.sampled_from(["", "  ", "?*"]))
+
+
+@given(
+    st.lists(
+        st.builds(
+            record,
+            product_code=st.sampled_from(["FRN", "Z*Z", "é"]),
+            recalling_firm=dirty_text,
+            root_cause_description=dirty_text,
+            product_quantity=dirty_text,
+            device_name=dirty_text,
+            event_date_posted=st.one_of(st.none(), st.dates(dt.date(2017, 1, 1), dt.date(2025, 1, 1))),
+        ),
+        max_size=15,
+    ).map(lambda recs: recs + recs[::2])  # every other record again, as a duplicate
+)
+@example([record(), record(recalling_firm="Smith & Nephew"), record(device_name="Café²")])
+def test_clean_matches_the_per_field_reference(recs):
+    kept, report = clean(recs, RULES)
+    ref_kept, ref_counts = clean_ref(recs, RULES.date_from, RULES.date_to)
+    assert kept == ref_kept
+    assert report.to_dict() == {**ref_counts, "unmatched_product_codes": 0}
+
+
 def test_fixture_survives_cleaning_untouched():
     records = table2_records()
     kept, report = clean(records, RULES)
@@ -272,6 +300,38 @@ def test_double_write_of_7000_records_is_byte_identical(tmp_path):
     write_dataset(records, a)
     write_dataset(records, b)
     assert hashlib.sha256(a.read_bytes()).digest() == hashlib.sha256(b.read_bytes()).digest()
+
+
+def test_write_dataset_matches_csv_writer_over_iso_strings(tmp_path):
+    records = [
+        record(event_date_posted=None, recalling_firm='Smith, "Jr" & Co'),
+        record(root_cause_description="Design, software", product_quantity='12 "cases"'),
+        record(device_name="Line one\nline two", event_date_posted=dt.date(2024, 4, 15)),
+    ]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(DATASET_HEADER)
+    for rec in records:
+        date = rec.event_date_posted.isoformat() if rec.event_date_posted else ""
+        writer.writerow([rec.product_code, date, *rec[2:]])
+    path = tmp_path / "data.csv"
+    write_dataset(iter(records), path)  # any iterable of records streams
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+def test_write_cut_off_midway_keeps_the_previous_dataset(tmp_path):
+    path = tmp_path / "dataset.csv"
+    write_dataset(sample_records(), path)
+    previous = path.read_bytes()
+
+    def cut_off():
+        yield from table2_records()
+        raise OSError("no space left on device")
+
+    with pytest.raises(OSError, match="no space"):
+        write_dataset(cut_off(), path)
+    assert path.read_bytes() == previous
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
 
 
 def test_wrong_header_raises_format_error(tmp_path):

@@ -18,10 +18,7 @@ from recallscan.openfda import (
     MANIFEST_NAME,
     Endpoint,
     FetchSpec,
-    RawPage,
     fetch_pages,
-    parse_classification_page,
-    parse_recall_page,
 )
 
 from .conftest import FakeOpenFDA, sample_records
@@ -41,9 +38,13 @@ def spec(**overrides) -> FetchSpec:
     return FetchSpec(**base)
 
 
-def page_of(entries, index=0) -> RawPage:
-    payload = json.dumps({"results": entries}).encode()
-    return RawPage(index, payload, len(entries))
+def rows_of(tmp_path, entries, endpoint=Endpoint.RECALL) -> list[dict]:
+    """The rows ``fetch_pages`` keeps of one served page holding ``entries``."""
+    body = json.dumps({"results": entries}).encode()
+    pages = fetch_pages(
+        spec(endpoint=endpoint, max_pages=1), tmp_path, get=lambda *a: (200, body), sleep=NO_SLEEP
+    )
+    return pages[0].rows
 
 
 # --- FetchSpec ---------------------------------------------------------------
@@ -108,8 +109,27 @@ def test_cached_pages_are_never_refetched(tmp_path):
     calls_after_first = len(api.calls)
     second = fetch_pages(spec(page_size=4, max_pages=3), tmp_path, get=api, sleep=NO_SLEEP)
     assert len(api.calls) == calls_after_first  # zero new network requests
-    assert [p.payload for p in second] == [p.payload for p in first]
+    assert [p.rows for p in second] == [p.rows for p in first]
     assert [p.record_count for p in second] == [p.record_count for p in first]
+    assert [p.total for p in second] == [p.total for p in first] == [10, 10, 10]
+
+
+@pytest.mark.parametrize(
+    "meta, total",
+    [
+        ({"results": {"total": 12}}, 12),
+        ({"results": {"skip": 0}}, None),
+        ({"results": {"total": "12"}}, None),
+        ({"results": {"total": True}}, None),
+        ({"results": [12]}, None),
+        (None, None),
+    ],
+)
+def test_page_total_is_the_reported_total_or_none(tmp_path, meta, total):
+    body = json.dumps({"meta": meta, "results": [{"product_code": "A"}]}).encode()
+    pages = fetch_pages(spec(max_pages=1), tmp_path, get=lambda *a: (200, body), sleep=NO_SLEEP)
+    assert pages[0].total == total
+    assert not hasattr(pages[0], "payload")  # the body is decoded, never kept
 
 
 def test_cache_hit_with_max_pages_one_serves_from_disk(tmp_path):
@@ -121,10 +141,16 @@ def test_cache_hit_with_max_pages_one_serves_from_disk(tmp_path):
 
 
 def test_cache_layout_holds_verbatim_bodies(tmp_path):
-    api = FakeOpenFDA()
-    pages = fetch_pages(spec(page_size=4, max_pages=2), tmp_path, get=api, sleep=NO_SLEEP)
+    api, bodies = FakeOpenFDA(), []
+
+    def get(*args):
+        status, body = api(*args)
+        bodies.append(body)
+        return status, body
+
+    fetch_pages(spec(page_size=4, max_pages=2), tmp_path, get=get, sleep=NO_SLEEP)
     stored = (tmp_path / "recall" / "0.json").read_bytes()
-    assert stored == pages[0].payload
+    assert stored == bodies[0]
     manifest = json.loads((tmp_path / "recall" / "manifest.json").read_text())
     assert manifest["page_size"] == 4
     assert manifest["pages"]["0"]["record_count"] == 4
@@ -298,7 +324,7 @@ def test_classification_fetch_has_no_date_filter(tmp_path):
 # --- parsers -----------------------------------------------------------------
 
 
-def test_parse_recall_page_extracts_five_fields():
+def test_parse_recall_page_extracts_five_fields(tmp_path):
     entry = {
         "product_code": "FRN",
         "event_date_posted": "2018-01-02",
@@ -307,7 +333,7 @@ def test_parse_recall_page_extracts_five_fields():
         "product_quantity": "86 units",
         "extraneous": "ignored",
     }
-    parsed = parse_recall_page(page_of([entry]))
+    parsed = rows_of(tmp_path, [entry])
     assert parsed == [
         {
             "product_code": "FRN",
@@ -319,39 +345,43 @@ def test_parse_recall_page_extracts_five_fields():
     ]
 
 
-def test_parse_recall_page_missing_quantity_becomes_empty_marker():
+def test_parse_recall_page_missing_quantity_becomes_empty_marker(tmp_path):
     entry = {
         "product_code": "FRN",
         "event_date_posted": "2018-01-05",
         "recalling_firm": "Repro-Med Systems, Inc.",
         "root_cause_description": "Nonconforming Material/Component",
     }
-    parsed = parse_recall_page(page_of([entry]))
+    parsed = rows_of(tmp_path, [entry])
     assert parsed[0]["product_quantity"] == ""
 
 
-def test_parse_recall_page_empty_results():
-    assert parse_recall_page(page_of([])) == []
+def test_parse_recall_page_empty_results(tmp_path):
+    assert rows_of(tmp_path, []) == []
 
 
-def test_parse_preserves_payload_order():
+def test_parse_preserves_payload_order(tmp_path):
     entries = [{"product_code": code} for code in ("AAA", "BBB", "CCC")]
-    parsed = parse_classification_page(page_of(entries))
+    parsed = rows_of(tmp_path, entries, Endpoint.CLASSIFICATION)
     assert [p["product_code"] for p in parsed] == ["AAA", "BBB", "CCC"]
 
 
-def test_parse_classification_page_fields():
+def test_parse_classification_page_fields(tmp_path):
     entry = {"product_code": "FRN", "device_name": "Pump, Infusion", "device_class": "2"}
-    parsed = parse_classification_page(page_of([entry]))
+    parsed = rows_of(tmp_path / "a", [entry], Endpoint.CLASSIFICATION)
     assert parsed == [{"product_code": "FRN", "device_name": "Pump, Infusion", "device_class": "2"}]
-    missing = parse_classification_page(page_of([{"product_code": "XYZ"}]))
+    missing = rows_of(tmp_path / "b", [{"product_code": "XYZ"}], Endpoint.CLASSIFICATION)
     assert missing[0]["device_class"] == ""
 
 
-def test_parse_error_carries_page_index():
-    bad = RawPage(3, b"{broken", 0)
+def test_parse_error_carries_page_index(tmp_path):
+    def get(url, params, timeout):
+        if params["skip"] < 3:
+            return 200, json.dumps({"results": [{"product_code": "A"}]}).encode()
+        return 200, b"{broken"
+
     with pytest.raises(ParseError, match="page 3"):
-        parse_recall_page(bad)
+        fetch_pages(spec(page_size=1, max_pages=5), tmp_path, get=get, sleep=NO_SLEEP)
 
 
 # --- live smoke (non-gating) --------------------------------------------------
@@ -365,7 +395,7 @@ def test_live_fetch_smoke(tmp_path):
     except (TransportError, requests.RequestException) as exc:
         pytest.skip(f"live API unreachable: {exc}")
     assert len(pages) <= 1
-    records = parse_recall_page(pages[0]) if pages else []
+    records = pages[0].rows if pages else []
     assert len(records) <= 100
     for rec in records[:5]:
         assert set(rec) == {
