@@ -31,7 +31,7 @@ from .dbscan import (
 from .openfda import (
     Endpoint,
     FetchSpec,
-    Page,
+    RawPage,
     fetch_pages,
 )
 from .report import (
@@ -64,9 +64,9 @@ __all__ = [
     "MergeOverrides",
     "MergeStats",
     "NOISE",
-    "Page",
     "RankedEntry",
     "RankedReport",
+    "RawPage",
     "RecallRecord",
     "RootCauseClusters",
     "aggregate",

@@ -192,10 +192,7 @@ def clean(
 
 
 def write_dataset(records: Iterable[RecallRecord], path: str | Path) -> None:
-    """Stream the canonical CSV (UTF-8, RFC-4180 quoting, CRLF rows) into place.
-
-    A date is written in ISO form and an absent one as an empty field.
-    """
+    """Stream the canonical CSV (UTF-8, RFC-4180, CRLF rows; ISO dates, None as empty) into place."""
     with artifacts.replacing(Path(path)) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_HEADER)

@@ -90,7 +90,7 @@ class FetchSpec:
 
 
 @dataclass(frozen=True)
-class Page:
+class RawPage:
     """One response body, decoded: a dict of the endpoint's fields per entry, as text (an
     absent or null field is ``""``), and the ``meta.results.total`` it reports, if any.
     """
@@ -111,7 +111,7 @@ def _requests_get(url: str, params: dict, timeout: float) -> tuple[int, bytes]:
     return resp.status_code, resp.content
 
 
-def _parse_page(payload: bytes, page_index: int, fields: tuple[str, ...]) -> Page:
+def _parse_page(payload: bytes, page_index: int, fields: tuple[str, ...]) -> RawPage:
     """The one decode of a response body; its ``results`` entries must all be objects."""
     body = artifacts.parse_object(payload, f"page {page_index} response body", ParseError)
     results = body.get("results")
@@ -129,7 +129,7 @@ def _parse_page(payload: bytes, page_index: int, fields: tuple[str, ...]) -> Pag
     meta = body.get("meta")
     total = meta.get("results") if isinstance(meta, dict) else None
     total = total.get("total") if isinstance(total, dict) else None
-    return Page(page_index, rows, total if artifacts.is_int(total, 0) else None)
+    return RawPage(page_index, rows, total if artifacts.is_int(total, 0) else None)
 
 
 def _is_empty_result(status: int, body: bytes) -> bool:
@@ -193,7 +193,7 @@ def fetch_pages(
     *,
     get: Transport | None = None,
     sleep: Callable[[float], None] = time.sleep,
-) -> list[Page]:
+) -> list[RawPage]:
     """Return pages 0..k in order, decoded, fetching only what the cache lacks.
 
     Pagination stops early when a page comes back with fewer than
@@ -217,7 +217,7 @@ def fetch_pages(
         )
     manifest.update(query)
 
-    pages: list[Page] = []
+    pages: list[RawPage] = []
     for index in range(spec.max_pages):
         exhausted_at = manifest.get("exhausted_at")
         if exhausted_at is not None and index >= exhausted_at:

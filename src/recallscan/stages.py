@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import datetime as dt
 import hashlib
+import json
 import math
 import sys
 import typing
@@ -173,8 +174,11 @@ class PipelineConfig:
 
 
 def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def load(cfg: PipelineConfig, stage: str, name: str, run: dict | None = None):
@@ -253,8 +257,9 @@ def fetch_stage(cfg: PipelineConfig, *, get=None, run: dict | None = None) -> st
             run[endpoint] = pages
     write_sidecar(cfg, "fetch", records=totals, reported=reported)
     short = [f"{name} {totals[name]} of {n}" for name, n in reported.items() if totals[name] < n]
-    if short:  # a pull cut off by max_pages
-        print("warning: fetched fewer records than openFDA reports:", ", ".join(short), file=sys.stderr)
+    if short:  # a pull cut off by max_pages; JSON like the CLI's error line, so stderr stays JSON
+        message = "fetched fewer records than openFDA reports: " + ", ".join(short)
+        print(json.dumps({"warning": "IncompleteFetch", "message": message}), file=sys.stderr)
     return (
         f"fetch: {totals['recall']} recall and {totals['classification']} "
         f"classification records cached in {cfg.cache_dir}"

@@ -149,8 +149,10 @@ def test_fetch_records_reported_totals_and_warns_when_cut_short(tmp_path, runner
     meta = json.loads((out / "fetch.meta.json").read_text())
     assert meta["records"] == {"recall": 8, "classification": 8}
     assert meta["reported"] == {"recall": 10, "classification": 9}
-    warning, = cut.stderr.splitlines()
-    assert warning.startswith("warning: ") and "recall 8 of 10, classification 8 of 9" in warning
+    line, = cut.stderr.splitlines()
+    warning = json.loads(line)
+    assert warning["warning"] == "IncompleteFetch"
+    assert "recall 8 of 10, classification 8 of 9" in warning["message"]
 
     full = invoke(runner, "fetch", *flags, "--max-pages", 3)
     assert full.exit_code == 0 and full.stderr == ""
@@ -163,6 +165,26 @@ def test_fetch_records_reported_totals_and_warns_when_cut_short(tmp_path, runner
     bare = invoke(runner, "fetch", "--out", out, "--cache-dir", tmp_path / "bare", "--page-size", 4)
     assert bare.exit_code == 0 and bare.stderr == ""
     assert json.loads((out / "fetch.meta.json").read_text())["reported"] == {}
+
+
+def test_cut_fetch_then_failing_stage_keeps_stderr_json(tmp_path, runner, monkeypatch):
+    # Eight recalls form no cluster, so aggregate fails after fetch warned: two JSON lines.
+    monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA())
+    result = runner.invoke(main, [
+        "pipeline", "--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache"),
+        "--page-size", "4", "--max-pages", "2",
+    ])
+    assert result.exit_code == 4, result.output
+    warning, error = map(json.loads, result.stderr.splitlines())
+    assert warning["warning"] == "IncompleteFetch"
+    assert error["error"] == "DataError" and "nothing to aggregate" in error["message"]
+
+
+def test_sidecar_hash_matches_a_whole_file_hash(tmp_path):
+    for size in (0, 5, (1 << 20) - 1, 1 << 20, (5 << 19) + 3):  # empty, one chunk, several
+        path = tmp_path / f"{size}.bin"
+        path.write_bytes((bytes(range(251)) * (size // 251 + 1))[:size])
+        assert stages._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_build_sidecar_records_duplicate_classification_codes(tmp_path, runner, monkeypatch):
