@@ -1,7 +1,8 @@
-"""Deterministic DBSCAN over one distance matrix: cosine distance over token counts.
+"""Deterministic DBSCAN over eps-neighbourhoods: cosine distance over token counts.
 
-``dbscan`` clusters the points of a square distance matrix; ``dbscan_weighted``
-builds that matrix from token-count vectors with ``cosine_matrix``.
+``dbscan`` takes the neighbourhoods from the rows of a square distance matrix;
+``dbscan_weighted`` takes them from token-count vectors with
+``cosine_neighbourhoods``, one block of rows at a time, so no u x u matrix is built.
 ``cluster_root_causes`` is the pipeline-facing layer: it collapses records
 with identical normalised labels into weighted unique points before
 clustering (provably equivalent to clustering every record, see the property
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import artifacts
 from .errors import ContractError, FormatError
-from .textprep import cosine_matrix, normalize_label, tf_vector
+from .textprep import cosine_neighbourhoods, normalize_label, tf_vector
 
 NOISE = -1
 
@@ -41,11 +42,45 @@ class DbscanParams:
             raise ContractError(f"min_pts must be >= 1, got {self.min_pts}")
 
 
+class Labels(list):
+    """Cluster id or NOISE per point, in input order; ``core[i]`` tells whether point i is core."""
+
+    def __init__(self, labels: list[int], core: list[bool]):
+        super().__init__(labels)
+        self.core = core
+
+
+def _dbscan(neighbourhoods: Sequence[np.ndarray], weights: Sequence[int] | None, min_pts: int) -> Labels:
+    """The one core and expansion loop, over each point's ascending eps-neighbourhood."""
+    n = len(neighbourhoods)
+    w = np.ones(n, dtype=np.int64) if weights is None else np.asarray(list(weights), dtype=np.int64)
+    if len(w) != n:
+        raise ContractError("weights and points must have equal length")
+    if n and w.min() < 1:
+        raise ContractError("weights must be positive integers")
+    core = [int(w[nb].sum()) >= min_pts for nb in neighbourhoods]
+    labels = [NOISE] * n
+    cluster = 0
+    for i in range(n):
+        if not core[i] or labels[i] != NOISE:
+            continue
+        labels[i] = cluster
+        queue = [i]
+        for p in queue:  # breadth-first: the queue grows while it is read
+            for q in neighbourhoods[p].tolist():
+                if labels[q] == NOISE:
+                    labels[q] = cluster
+                    if core[q]:
+                        queue.append(q)
+        cluster += 1
+    return Labels(labels, core)
+
+
 def dbscan(
     dist: np.ndarray,
     params: DbscanParams = DbscanParams(),
     weights: Sequence[int] | None = None,
-) -> list[int]:
+) -> Labels:
     """Weighted DBSCAN over a square distance matrix: one cluster id or NOISE per point.
 
     Point ``i`` stands for ``weights[i]`` coincident records (1 when no
@@ -64,11 +99,6 @@ def dbscan(
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ContractError(f"distance matrix must be square, got shape {dist.shape}")
     n = len(dist)
-    w = np.ones(n, dtype=np.int64) if weights is None else np.asarray(list(weights), dtype=np.int64)
-    if len(w) != n:
-        raise ContractError("weights and points must have equal length")
-    if n and w.min() < 1:
-        raise ContractError("weights must be positive integers")
     nonzero = np.flatnonzero(np.diagonal(dist))
     if nonzero.size:
         raise ContractError(f"self-distance must be 0, violated at index {nonzero[0]}")
@@ -80,33 +110,16 @@ def dbscan(
         j = n - 1 - i
         if dist[i, j] != dist[j, i]:
             raise ContractError(f"distance matrix is asymmetric on pair ({i}, {j})")
-
-    eps, min_pts = float(params.eps), int(params.min_pts)
-    core = [int(w[dist[p] <= eps].sum()) >= min_pts for p in range(n)]
-    labels = [NOISE] * n
-    cluster = 0
-    for i in range(n):
-        if not core[i] or labels[i] != NOISE:
-            continue
-        labels[i] = cluster
-        queue = [i]
-        for p in queue:  # breadth-first: the queue grows while it is read
-            for q in np.flatnonzero(dist[p] <= eps).tolist():
-                if labels[q] == NOISE:
-                    labels[q] = cluster
-                    if core[q]:
-                        queue.append(q)
-        cluster += 1
-    return labels
+    return _dbscan([np.flatnonzero(row <= params.eps) for row in dist], weights, params.min_pts)
 
 
 def dbscan_weighted(
     vectors: Sequence[dict[str, int]],
     weights: Sequence[int],
     params: DbscanParams = DbscanParams(),
-) -> list[int]:
-    """DBSCAN by cosine distance; token counts ``vectors[i]`` stand for ``weights[i]`` records."""
-    return dbscan(cosine_matrix(vectors), params, weights)
+) -> Labels:
+    """``dbscan`` by cosine distance without a u x u matrix; ``vectors[i]`` counts ``weights[i]`` times."""
+    return _dbscan(cosine_neighbourhoods(vectors, params.eps), weights, params.min_pts)
 
 
 @dataclass(frozen=True)
@@ -126,6 +139,8 @@ class RootCauseClusters:
     record_labels: list[int]
     summaries: list[ClusterSummary] = field(default_factory=list)
     noise: list[ClusterSummary] = field(default_factory=list)
+    # Distinct labels (DBSCAN points) in all, and how many are core, border and noise.
+    points: dict[str, int] = field(default_factory=dict)
 
     @property
     def cluster_count(self) -> int:
@@ -146,7 +161,7 @@ def cluster_root_causes(
     """Cluster free-text root causes by cosine distance over token counts.
 
     Records with the same normalised label collapse into one weighted point,
-    so the cosine matrix holds one row per unique label. The canonical
+    so DBSCAN sees one point per unique label. The canonical
     label of a cluster is the original-case spelling of its most frequent
     member (earliest first occurrence on ties).
     """
@@ -168,20 +183,18 @@ def cluster_root_causes(
 
     record_labels = [labels[order[norm]] for norm in normalized]
 
+    members: dict[int, list[str]] = {cid: [] for cid in range(NOISE, max(labels, default=NOISE) + 1)}
+    for u, lab in zip(uniques, labels):  # one pass, so each label keeps first-occurrence order
+        members[lab].append(u)
     summaries: list[ClusterSummary] = []
     for cid in range(max(labels, default=NOISE) + 1):
-        members = [u for u, lab in zip(uniques, labels) if lab == cid]
-        rep = max(members, key=lambda u: (weights[u], -order[u]))
-        summaries.append(
-            ClusterSummary(cid, canonical[rep], sum(weights[u] for u in members))
-        )
-    noise = [
-        ClusterSummary(NOISE, canonical[u], weights[u])
-        for u, lab in zip(uniques, labels)
-        if lab == NOISE
-    ]
+        rep = max(members[cid], key=lambda u: (weights[u], -order[u]))
+        summaries.append(ClusterSummary(cid, canonical[rep], sum(weights[u] for u in members[cid])))
+    noise = [ClusterSummary(NOISE, canonical[u], weights[u]) for u in members[NOISE]]
+    core, noise_points = sum(labels.core), labels.count(NOISE)
+    points = dict(labels=len(uniques), core=core, border=len(uniques) - core - noise_points, noise=noise_points)
     return RootCauseClusters(
-        params=params, record_labels=record_labels, summaries=summaries, noise=noise
+        params=params, record_labels=record_labels, summaries=summaries, noise=noise, points=points
     )
 
 

@@ -308,7 +308,7 @@ def cluster_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
         raise DataError(f"dataset {cfg.out_dir / DATASET_FILE} holds no records; nothing to cluster")
     result = cluster_root_causes([r.root_cause_description for r in records], cfg.dbscan_params())
     save(cfg, CLUSTERS_FILE, clusters_to_json_dict(result), run)
-    write_sidecar(cfg, "cluster")
+    write_sidecar(cfg, "cluster", points=result.points)
     return (
         f"cluster: {result.cluster_count} clusters over {result.clustered_count} records, "
         f"{result.noise_count} noise -> {cfg.out_dir / CLUSTERS_FILE}"

@@ -1,7 +1,7 @@
 """Root-cause text normalisation and the two string metrics of the pipeline.
 
 Cosine distance over token-count dicts (``tf_vector``), one pair at a time or
-as one matrix (``cosine_matrix``), drives the clustering step;
+as eps-neighbourhoods from row blocks (``cosine_neighbourhoods``), drives the clustering step;
 normalised longest-common-subsequence similarity over label prefixes drives
 the group aggregation step. Everything here is pure and deterministic.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -53,50 +53,64 @@ def cosine_distance(a: dict[str, int], b: dict[str, int]) -> float:
     return min(1.0, max(0.0, 1.0 - cos))
 
 
-def cosine_matrix(vectors: Sequence[dict[str, int]]) -> np.ndarray:
-    """All pairwise ``cosine_distance`` values as one u x u float64 matrix.
+# Distances per row block: at most 128 KB of float64, so a block and its temporaries stay in cache.
+_BLOCK_CELLS = 2**14
 
-    The result equals the scalar function bit for bit on every pair. Token
-    counts go into a float64 matrix ``C`` and ``C @ C.T`` gives every dot
-    product. Precondition, checked with ContractError: every squared norm
-    is below 2**53 (a label would need about 10**8 tokens to break it).
-    Then every count, product and partial sum of the matmul is an integer
-    below 2**53 (a dot product never exceeds the larger squared norm), so
-    the matmul is exact in any summation order. ``q[i] * q[j]`` rounds once,
-    as the float conversion of the scalar path's integer product does, and
-    the division, ``1 - x`` and the clip follow the scalar expression step
-    for step. Rows are normalised in place, so no n x n temporary is
-    allocated. A deterministic sample of pairs is compared with
-    ``cosine_distance``; a mismatch raises ContractError.
+
+def _cosine_blocks(vectors: Sequence[dict[str, int]]) -> Iterator[np.ndarray]:
+    """The ``cosine_distance`` matrix of ``vectors`` in blocks of whole rows, bit for bit.
+
+    Row ``i``'s dot products are summed over its tokens from each token's
+    posting list (the rows holding it, with their counts), so the work
+    follows the tokens labels share. Precondition, checked with
+    ContractError: every squared norm is below 2**53 (about 10**8 tokens in
+    one label). Then every product and partial sum is an integer below 2**53
+    (a dot product never exceeds the larger squared norm), so the sums are
+    exact in any order. ``q[i] * q[j]`` rounds once, as the float conversion
+    of the scalar path's integer product does, and the division, ``1 - x``
+    and the clip follow the scalar expression step for step. A block holds
+    ``_BLOCK_CELLS // n`` rows (at least one). Pairs ``(i, n - 1 - i)`` are
+    checked with ``cosine_distance`` in the block of row ``i`` (ContractError).
     """
-    vocab: dict[str, int] = {}
-    for v in vectors:
-        for token in v:
-            vocab.setdefault(token, len(vocab))
-    counts = np.zeros((len(vectors), len(vocab)), dtype=np.float64)
-    for i, v in enumerate(vectors):
-        for token, c in v.items():
-            counts[i, vocab[token]] = c
-    q = np.einsum("ij,ij->i", counts, counts)
+    q = np.array([sum(c * c for c in v.values()) for v in vectors], dtype=np.float64)
     if q.size and q.max() >= 2.0**53:
         raise ContractError("token counts too large for an exact cosine matrix")
-    dist = counts @ counts.T
-    with np.errstate(divide="ignore", invalid="ignore"):  # empty rows, fixed below
-        for i, row in enumerate(dist):
-            row /= np.sqrt(q[i] * q)
-    np.subtract(1.0, dist, out=dist)
-    np.clip(dist, 0.0, 1.0, out=dist)
-    empty = q == 0
-    dist[empty, :] = 1.0
-    dist[:, empty] = 1.0
-    dist[np.ix_(empty, empty)] = 0.0
-    np.fill_diagonal(dist, 0.0)
+    postings: dict[str, tuple[list[int], list[int]]] = {}
+    for i, v in enumerate(vectors):
+        for token, c in v.items():
+            rows, counts = postings.setdefault(token, ([], []))
+            rows.append(i)
+            counts.append(c)
+    columns = {t: (np.array(rows), np.array(counts, dtype=np.float64)) for t, (rows, counts) in postings.items()}
     n = len(vectors)
-    for i in range(0, n, max(1, n // 8)):
-        j = n - 1 - i
-        if cosine_distance(vectors[i], vectors[j]) != dist[i, j]:
-            raise ContractError(f"cosine matrix disagrees with cosine_distance on pair ({i}, {j})")
-    return dist
+    empty = q == 0
+    height = max(1, _BLOCK_CELLS // max(n, 1))
+    sampled = range(0, n, max(1, n // 8))
+    for start in range(0, n, height):
+        stop = min(start + height, n)
+        dist = np.zeros((stop - start, n))
+        for row, v in zip(dist, vectors[start:stop]):
+            for token, c in v.items():
+                rows, counts = columns[token]
+                row[rows] += c * counts
+        with np.errstate(divide="ignore", invalid="ignore"):  # empty rows, fixed below
+            dist /= np.sqrt(q[start:stop, None] * q)
+        np.subtract(1.0, dist, out=dist)
+        np.clip(dist, 0.0, 1.0, out=dist)
+        dist[empty[start:stop], :] = 1.0
+        dist[:, empty] = 1.0
+        dist[np.ix_(empty[start:stop], empty)] = 0.0
+        np.fill_diagonal(dist[:, start:], 0.0)
+        for i in (i for i in sampled if start <= i < stop):
+            j = n - 1 - i
+            if cosine_distance(vectors[i], vectors[j]) != dist[i - start, j]:
+                raise ContractError(f"cosine matrix disagrees with cosine_distance on pair ({i}, {j})")
+        yield dist
+
+
+def cosine_neighbourhoods(vectors: Sequence[dict[str, int]], eps: float) -> list[np.ndarray]:
+    """Per vector, the ascending indices of the vectors within ``cosine_distance`` ``eps`` of it."""
+    return [np.flatnonzero(row <= eps) for dist in _cosine_blocks(vectors) for row in dist]
 
 
 def prefix_key(s: str, n: int = DEFAULT_PREFIX_LEN) -> str:

@@ -52,6 +52,8 @@ def test_pipeline_fixture_end_to_end(tmp_path, runner, monkeypatch):
         assert (out / name).exists(), name
     clusters = json.loads((out / "clusters.json").read_text())
     assert clusters["cluster_count"] == 36
+    points = json.loads((out / "cluster.meta.json").read_text())["points"]
+    assert points == {"labels": 36, "core": 36, "border": 0, "noise": 0}
     groups = json.loads((out / "groups.json").read_text())
     assert groups["group_count"] == 25
 

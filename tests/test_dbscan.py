@@ -1,7 +1,12 @@
+import itertools
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from recallscan import textprep
 from recallscan.dbscan import (
     NOISE,
     DbscanParams,
@@ -13,7 +18,7 @@ from recallscan.dbscan import (
 )
 from recallscan.errors import ContractError, FormatError
 from recallscan.reference import REFERENCE_INITIATORS, TOTAL_CASES
-from recallscan.textprep import normalize_label, tf_vector
+from recallscan.textprep import cosine_distance, normalize_label, tf_vector
 
 from .oracles import canonical_partition, dbscan_ref
 
@@ -199,6 +204,18 @@ def test_fixture_labels_reproduce_reference_counts():
     assert result.noise == []
     assert {(s.label, s.count) for s in result.summaries} == set(REFERENCE_INITIATORS)
     assert result.clustered_count == TOTAL_CASES
+    assert result.points == {"labels": 36, "core": 36, "border": 0, "noise": 0}
+
+
+def test_point_counts_name_core_border_and_noise():
+    # eps 0.05: long ~ longer (0.047) and longer ~ longest (0.043), but not
+    # long ~ longest (0.087). With min_pts 6 "long" (5 + 1) and "longer"
+    # (5 + 1 + 1) are core, "longest" (1 + 1) is a border point.
+    long = "a b c d e f g h i j"
+    causes = [long] * 5 + [long + " k", long + " k l", "unrelated"]
+    result = cluster_root_causes(causes, DbscanParams(0.05, 6))
+    assert result.record_labels == [0] * 7 + [NOISE]
+    assert result.points == {"labels": 4, "core": 2, "border": 1, "noise": 1}
 
 
 def test_every_cluster_contains_a_core_point():
@@ -274,3 +291,38 @@ def test_cluster_artifact_rejects_repeated_labels_and_ids(clusters, noise, repea
     with pytest.raises(FormatError, match=repeated):
         clusters_from_json_dict({"clusters": clusters, "noise": noise})
 
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.sampled_from([lambda b: b - 1, lambda b: b, lambda b: b + 1, lambda b: 2 * b + 1]),
+    st.data(),
+    st.sampled_from([0.0, 0.1, 0.3, 0.6]),
+    st.integers(min_value=1, max_value=5),
+)
+def test_weighted_equals_dbscan_over_the_scalar_matrix(height, size, data, eps, min_pts):
+    # Row blocks of ``height`` rows, sizes on and around a block boundary;
+    # few words and empty labels, so neighbourhoods cross blocks.
+    n = size(height)
+    words = st.lists(st.sampled_from(["process", "control", "design", "a"]), max_size=4)
+    vectors = [tf_vector(" ".join(w)) for w in data.draw(st.lists(words, min_size=n, max_size=n))]
+    weights = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    params = DbscanParams(eps, min_pts)
+    with mock.patch.object(textprep, "_BLOCK_CELLS", height * n):
+        got = dbscan_weighted(vectors, weights, params)
+    want = dbscan(matrix(vectors, cosine_distance).reshape(n, n), params, weights)
+    assert got == want and got.core == want.core
+
+
+def test_weighted_path_allocates_no_dense_matrix():
+    # 2000 distinct three-word labels; a u x u float64 matrix would be 32 MB.
+    words = [f"w{k}" for k in range(25)]
+    vectors = [tf_vector(" ".join(c)) for c in itertools.islice(itertools.combinations(words, 3), 2000)]
+    tracemalloc.start()
+    try:
+        labels = dbscan_weighted(vectors, [1] * len(vectors), DbscanParams(0.1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels == [NOISE] * 2000  # distinct word sets are at least 1/3 apart
+    assert peak < 2000**2 * 8 / 4

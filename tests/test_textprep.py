@@ -1,15 +1,18 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recallscan import textprep
 from recallscan.errors import ContractError
 from recallscan.reference import REFERENCE_INITIATORS
 from recallscan.textprep import (
+    _cosine_blocks,
     _lcs_length,
     cosine_distance,
-    cosine_matrix,
+    cosine_neighbourhoods,
     lcs_similarity,
     normalize_label,
     prefix_key,
@@ -144,44 +147,100 @@ small_vocab_labels = st.lists(
 ).map(" ".join)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.one_of(small_vocab_labels, labels_text), max_size=14))
-def test_cosine_matrix_equals_scalar_bit_for_bit(raws):
-    vectors = [tf_vector(normalize_label(s)) for s in raws]
-    got = cosine_matrix(vectors)
-    want = np.array(
+def scalar_matrix(vectors):
+    """The reference: ``cosine_distance`` on every pair."""
+    return np.array(
         [[cosine_distance(a, b) for b in vectors] for a in vectors], dtype=np.float64
     ).reshape(len(vectors), len(vectors))
+
+
+def blocked_matrix(vectors):
+    """The row blocks of ``_cosine_blocks`` stacked into the whole matrix."""
+    return np.vstack([np.empty((0, len(vectors))), *_cosine_blocks(vectors)])
+
+
+def block_height(height, n):
+    """Patch the block size so that ``n`` vectors go ``height`` rows to a block."""
+    return mock.patch.object(textprep, "_BLOCK_CELLS", height * n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(small_vocab_labels, labels_text), max_size=14), st.integers(1, 5))
+def test_cosine_matrix_equals_scalar_bit_for_bit(raws, height):
+    vectors = [tf_vector(normalize_label(s)) for s in raws]
+    with block_height(height, len(vectors)):
+        got = blocked_matrix(vectors)
+    want = scalar_matrix(vectors)
     assert got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
     assert got.tobytes() == got.T.copy().tobytes()
     assert not np.diagonal(got).any()
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.sampled_from([lambda b: b - 1, lambda b: b, lambda b: b + 1, lambda b: 2 * b + 1]),
+    st.data(),
+    st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+)
+def test_neighbourhoods_equal_thresholded_scalar_matrix(height, size, data, eps):
+    # Sizes on and around a block boundary: one short of a block, exactly
+    # one, one row over, and two blocks plus one row.
+    raws = data.draw(st.lists(small_vocab_labels, min_size=size(height), max_size=size(height)))
+    vectors = [tf_vector(s) for s in raws]
+    with block_height(height, len(vectors)):
+        got = [nb.tolist() for nb in cosine_neighbourhoods(vectors, eps)]
+    assert got == [np.flatnonzero(row <= eps).tolist() for row in scalar_matrix(vectors)]
+
+
+def test_neighbourhoods_with_empty_vectors_on_both_sides_of_a_boundary():
+    # Blocks of two rows: rows 1 and 2 are empty and sit in different blocks.
+    vectors = [tf_vector(s) for s in ("process", "", "", "control process", "")]
+    with block_height(2, len(vectors)):
+        assert blocked_matrix(vectors).tobytes() == scalar_matrix(vectors).tobytes()
+        for eps in (0.0, 0.5, 1.0):
+            got = [nb.tolist() for nb in cosine_neighbourhoods(vectors, eps)]
+            assert got == [np.flatnonzero(row <= eps).tolist() for row in scalar_matrix(vectors)]
+    assert [nb.tolist() for nb in cosine_neighbourhoods(vectors, 0.5)] == [
+        [0, 3], [1, 2, 4], [1, 2, 4], [0, 3], [1, 2, 4]
+    ]
+
+
 def test_cosine_matrix_edge_cases():
-    assert cosine_matrix([]).shape == (0, 0)
+    assert blocked_matrix([]).shape == (0, 0)
+    assert cosine_neighbourhoods([], 0.1) == []
     empty, full = tf_vector(""), tf_vector("process control")
-    assert cosine_matrix([empty]).tolist() == [[0.0]]
-    assert cosine_matrix([empty, empty, full]).tolist() == [
+    assert blocked_matrix([empty]).tolist() == [[0.0]]
+    assert blocked_matrix([empty, empty, full]).tolist() == [
         [0.0, 0.0, 1.0],
         [0.0, 0.0, 1.0],
         [1.0, 1.0, 0.0],
     ]
     # Equal counts in another token order are the same vector.
-    same = cosine_matrix([tf_vector("a a b"), tf_vector("b a a"), tf_vector("a b")])
+    same = blocked_matrix([tf_vector("a a b"), tf_vector("b a a"), tf_vector("a b")])
     assert same[0, 1] == 0.0 and same[0, 2] > 0.0
 
 
 def test_cosine_matrix_rejects_counts_beyond_exact_range():
     with pytest.raises(ContractError):
-        cosine_matrix([{"x": 2**27}, tf_vector("x")])
+        cosine_neighbourhoods([{"x": 2**27}, tf_vector("x")], 0.1)
+    with pytest.raises(ContractError):  # beyond int64 too: refused before any array is built
+        cosine_neighbourhoods([{"x": 2**70}, tf_vector("x")], 0.1)
 
 
 def test_cosine_matrix_rejects_disagreement_with_scalar(monkeypatch):
-    # The sampled pairs are checked against cosine_distance; a matrix that
+    # The sampled pairs are checked against cosine_distance; distances that
     # drifted from the scalar definition must not reach DBSCAN.
-    from recallscan import textprep
-
+    vectors = [tf_vector("a"), tf_vector("b"), tf_vector("a b")]
     monkeypatch.setattr(textprep, "cosine_distance", lambda a, b: 0.5)
     with pytest.raises(ContractError, match="disagrees"):
-        cosine_matrix([tf_vector("a"), tf_vector("b"), tf_vector("a b")])
+        cosine_neighbourhoods(vectors, 0.1)
+    # One row per block: the sampled pair (0, 2) spans blocks 0 and 2, and
+    # the block holding row 0 checks it.
+    monkeypatch.setattr(
+        textprep, "cosine_distance",
+        lambda a, b: cosine_distance(a, b) + (a is vectors[0] and b is vectors[2]),
+    )
+    with block_height(1, len(vectors)), pytest.raises(ContractError, match=r"pair \(0, 2\)"):
+        cosine_neighbourhoods(vectors, 0.1)
