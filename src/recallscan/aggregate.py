@@ -2,17 +2,20 @@
 
 Two labels merge when the LCS similarity of their normalised prefixes
 reaches a threshold; union-find takes the transitive closure, so the result
-does not depend on input order. A pair whose shared character count already
-keeps the similarity below the threshold skips the LCS dynamic program. An
-optional override set can force or suppress individual pairs.
+does not depend on input order. Before any LCS, each prefix's character
+counts are compared with those of every later prefix in one numpy step per
+row; a pair whose shared character count already keeps the similarity below
+the threshold skips the LCS dynamic program. An optional override set can
+force or suppress individual pairs.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import artifacts
 from .errors import ContractError, FormatError
@@ -104,9 +107,22 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _shared_count(a: Counter, b: Counter) -> int:
-    """Characters two strings share, with multiplicity: an upper bound on their LCS."""
-    return sum([min(c, b.get(ch, 0)) for ch, c in a.items()])
+def _char_counts(strings: Sequence[str]) -> np.ndarray:
+    """Count matrix: one row per string, one column per character of their alphabet."""
+    alphabet = {ch: k for k, ch in enumerate(dict.fromkeys("".join(strings)))}
+    bags = np.zeros((len(strings), len(alphabet)), dtype=np.int64)
+    for i, s in enumerate(strings):
+        for ch in s:
+            bags[i, alphabet[ch]] += 1
+    return bags
+
+
+def _shared_counts(bags: np.ndarray, i: int) -> np.ndarray:
+    """Characters string ``i`` shares with each later string, with multiplicity.
+
+    Each entry bounds the LCS of the pair from above.
+    """
+    return np.minimum(bags[i], bags[i + 1:]).sum(axis=1)
 
 
 def explain_merge(a: str, b: str, params: AggregationParams = AggregationParams()) -> MergeTrace:
@@ -137,35 +153,34 @@ def aggregate(
         raise ContractError("aggregate requires positive counts")
 
     index = {label: i for i, label in enumerate(labels)}
-    suppressed = set()
-    if overrides is not None:
-        for a, b in overrides.split:
-            if a in index and b in index:
-                suppressed.add(frozenset((index[a], index[b])))
-
-    prefixes = [prefix_key(label, params.prefix_len) for label in labels]
-    bags = [Counter(p) for p in prefixes]
-    theta = params.theta
     uf = _UnionFind(len(labels))
-    for i, (pa, bag_a) in enumerate(zip(prefixes, bags)):
-        for j in range(i + 1, len(labels)):
-            if suppressed and frozenset((i, j)) in suppressed:
-                continue
-            pb = prefixes[j]
-            # LCS <= shared characters, and the similarity is monotone in its
-            # numerator, so a pair failing this bound can never reach theta.
-            if (
-                pa and pb and pa != pb
-                and 2.0 * _shared_count(bag_a, bags[j]) / (len(pa) + len(pb)) < theta
-            ):
-                continue
-            if lcs_similarity(pa, pb) >= theta:
-                uf.union(i, j)
+    suppressed = set()
     if overrides is not None:
         for a, b in overrides.merge:
             if a not in index or b not in index:
                 raise ContractError(f"override pair ({a!r}, {b!r}) names unknown labels")
             uf.union(index[a], index[b])
+        for a, b in overrides.split:
+            if a in index and b in index:
+                suppressed.add(frozenset((index[a], index[b])))
+
+    prefixes = [prefix_key(label, params.prefix_len) for label in labels]
+    bags = _char_counts(prefixes)
+    lengths = bags.sum(axis=1)
+    theta = params.theta
+    # LCS <= shared characters, and the similarity is monotone in its numerator,
+    # so a pair whose bound falls below theta can never reach it. Equal prefixes
+    # give exactly 1.0; one empty prefix gives 0.0, pruned only when theta > 0,
+    # where lcs_similarity's 0.0 fails too; two empty prefixes give 0/0 = nan,
+    # which `<` keeps for lcs_similarity's 1.0.
+    with np.errstate(invalid="ignore"):
+        for i, pa in enumerate(prefixes):
+            bound = 2.0 * _shared_counts(bags, i) / (lengths[i] + lengths[i + 1:])
+            for j in (np.flatnonzero(~(bound < theta)) + (i + 1)).tolist():
+                if suppressed and frozenset((i, j)) in suppressed:
+                    continue
+                if lcs_similarity(pa, prefixes[j]) >= theta:
+                    uf.union(i, j)
 
     components: dict[int, list[int]] = {}
     for i in range(len(labels)):

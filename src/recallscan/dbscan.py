@@ -181,7 +181,8 @@ def cluster_root_causes(
     vectors = [tf_vector(u) for u in uniques]
     labels = dbscan_weighted(vectors, [weights[u] for u in uniques], params)
 
-    record_labels = [labels[order[norm]] for norm in normalized]
+    label_of = dict(zip(uniques, labels))  # a plain dict: no per-record lookup goes through Labels
+    record_labels = [label_of[norm] for norm in normalized]
 
     members: dict[int, list[str]] = {cid: [] for cid in range(NOISE, max(labels, default=NOISE) + 1)}
     for u, lab in zip(uniques, labels):  # one pass, so each label keeps first-occurrence order

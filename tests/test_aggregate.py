@@ -1,4 +1,4 @@
-from collections import Counter
+import importlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +7,8 @@ from recallscan.aggregate import (
     AggregatedGroup,
     AggregationParams,
     MergeOverrides,
-    _shared_count,
+    _char_counts,
+    _shared_counts,
     aggregate,
     explain_merge,
     groups_to_json_dict,
@@ -15,6 +16,7 @@ from recallscan.aggregate import (
 from recallscan.dbscan import ClusterSummary
 from recallscan.errors import ContractError, FormatError
 from recallscan.reference import REFERENCE_INITIATORS, TOTAL_CASES
+from recallscan import textprep
 from recallscan.textprep import prefix_key
 
 from .oracles import lcs_similarity_ref, lcs_table
@@ -26,6 +28,7 @@ def summaries(pairs):
 
 REFERENCE_SUMMARIES = summaries(REFERENCE_INITIATORS)
 DEFAULTS = AggregationParams()
+AGGREGATE = importlib.import_module("recallscan.aggregate")  # the package attribute is the function
 
 
 def group_map(groups):
@@ -166,9 +169,18 @@ def test_overrides_force_and_suppress_pairs():
     assert ("Process change control",) in gm and ("Process control",) in gm
 
 
-def test_override_with_unknown_label_rejected():
+def test_override_with_unknown_label_rejected(monkeypatch):
     with pytest.raises(ContractError):
         aggregate(summaries([("Storage", 1)]), DEFAULTS, MergeOverrides(merge=[("Storage", "Nope")]))
+
+    def no_pair_loop(a, b):
+        raise AssertionError("the pair loop ran before the overrides were checked")
+
+    # A bad override is refused before the O(L^2) pair loop does any work.
+    monkeypatch.setattr(AGGREGATE, "lcs_similarity", no_pair_loop)
+    rows = summaries([("Process control", 7), ("Process change control", 3)])
+    with pytest.raises(ContractError, match="unknown labels"):
+        aggregate(rows, DEFAULTS, MergeOverrides(merge=[("Process control", "Nope")]))
 
 
 def test_overrides_file_roundtrip(tmp_path):
@@ -194,11 +206,39 @@ def test_group_artifact_payload_sorted():
     assert payload["groups"][0]["members"] == ["Under Investigation by firm"]
 
 
-@given(st.text(alphabet="abcde ", max_size=14), st.text(alphabet="abcde ", max_size=14))
-def test_shared_count_bounds_lcs(a, b):
-    shared = _shared_count(Counter(a), Counter(b))
-    assert shared == _shared_count(Counter(b), Counter(a))
-    assert lcs_table(a, b) <= shared <= min(len(a), len(b))
+@given(st.lists(st.text(alphabet="abcdeé ", max_size=14), min_size=2, max_size=6))
+def test_shared_count_bounds_lcs(strings):
+    bags = _char_counts(strings)
+    backwards = _char_counts(strings[::-1])
+    n = len(strings)
+    for i in range(n):
+        shared = _shared_counts(bags, i)
+        assert shared.shape == (n - i - 1,)
+        for j in range(i + 1, n):
+            a, b = strings[i], strings[j]
+            # string j is row n-1-j of the reversed list, and string i sits j-i rows after it
+            assert shared[j - i - 1] == _shared_counts(backwards, n - 1 - j)[j - i - 1]
+            assert lcs_table(a, b) <= shared[j - i - 1] <= min(len(a), len(b))
+
+
+def test_bound_prunes_the_reference_pairs(monkeypatch):
+    calls = {"pairs": 0, "kernel": 0}
+    lcs_similarity, lcs_length = AGGREGATE.lcs_similarity, textprep._lcs_length
+
+    def counted_similarity(a, b):
+        calls["pairs"] += 1
+        return lcs_similarity(a, b)
+
+    def counted_length(a, b):
+        calls["kernel"] += 1
+        return lcs_length(a, b)
+
+    monkeypatch.setattr(AGGREGATE, "lcs_similarity", counted_similarity)
+    monkeypatch.setattr(textprep, "_lcs_length", counted_length)
+    assert len(aggregate(REFERENCE_SUMMARIES, DEFAULTS)) == 25
+    # Of the 36 * 35 / 2 = 630 pairs, 21 pass the shared-character bound and
+    # 10 of those have distinct non-empty prefixes, so reach the dynamic program.
+    assert calls == {"pairs": 21, "kernel": 10}
 
 
 def brute_force_groups(summaries, params, overrides):
@@ -235,9 +275,15 @@ def brute_force_groups(summaries, params, overrides):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(st.text(alphabet="ab cA", max_size=12), unique=True, min_size=1, max_size=10),
-    st.sampled_from([0.0, 0.5, 0.85, 1.0]),
-    st.sampled_from([1, 3, 6, 10]),
+    st.one_of(
+        # "é" is a non-ASCII letter; "İ" lowercases to two code points.
+        st.lists(st.text(alphabet="ab cAéİ", max_size=12), unique=True, min_size=1, max_size=30),
+        # Blank labels all have the empty prefix: two empty prefixes give a 0/0 bound.
+        st.lists(st.text(alphabet=" ", max_size=6), unique=True, min_size=1, max_size=7),
+    ),
+    # With 5-character prefixes the bound 2 * shared / 10 lands exactly on 0.4 and 0.8.
+    st.sampled_from([0.0, 0.4, 0.5, 0.8, 0.85, 1.0]),
+    st.sampled_from([1, 3, 5, 6, 10]),
     st.data(),
 )
 def test_pruned_aggregate_equals_unpruned_brute_force(labels, theta, prefix_len, data):
