@@ -35,7 +35,6 @@ from .openfda import (
     fetch_pages,
 )
 from .report import (
-    ComparisonReport,
     RankedEntry,
     RankedReport,
     rank_initiators,
@@ -57,7 +56,6 @@ __all__ = [
     "ClusterSummary",
     "CleaningReport",
     "CleaningRules",
-    "ComparisonReport",
     "DbscanParams",
     "Endpoint",
     "FetchSpec",

@@ -26,6 +26,7 @@ CLASSIFICATION_URL = "https://api.fda.gov/device/classification.json"
 
 API_KEY_ENV = "OPENFDA_API_KEY"
 MAX_PAGE_SIZE = 1000  # openFDA hard limit per request
+MAX_SKIP = 25_000  # openFDA refuses a larger skip
 
 DEFAULT_DATE_FROM = dt.date(2018, 1, 1)
 DEFAULT_DATE_TO = dt.date(2024, 4, 15)
@@ -105,6 +106,8 @@ class RawPage:
 
 
 def _requests_get(url: str, params: dict, timeout: float) -> tuple[int, bytes]:
+    if params["skip"] > MAX_SKIP:  # openFDA would answer HTTP 400; only an OSError is retried
+        raise ContractError(f"skip {params['skip']} is past openFDA's limit of {MAX_SKIP}; narrow the date window")
     import requests  # only the live API needs it; its exceptions subclass OSError
 
     resp = requests.get(url, params=params, timeout=timeout)

@@ -1,17 +1,16 @@
 """Ranked recall-initiator reports and their renderers.
 
 Rankings sort by descending case count with lexicographic tie-breaks and
-carry each entry's share of the clustered total. Renderers are pure
-functions from a report model to bytes, in markdown, CSV, JSON, or a
-dependency-free SVG bar chart. A run's reports form one ``ReportDocument``;
-``WRITERS`` maps each output format to the files it makes of that document.
+carry each entry's share of the clustered total. A run's reports form one
+``ReportDocument``, and ``render(doc, fmt)`` turns it into the files of one
+format: markdown, CSV, JSON, or a dependency-free SVG bar chart. Rendering is
+a pure function of the document.
 """
 
 from __future__ import annotations
 
 import collections
 import csv
-import dataclasses
 import io
 import itertools
 from dataclasses import dataclass, field
@@ -54,34 +53,18 @@ class RankedReport:
 
 
 @dataclass
-class ComparisonReport:
-    """Side-by-side top-k of two rankings."""
-
-    title: str
-    before: RankedReport
-    after: RankedReport
-    k: int = 10
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ContractError(f"k must be >= 1, got {self.k}")
-
-
-@dataclass
 class ReportDocument:
-    """A run's reports in output order; firms and devices need the dataset."""
+    """A run's reports; the comparison is the top ``k`` of ``before`` and ``after``.
+
+    The top ``k`` firms and devices need the dataset and are None without it.
+    """
 
     metadata: dict
     before: RankedReport
     after: RankedReport
-    comparison: ComparisonReport
+    k: int
     top_firms: RankedReport | None = None
     top_devices: RankedReport | None = None
-
-    def sections(self) -> list[tuple[str, RankedReport | ComparisonReport]]:
-        """(name, report) in output order, leaving out the absent ones."""
-        names = ("before", "after", "comparison", "top_firms", "top_devices")
-        return [(name, getattr(self, name)) for name in names if getattr(self, name) is not None]
 
 
 def _coerce_item(item) -> tuple[tuple[str, ...], int]:
@@ -155,8 +138,7 @@ def build_document(
         grouped=True,
         metadata=metadata,
     )
-    title = f"Top {k} recall initiators before and after aggregation"
-    doc = ReportDocument(metadata, before, after, ComparisonReport(title, before, after, k))
+    doc = ReportDocument(metadata, before, after, k)
     if records:
         doc.top_firms = RankedReport(f"Top {k} recalled firms", top_firms(records, k), len(records))
         doc.top_devices = RankedReport(
@@ -226,10 +208,10 @@ def _svg_escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _report_svg(report: RankedReport) -> str:
-    """Horizontal bar chart: counts as bar lengths, labels as axis text."""
+def _report_svg(report: RankedReport, k: int) -> str:
+    """Horizontal bar chart of the top ``k``: counts as bar lengths, labels as axis text."""
     width, left, right, top, row_h = 960, 340, 80, 56, 26
-    entries = report.entries
+    entries = report.entries[:k]
     height = top + row_h * max(1, len(entries)) + 24
     plot_w = width - left - right
     max_count = max((e.count for e in entries), default=1)
@@ -261,68 +243,64 @@ def _report_svg(report: RankedReport) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _comparison_rows(comparison: ComparisonReport) -> list[tuple[str, str, str]]:
-    before = [e.display_label for e in comparison.before.entries[: comparison.k]]
-    after = [str(list(e.members)) for e in comparison.after.entries[: comparison.k]]
+def _comparison_title(doc: ReportDocument) -> str:
+    return f"Top {doc.k} recall initiators before and after aggregation"
+
+
+def _comparison_rows(doc: ReportDocument) -> list[tuple[str, str, str]]:
+    before = [e.display_label for e in doc.before.entries[: doc.k]]
+    after = [str(list(e.members)) for e in doc.after.entries[: doc.k]]
     pairs = itertools.zip_longest(before, after, fillvalue="")
     return [(str(rank), b, a) for rank, (b, a) in enumerate(pairs, start=1)]
 
 
-def _comparison_markdown(comparison: ComparisonReport) -> str:
-    k = comparison.k
+def _comparison_markdown(doc: ReportDocument) -> str:
+    k = doc.k
     lines = [
-        f"## {comparison.title}",
+        f"## {_comparison_title(doc)}",
         "",
         f"| Rank | Top {k} before aggregation | Top {k} after aggregation |",
         "|-----:|---------------------------|---------------------------|",
     ]
-    for rank, b, a in _comparison_rows(comparison):
+    for rank, b, a in _comparison_rows(doc):
         lines.append(f"| {rank} | {_md_escape(b)} | {_md_escape(a)} |")
     lines.append("")
     return "\n".join(lines)
 
 
-def _comparison_csv(comparison: ComparisonReport) -> str:
+def _comparison_csv(doc: ReportDocument) -> str:
     header = ["rank", "before_aggregation", "after_aggregation"]
-    return _csv_text(header, _comparison_rows(comparison))
+    return _csv_text(header, _comparison_rows(doc))
 
 
-def _comparison_json_dict(comparison: ComparisonReport) -> dict:
+def _comparison_json_dict(doc: ReportDocument) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "title": comparison.title,
-        "k": comparison.k,
-        "before": _report_json_dict(comparison.before),
-        "after": _report_json_dict(comparison.after),
+        "title": _comparison_title(doc),
+        "k": doc.k,
+        "before": _report_json_dict(doc.before),
+        "after": _report_json_dict(doc.after),
     }
 
 
-_RENDERERS = {
-    RankedReport: {
-        "markdown": _report_markdown,
-        "csv": _report_csv,
-        "json": lambda report: artifacts.json_text(_report_json_dict(report)),
-        "svg-bars": _report_svg,
-    },
-    ComparisonReport: {
-        "markdown": _comparison_markdown,
-        "csv": _comparison_csv,
-        "json": lambda comparison: artifacts.json_text(_comparison_json_dict(comparison)),
-    },
-}
-
-
-def render(model: RankedReport | ComparisonReport, fmt: str) -> bytes:
-    """Render a report model to bytes; deterministic for a given model."""
-    renderer = _RENDERERS.get(type(model), {}).get(fmt)
-    if renderer is None:
-        raise UsageError(f"cannot render {type(model).__name__} as {fmt!r}")
-    return renderer(model).encode("utf-8")
-
-
 # ---------------------------------------------------------------------------
-# Document writers: each returns the (file name, bytes) pairs to write
+# Formats: each returns the (file name, bytes) pairs it makes of a document
 # ---------------------------------------------------------------------------
+
+
+def _sections(doc: ReportDocument, ranking, comparison) -> list[tuple[str, object]]:
+    """Each section of ``doc`` rendered, in output order, as (name, value).
+
+    A section the document lacks, or the comparison when ``comparison`` is
+    None, has the value None.
+    """
+    return [
+        ("before", ranking(doc.before)),
+        ("after", ranking(doc.after)),
+        ("comparison", comparison(doc) if comparison else None),
+        ("top_firms", ranking(doc.top_firms) if doc.top_firms else None),
+        ("top_devices", ranking(doc.top_devices) if doc.top_devices else None),
+    ]
 
 
 def _markdown_files(doc: ReportDocument) -> list[tuple[str, bytes]]:
@@ -332,41 +310,40 @@ def _markdown_files(doc: ReportDocument) -> list[tuple[str, bytes]]:
         f"- records including noise: {doc.metadata['records_including_noise']}\n"
         "- share denominator: clustered records\n\n"
     )
-    sections = [render(model, "markdown").decode("utf-8") for _, model in doc.sections()]
-    return [("report.md", (header + "\n".join(sections)).encode("utf-8"))]
+    sections = _sections(doc, _report_markdown, _comparison_markdown)
+    body = "\n".join(text for _, text in sections if text is not None)
+    return [("report.md", (header + body).encode("utf-8"))]
 
 
 def _json_files(doc: ReportDocument) -> list[tuple[str, bytes]]:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "metadata": doc.metadata,
-        "before": _report_json_dict(doc.before),
-        "after": _report_json_dict(doc.after),
-        "comparison": _comparison_json_dict(doc.comparison),
-        "top_firms": _report_json_dict(doc.top_firms) if doc.top_firms else None,
-        "top_devices": _report_json_dict(doc.top_devices) if doc.top_devices else None,
-    }
+    """One file; an absent section is kept as null."""
+    sections = _sections(doc, _report_json_dict, _comparison_json_dict)
+    payload = {"schema_version": SCHEMA_VERSION, "metadata": doc.metadata, **dict(sections)}
     return [("report.json", artifacts.json_text(payload).encode("utf-8"))]
 
 
 def _csv_files(doc: ReportDocument) -> list[tuple[str, bytes]]:
-    return [(f"report_{name}.csv", render(model, "csv")) for name, model in doc.sections()]
+    sections = _sections(doc, _report_csv, _comparison_csv)
+    return [(f"report_{name}.csv", text.encode("utf-8")) for name, text in sections if text is not None]
 
 
 def _svg_files(doc: ReportDocument) -> list[tuple[str, bytes]]:
-    """One bar chart per ranking, cut to the top k (firms and devices already are)."""
-    charts = [
-        (name, dataclasses.replace(model, entries=model.entries[: doc.comparison.k]))
-        for name, model in doc.sections()
-        if isinstance(model, RankedReport)
-    ]
-    return [(f"report_{name}.svg", render(chart, "svg-bars")) for name, chart in charts]
+    """One bar chart per ranking, cut to the top k; the comparison has none."""
+    sections = _sections(doc, lambda report: _report_svg(report, doc.k), None)
+    return [(f"report_{name}.svg", text.encode("utf-8")) for name, text in sections if text is not None]
 
 
-WRITERS = {
+_FILES = {
     "markdown": _markdown_files,
     "csv": _csv_files,
     "json": _json_files,
     "svg-bars": _svg_files,
 }
-FORMATS = tuple(WRITERS)
+FORMATS = tuple(_FILES)
+
+
+def render(doc: ReportDocument, fmt: str) -> list[tuple[str, bytes]]:
+    """The (file name, bytes) pairs that format ``fmt`` makes of ``doc``; deterministic."""
+    if fmt not in _FILES:
+        raise UsageError(f"unknown report format {fmt!r}; expected one of {', '.join(FORMATS)}")
+    return _FILES[fmt](doc)

@@ -45,7 +45,7 @@ from .dbscan import (
 )
 from .errors import ContractError, DataError, FormatError, UsageError
 from .fixtures import FIXTURE_BUILDERS
-from .report import FORMATS, WRITERS, build_document
+from .report import FORMATS, build_document, render
 from .textprep import DEFAULT_PREFIX_LEN
 
 DATASET_FILE = "dataset.csv"
@@ -342,7 +342,7 @@ def report_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
     noise_count = sum(n.count for n in noise)
 
     doc = build_document(summaries, groups, noise_count, records, cfg.top)
-    files = WRITERS[cfg.format](doc)
+    files = render(doc, cfg.format)
     for name, payload in files:
         artifacts.write(out / name, payload)
     save(cfg, REPORT_METADATA_FILE, doc.metadata, run)

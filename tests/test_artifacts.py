@@ -130,6 +130,9 @@ MANIFEST = "cache/recall/manifest.json"
 @example(target="out/groups.json", mutation=("set", ("groups", 0, "members"), "abc"))
 @example(target="out/groups.json", mutation=("set", ("groups", 0, "members"), []))
 @example(target="out/groups.json", mutation=("set", ("groups", 0, "total_count"), 0))
+@example(target="out/groups.json", mutation=("set", ("groups",), [1]))
+@example(target="out/groups.json", mutation=("set", ("groups",), []))
+@example(target="out/clusters.json", mutation=("set", ("clusters",), []))
 @example(target="out/clusters.json", mutation=("set", ("clusters", 0, "count"), 0))
 @example(target="out/clusters.json", mutation=("set", ("clusters", 0, "count"), -3))
 @example(target="out/clusters.json", mutation=("set", ("clusters", 0, "count"), 5.7))
@@ -157,3 +160,17 @@ def test_damaged_input_exits_with_a_documented_code(workspace, tmp_path_factory,
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1, result.stderr
         assert json.loads(lines[0])["exit_code"] == result.exit_code
+
+
+def test_unreadable_input_exits_4(workspace, tmp_path_factory):
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path_factory.getbasetemp()) as cwd:
+        shutil.copytree(workspace, cwd, dirs_exist_ok=True)
+        clusters = Path(cwd) / "out" / "clusters.json"
+        clusters.unlink()
+        clusters.mkdir()  # exists, but cannot be read as a file
+        result = runner.invoke(main, ["aggregate", "--out", "out"])
+    assert result.exit_code == 4
+    [line] = result.stderr.strip().splitlines()
+    error = json.loads(line)
+    assert error["error"] == "FormatError" and "cannot read artifact" in error["message"]

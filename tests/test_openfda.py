@@ -18,6 +18,8 @@ from recallscan.openfda import (
     MANIFEST_NAME,
     Endpoint,
     FetchSpec,
+    _fetch_one,
+    _requests_get,
     fetch_pages,
 )
 
@@ -382,6 +384,20 @@ def test_parse_error_carries_page_index(tmp_path):
 
     with pytest.raises(ParseError, match="page 3"):
         fetch_pages(spec(page_size=1, max_pages=5), tmp_path, get=get, sleep=NO_SLEEP)
+
+
+def test_live_transport_refuses_a_skip_past_the_api_limit(monkeypatch):
+    calls = []
+
+    class Response:
+        status_code, content = 200, b'{"results": []}'
+
+    monkeypatch.setattr(requests, "get", lambda *a, **k: calls.append(k["params"]["skip"]) or Response())
+    with pytest.raises(ContractError, match="skip 26000"):
+        _fetch_one(spec(), 26, _requests_get, NO_SLEEP)
+    assert calls == []  # refused before any request, and not retried
+    assert _fetch_one(spec(), 25, _requests_get, NO_SLEEP) == Response.content
+    assert calls == [25_000]
 
 
 # --- live smoke (non-gating) --------------------------------------------------

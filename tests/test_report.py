@@ -4,11 +4,12 @@ import pytest
 
 from recallscan.aggregate import AggregatedGroup
 from recallscan.dbscan import ClusterSummary
-from recallscan.errors import DataError, UsageError
+from recallscan.errors import ContractError, DataError, UsageError
 from recallscan.reference import REFERENCE_INITIATORS, TOTAL_CASES
 from recallscan.report import (
-    ComparisonReport,
+    FORMATS,
     RankedReport,
+    ReportDocument,
     rank_initiators,
     render,
     top_devices,
@@ -24,6 +25,16 @@ SUMMARIES = [ClusterSummary(i, label, count) for i, (label, count) in enumerate(
 def report_of(items, grouped=False, title="Ranked") -> RankedReport:
     entries = rank_initiators(items)
     return RankedReport(title=title, entries=entries, total_count=sum(e.count for e in entries), grouped=grouped)
+
+
+def document_of(before, after=None, k=10, records=()) -> ReportDocument:
+    """A document over ``before`` (and ``after``, else ``before`` again), with firms and devices given records."""
+    metadata = {"clustered_records": before.total_count, "records_including_noise": before.total_count}
+    doc = ReportDocument(metadata, before, after or before, k)
+    if records:
+        doc.top_firms = RankedReport("Top firms", top_firms(records, k), len(records))
+        doc.top_devices = RankedReport("Top devices", top_devices(records, k), len(records))
+    return doc
 
 
 def test_rank_initiators_reference_top_entry():
@@ -107,51 +118,64 @@ def test_top_devices_matches_counting_oracle():
     assert got == count_ranking((r.device_name for r in records), 4)
 
 
+def test_top_firms_rejects_k_below_one(records):
+    with pytest.raises(ContractError):
+        top_firms(records, 0)
+
+
 def test_render_rejects_unknown_format():
     with pytest.raises(UsageError):
-        render(report_of(SUMMARIES), "pdf")
+        render(document_of(report_of(SUMMARIES)), "pdf")
 
 
-def test_render_is_deterministic_across_calls():
-    model = report_of(SUMMARIES)
-    for fmt in ("markdown", "csv", "json", "svg-bars"):
-        assert render(model, fmt) == render(model, fmt)
+def test_render_is_deterministic_across_calls(records):
+    doc = document_of(report_of(SUMMARIES), records=records)
+    for fmt in FORMATS:
+        assert render(doc, fmt) == render(doc, fmt)
 
 
 def test_render_empty_model_csv_is_header_only():
     empty = RankedReport(title="Nothing", entries=[], total_count=0)
-    assert render(empty, "csv").decode() == "rank,initiator,cases,share\r\n"
+    files = dict(render(document_of(empty), "csv"))
+    assert files["report_before.csv"].decode() == "rank,initiator,cases,share\r\n"
 
 
 def test_markdown_table_rows():
-    text = render(report_of(SUMMARIES), "markdown").decode()
-    assert "| 1 | Under Investigation by firm | 1699 | 24.30% |" in text
+    [(name, text)] = render(document_of(report_of(SUMMARIES)), "markdown")
+    assert name == "report.md"
+    assert "| 1 | Under Investigation by firm | 1699 | 24.30% |" in text.decode()
 
 
 def test_comparison_markdown_has_both_columns():
-    before = report_of(SUMMARIES)
     after_groups = [
         AggregatedGroup(("Process change control", "Process control"), 1155),
         AggregatedGroup(("Device Design",), 1046),
     ]
-    after = report_of(after_groups, grouped=True)
-    comparison = ComparisonReport("Top 10 comparison", before, after, k=10)
-    text = render(comparison, "markdown").decode()
+    doc = document_of(report_of(SUMMARIES), report_of(after_groups, grouped=True))
+    [(_, text)] = render(doc, "markdown")
+    text = text.decode()
     assert "Top 10 before aggregation" in text and "Top 10 after aggregation" in text
     assert "['Process change control', 'Process control']" in text
-    with pytest.raises(UsageError):
-        render(comparison, "svg-bars")
+    rows = dict(render(doc, "csv"))["report_comparison.csv"].decode().splitlines()
+    assert rows[0] == "rank,before_aggregation,after_aggregation"
+    assert rows[1] == "1,Under Investigation by firm,\"['Process change control', 'Process control']\""
+    assert len(rows) == 1 + 10
 
 
 def test_json_render_carries_schema_version():
-    payload = json.loads(render(report_of(SUMMARIES), "json"))
-    assert payload["schema_version"] == 1
-    assert payload["entries"][0]["count"] == 1699
+    [(name, data)] = render(document_of(report_of(SUMMARIES)), "json")
+    payload = json.loads(data)
+    assert name == "report.json"
+    assert payload["schema_version"] == payload["comparison"]["schema_version"] == 1
+    assert payload["before"]["entries"][0]["count"] == 1699
+    assert payload["top_firms"] is None and payload["top_devices"] is None
 
 
 def test_svg_render_escapes_and_draws_bars():
     model = report_of([ClusterSummary(0, "A & B <cause>", 5), ClusterSummary(1, "Plain", 3)])
-    svg = render(model, "svg-bars").decode()
+    files = dict(render(document_of(model), "svg-bars"))
+    assert sorted(files) == ["report_after.svg", "report_before.svg"]  # the comparison has no chart
+    svg = files["report_before.svg"].decode()
     assert svg.startswith("<svg")
     assert "A &amp; B &lt;cause&gt;" in svg
     assert svg.count("<rect") == 3  # background + one bar per entry
