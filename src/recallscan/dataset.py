@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import functools
 import re
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
@@ -84,7 +83,6 @@ class CleaningReport:
         return asdict(self)
 
 
-@functools.cache
 def parse_date(value: str) -> dt.date | None:
     """Accept YYYY-MM-DD or YYYYMMDD; anything else is an absent date."""
     for fmt in ("%Y-%m-%d", "%Y%m%d"):
@@ -96,46 +94,40 @@ def parse_date(value: str) -> dt.date | None:
 
 
 def merge_datasets(
-    recalls: list[dict], classifications: list[dict]
+    recalls: Iterable[tuple[str, str, str, str, str]],
+    classifications: Iterable[tuple[str, str, str]],
 ) -> tuple[list[RecallRecord], MergeStats]:
-    """Join recall records to device name/class on product_code.
+    """Join recall rows to device name/class on product_code.
 
-    The first classification entry per code wins (page order); later
-    duplicates only bump the warning counter. Unmatched codes get an empty
-    device name and the unknown class. Recall order and count are preserved;
-    unmatched_product_codes counts distinct codes.
+    Rows are the tuples ``fetch_pages`` keeps: recalls as (product_code,
+    event_date_posted, recalling_firm, root_cause_description,
+    product_quantity), classifications as (product_code, device_name,
+    device_class). The first classification row per code wins (page order);
+    later duplicates only bump the warning counter. Unmatched codes get an
+    empty device name and the unknown class. Recall order and count are
+    preserved; unmatched_product_codes counts distinct codes.
     """
     lookup: dict[str, tuple[str, str]] = {}
     stats = MergeStats()
-    for entry in classifications:
-        code = entry.get("product_code", "")
+    for code, device_name, raw_class in classifications:
         if code in lookup:
             stats.duplicate_classification_codes += 1
             continue
-        raw_class = entry.get("device_class", "")
         device_class = raw_class if raw_class in DEVICE_CLASSES else UNKNOWN_DEVICE_CLASS
-        lookup[code] = (entry.get("device_name", ""), device_class)
+        lookup[code] = (device_name, device_class)
 
+    unmatched_device = ("", UNKNOWN_DEVICE_CLASS)
+    dates: dict[str, dt.date | None] = {}  # parse_date per distinct string, for this call only
     records: list[RecallRecord] = []
     unmatched: set[str] = set()
-    for entry in recalls:
-        code = entry.get("product_code", "")
-        if code in lookup:
-            device_name, device_class = lookup[code]
-        else:
+    for code, date, firm, cause, quantity in recalls:
+        device = lookup.get(code)
+        if device is None:
             unmatched.add(code)
-            device_name, device_class = "", UNKNOWN_DEVICE_CLASS
-        records.append(
-            RecallRecord(
-                code,
-                parse_date(entry.get("event_date_posted", "")),
-                entry.get("recalling_firm", ""),
-                entry.get("root_cause_description", ""),
-                entry.get("product_quantity", ""),
-                device_name,
-                device_class,
-            )
-        )
+            device = unmatched_device
+        if date not in dates:
+            dates[date] = parse_date(date)
+        records.append(RecallRecord(code, dates[date], firm, cause, quantity, *device))
     stats.unmatched_product_codes = len(unmatched)
     return records, stats
 
@@ -200,23 +192,32 @@ def write_dataset(records: Iterable[RecallRecord], path: str | Path) -> None:
 
 
 def read_dataset(path: str | Path) -> list[RecallRecord]:
-    """Read a canonical CSV back; raises FormatError on a wrong header, row or date."""
+    """Read a canonical CSV back; raises FormatError on a wrong header, row or date.
+
+    The file is read as a stream, and equal strings and dates within it come
+    back as one shared object each.
+    """
+    values: dict[str, str] = {}
+    dates: dict[str, dt.date | None] = {"": None}
+    share = values.setdefault
+    records = []
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            rows = csv.reader(fh)
+            if tuple(next(rows, ())) != DATASET_HEADER:
+                raise FormatError(f"dataset {path} does not carry the expected header")
+            for idx, row in enumerate(rows, start=2):
+                if len(row) != len(DATASET_HEADER):
+                    raise FormatError(f"dataset {path} row {idx} has {len(row)} fields")
+                code, posted, *text = map(share, row, row)
+                if posted not in dates:
+                    try:
+                        dates[posted] = dt.date.fromisoformat(posted)
+                    except ValueError as exc:
+                        raise FormatError(
+                            f"dataset {path} row {idx} has a malformed event_date_posted {posted!r}"
+                        ) from exc
+                records.append(RecallRecord(code, dates[posted], *text))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"cannot read dataset {path}: {exc}") from exc
-    if not rows or tuple(rows[0]) != DATASET_HEADER:
-        raise FormatError(f"dataset {path} does not carry the expected header")
-    records = []
-    for idx, row in enumerate(rows[1:], start=2):
-        if len(row) != len(DATASET_HEADER):
-            raise FormatError(f"dataset {path} row {idx} has {len(row)} fields")
-        try:
-            posted = dt.date.fromisoformat(row[1]) if row[1] else None
-        except ValueError as exc:
-            raise FormatError(
-                f"dataset {path} row {idx} has a malformed event_date_posted {row[1]!r}"
-            ) from exc
-        records.append(RecallRecord(row[0], posted, *row[2:]))
     return records

@@ -38,6 +38,9 @@ _DEVICES = (
     ("Aortic Valve, Prosthetic", "3"),
 )
 
+# One string per distinct quantity, shared by every record that carries it.
+_QUANTITIES = tuple(f"{n} units" for n in range(1, 41))
+
 
 def _product_code(i: int) -> str:
     letters = []
@@ -63,7 +66,7 @@ def table2_records(
                     event_date_posted=date_from + dt.timedelta(days=(k * 7) % (span + 1)),
                     recalling_firm=_FIRMS[k % len(_FIRMS)],
                     root_cause_description=label,
-                    product_quantity=f"{(k % 40) + 1} units",
+                    product_quantity=_QUANTITIES[k % len(_QUANTITIES)],
                     device_name=device_name,
                     device_class=device_class,
                 )

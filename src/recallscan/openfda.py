@@ -6,7 +6,8 @@ before anything else happens, so later parses are reproducible byte for
 byte. A cached page is never re-fetched. Pages and the manifest are written
 atomically (``artifacts.write``), so a write cut off midway leaves no page
 behind and the next run fetches it again. ``fetch_pages`` decodes each body
-once and keeps only the endpoint's fields of each entry, never the bytes.
+once and keeps only the endpoint's fields of each entry, as a tuple, never the
+bytes; equal field values within one call are one shared ``str``.
 """
 
 from __future__ import annotations
@@ -92,12 +93,15 @@ class FetchSpec:
 
 @dataclass(frozen=True)
 class RawPage:
-    """One response body, decoded: a dict of the endpoint's fields per entry, as text (an
-    absent or null field is ``""``), and the ``meta.results.total`` it reports, if any.
+    """One response body, decoded: per entry, a tuple of the endpoint's fields in ``_FIELDS``
+    order, as text (an absent or null field is ``""``, any other non-string ``str(value)``),
+    and the ``meta.results.total`` it reports, if any. Equal values on the pages of one
+    ``fetch_pages`` call are the same object, so a low-cardinality field costs one string
+    per distinct value, not one per row.
     """
 
     page_index: int
-    rows: list[dict]
+    rows: list[tuple[str, ...]]
     total: int | None
 
     @property
@@ -114,21 +118,29 @@ def _requests_get(url: str, params: dict, timeout: float) -> tuple[int, bytes]:
     return resp.status_code, resp.content
 
 
-def _parse_page(payload: bytes, page_index: int, fields: tuple[str, ...]) -> RawPage:
-    """The one decode of a response body; its ``results`` entries must all be objects."""
+def _parse_page(
+    payload: bytes, page_index: int, fields: tuple[str, ...], values: dict[str, str]
+) -> RawPage:
+    """The one decode of a response body; its ``results`` entries must all be objects.
+
+    ``values`` maps each field value seen so far to its one shared object; the
+    caller owns it, so sharing spans every page it passes the table to.
+    """
     body = artifacts.parse_object(payload, f"page {page_index} response body", ParseError)
     results = body.get("results")
     if not isinstance(results, list):
         raise ParseError(f"page {page_index}: response carries no results array")
     if not all(isinstance(entry, dict) for entry in results):
         raise ParseError(f"page {page_index}: non-object result entry")
+    share = values.setdefault
     rows = []
     for entry in results:
-        row = {}
+        row = []
         for key in fields:
             value = entry.get(key)
-            row[key] = "" if value is None else value if isinstance(value, str) else str(value)
-        rows.append(row)
+            value = "" if value is None else value if isinstance(value, str) else str(value)
+            row.append(share(value, value))
+        rows.append(tuple(row))
     meta = body.get("meta")
     total = meta.get("results") if isinstance(meta, dict) else None
     total = total.get("total") if isinstance(total, dict) else None
@@ -221,6 +233,7 @@ def fetch_pages(
     manifest.update(query)
 
     pages: list[RawPage] = []
+    values: dict[str, str] = {}  # one object per distinct field value across this call's pages
     for index in range(spec.max_pages):
         exhausted_at = manifest.get("exhausted_at")
         if exhausted_at is not None and index >= exhausted_at:
@@ -234,7 +247,8 @@ def fetch_pages(
             manifest["exhausted_at"] = index
             artifacts.write_json(endpoint_dir / MANIFEST_NAME, manifest)
             break
-        page = _parse_page(payload, index, _FIELDS[spec.endpoint])  # a malformed body is never cached
+        # A malformed body raises here, so it is never cached.
+        page = _parse_page(payload, index, _FIELDS[spec.endpoint], values)
         if not cached:
             artifacts.write(page_path, payload)
             manifest["pages"][str(index)] = {

@@ -1,10 +1,11 @@
 """Pipeline stages and their file artifacts.
 
 ``INPUTS`` is the artifact graph. Every stage writes its artifacts plus a
-``<stage>.meta.json`` sidecar (input hashes, config, timestamp) and returns
-a one-line summary for the CLI. All artifacts are deterministic; only the
-sidecars carry timestamps. A stage reads its inputs with ``load`` and writes
-with ``save``; inside ``pipeline`` the values saved are handed on in ``run``.
+``<stage>.meta.json`` sidecar (input hashes, config, timestamp, peak RSS)
+and returns a one-line summary for the CLI. All artifacts are deterministic;
+only the sidecars carry timestamps. A stage reads its inputs with ``load``
+and writes with ``save``; inside ``pipeline`` the values saved are handed on
+in ``run``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import datetime as dt
 import hashlib
 import json
 import math
+import resource
 import sys
 import typing
 from dataclasses import dataclass
@@ -228,13 +230,21 @@ def check_lineage(cfg: PipelineConfig, stage: str) -> None:
 
 
 def write_sidecar(cfg: PipelineConfig, stage: str, **extra) -> None:
-    """``<stage>.meta.json``: the hashes of the inputs ``stage`` read and the run's config."""
+    """``<stage>.meta.json``: the hashes of the inputs ``stage`` read, the run's config and
+    ``peak_rss_kb``.
+
+    ``peak_rss_kb`` is the process's resident-set high-water mark so far (``ru_maxrss`` of
+    ``RUSAGE_SELF``), not this stage's own use: in ``pipeline`` it covers every stage up to
+    this one. A parent that spawns the process through vfork (as ``subprocess`` does) can
+    leave its own, larger RSS in the figure until the process outgrows it.
+    """
     out = cfg.out_dir
     meta = {
         "stage": stage,
         "created_at": dt.datetime.now(dt.timezone.utc).isoformat(),
         "inputs": {name: _sha256(out / name) for name in INPUTS[stage] if (out / name).exists()},
         "params": cfg.to_dict(),
+        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         **extra,
     }
     artifacts.write_json(out / f"{stage}.meta.json", meta)
@@ -273,7 +283,7 @@ def build_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
         raw = FIXTURE_BUILDERS[cfg.fixture](cfg.date_from, cfg.date_to)
         records, report = clean(raw, rules)
     else:
-        rows: dict[openfda.Endpoint, list[dict]] = {endpoint: [] for endpoint in openfda.Endpoint}
+        rows: dict[openfda.Endpoint, list[tuple]] = {endpoint: [] for endpoint in openfda.Endpoint}
         for endpoint, sink in rows.items():
             def not_cached(url, params, timeout, endpoint=endpoint):  # a DataError is not retried
                 page = params["skip"] // params["limit"]

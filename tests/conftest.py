@@ -76,6 +76,17 @@ def classification_entries() -> list[dict]:
     return list(seen.values())
 
 
+def recall_rows() -> list[tuple[str, ...]]:
+    """``recall_entries`` as the tuples ``fetch_pages`` keeps, in its field order."""
+    return [row[:5] for row in SAMPLE_ROWS]
+
+
+def classification_rows() -> list[tuple[str, ...]]:
+    """``classification_entries`` as the tuples ``fetch_pages`` keeps."""
+    entries = classification_entries()
+    return [(e["product_code"], e["device_name"], e["device_class"]) for e in entries]
+
+
 class FakeOpenFDA:
     """Transport double honouring limit/skip and the 404 end-of-results shape."""
 

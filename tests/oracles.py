@@ -2,11 +2,13 @@
 
 Each oracle follows the textbook definition directly with no shared code:
 full-table LCS, union-vocabulary cosine, fixed-point DBSCAN expansion,
-per-field cleaning and plain counting. Kept deliberately simple and quadratic.
+per-field cleaning, a scanning join and plain counting. Kept deliberately
+simple and quadratic.
 """
 
 from __future__ import annotations
 
+import datetime as dt
 import math
 from collections import Counter
 
@@ -129,3 +131,34 @@ def clean_ref(records, date_from, date_to) -> tuple[list, dict[str, int]]:
             else:
                 survivors.append(rec)
     return survivors, counts
+
+
+def merge_ref(recalls: list[dict], classifications: list[dict]) -> tuple[list[tuple], int, int]:
+    """Join recall entries to classification entries by scanning for the first entry with
+    the same code; return the 7-field rows, the classification entries whose code came
+    earlier, and the distinct recall codes no entry has. A missing key reads as "".
+    """
+    rows, unmatched = [], set()
+    for rec in recalls:
+        code = rec.get("product_code", "")
+        match = next((c for c in classifications if c.get("product_code", "") == code), None)
+        if match is None:
+            unmatched.add(code)
+            name, cls = "", "unknown"
+        else:
+            name, cls = match.get("device_name", ""), match.get("device_class", "")
+            cls = cls if cls in ("1", "2", "3") else "unknown"
+        date = None
+        for fmt in ("%Y-%m-%d", "%Y%m%d"):
+            try:
+                date = dt.datetime.strptime(rec.get("event_date_posted", ""), fmt).date()
+                break
+            except ValueError:
+                pass
+        rows.append((
+            code, date, rec.get("recalling_firm", ""), rec.get("root_cause_description", ""),
+            rec.get("product_quantity", ""), name, cls,
+        ))
+    codes = [c.get("product_code", "") for c in classifications]
+    duplicates = sum(1 for i, code in enumerate(codes) if code in codes[:i])
+    return rows, duplicates, len(unmatched)

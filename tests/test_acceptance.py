@@ -26,7 +26,7 @@ from recallscan.dbscan import (
     dbscan,
 )
 from recallscan.errors import TransportError
-from recallscan.openfda import Endpoint, FetchSpec, fetch_pages
+from recallscan.openfda import _FIELDS, Endpoint, FetchSpec, fetch_pages
 from recallscan.reference import REFERENCE_GROUPS, REFERENCE_INITIATORS, TOTAL_CASES
 from recallscan.report import rank_initiators
 from recallscan.textprep import cosine_distance, lcs_similarity, tf_vector
@@ -270,13 +270,15 @@ def test_c10_live_api_smoke(tmp_path):
         pytest.skip(f"live openFDA unreachable: {exc}")
     records = pages[0].rows if pages else []
     assert len(records) <= 1000
-    expected = {
+    expected = (
         "product_code",
         "event_date_posted",
         "recalling_firm",
         "root_cause_description",
         "product_quantity",
-    }
+    )
+    assert _FIELDS[Endpoint.RECALL] == expected
     for rec in records:
-        assert set(rec) == expected
+        assert type(rec) is tuple and len(rec) == len(expected)
+        assert all(isinstance(value, str) for value in rec)
     ok(10, f"live fetch returned {len(records)} records with the five fields")

@@ -189,6 +189,15 @@ def test_sidecar_hash_matches_a_whole_file_hash(tmp_path):
         assert stages._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def test_every_sidecar_records_the_process_peak_rss(fixture_run):
+    sidecars = sorted(fixture_run.glob("*.meta.json"))
+    expected = sorted(f"{stage}.meta.json" for stage in stages.INPUTS if stage != "fetch")  # no fetch
+    assert [p.name for p in sidecars] == expected
+    for sidecar in sidecars:
+        peak = json.loads(sidecar.read_text())["peak_rss_kb"]
+        assert type(peak) is int and peak > 0, sidecar.name
+
+
 def test_build_sidecar_records_duplicate_classification_codes(tmp_path, runner, monkeypatch):
     classifications = classification_entries()
     api = FakeOpenFDA(classifications=[*classifications, classifications[0]])

@@ -21,9 +21,10 @@ from recallscan.dataset import (
 )
 from recallscan.errors import FormatError
 from recallscan.fixtures import table2_records
+from recallscan.openfda import _FIELDS, Endpoint
 
-from .conftest import classification_entries, recall_entries, sample_records
-from .oracles import clean_ref
+from .conftest import classification_rows, recall_rows, sample_records
+from .oracles import clean_ref, merge_ref
 
 RULES = CleaningRules(dt.date(2018, 1, 1), dt.date(2024, 4, 15))
 
@@ -98,15 +99,14 @@ def test_strip_text_matches_the_per_character_rule(s):
 def test_parse_date_matches_the_two_format_rule(s):
     expected = parse_date_ref(s)
     assert parse_date(s) == expected
-    assert parse_date(s) == expected  # a memoised repeat gives the same answer
 
 
 # --- merge -----------------------------------------------------------------
 
 
 def test_merge_joins_on_product_code():
-    merged, stats = merge_datasets(recall_entries(), classification_entries())
-    assert len(merged) == len(recall_entries())
+    merged, stats = merge_datasets(recall_rows(), classification_rows())
+    assert len(merged) == len(recall_rows())
     first = merged[0]
     assert first.device_name == "Pump, Infusion"
     assert first.device_class == "2"
@@ -115,40 +115,67 @@ def test_merge_joins_on_product_code():
 
 
 def test_merge_unmatched_code_gets_empty_device_and_unknown_class():
-    merged, stats = merge_datasets(
-        [{"product_code": "ZZZ", "root_cause_description": "Other"}], classification_entries()
-    )
+    merged, stats = merge_datasets([("ZZZ", "", "", "Other", "")], classification_rows())
     assert merged[0].device_name == ""
     assert merged[0].device_class == "unknown"
     assert stats.unmatched_product_codes == 1
 
 
 def test_merge_first_classification_wins_and_counts_duplicates():
-    classifications = [
-        {"product_code": "FRN", "device_name": "Pump, Infusion", "device_class": "2"},
-        {"product_code": "FRN", "device_name": "Other Device", "device_class": "3"},
-    ]
-    merged, stats = merge_datasets(
-        [{"product_code": "FRN", "root_cause_description": "Other"}], classifications
-    )
+    classifications = [("FRN", "Pump, Infusion", "2"), ("FRN", "Other Device", "3")]
+    merged, stats = merge_datasets([("FRN", "", "", "Other", "")], classifications)
     assert merged[0].device_name == "Pump, Infusion"
     assert merged[0].device_class == "2"
     assert stats.duplicate_classification_codes == 1
 
 
 def test_merge_preserves_recall_count_and_order():
-    recalls = recall_entries()
+    recalls = recall_rows()
     merged, _ = merge_datasets(recalls, [])
     assert len(merged) == len(recalls)
-    assert [r.product_code for r in merged] == [e["product_code"] for e in recalls]
+    assert [r.product_code for r in merged] == [row[0] for row in recalls]
 
 
 def test_merge_maps_odd_class_values_to_unknown():
-    merged, _ = merge_datasets(
-        [{"product_code": "AAA"}],
-        [{"product_code": "AAA", "device_name": "Thing", "device_class": "U"}],
-    )
+    merged, _ = merge_datasets([("AAA", "", "", "", "")], [("AAA", "Thing", "U")])
     assert merged[0].device_class == "unknown"
+
+
+def entries(fields: tuple[str, ...], **values) -> st.SearchStrategy[list[dict]]:
+    """Lists of page entries with the endpoint's fields, each key possibly absent."""
+    optional = {key: values.get(key, st.text(max_size=4)) for key in fields}
+    entry = st.fixed_dictionaries({}, optional=optional)
+    return st.lists(entry, max_size=12)
+
+
+codes = st.sampled_from(["", "AAA", "BBB", "CCC", "DDD"])  # few, so duplicates and misses occur
+
+
+@given(
+    entries(
+        _FIELDS[Endpoint.RECALL],
+        product_code=codes,
+        event_date_posted=st.one_of(
+            st.sampled_from(["", "2018-01-02", "20240105", "2024-02-30", "2024-1-5", "junk"]),
+            st.dates().map(str),
+        ),
+    ),
+    entries(
+        _FIELDS[Endpoint.CLASSIFICATION],
+        product_code=codes,
+        device_class=st.sampled_from(["", "1", "2", "3", "U", "N", "f", "4", " 2"]),
+    ),
+)
+def test_merge_of_rows_matches_the_dict_reference(recalls, classifications):
+    def rows(entries, endpoint):
+        return [tuple(entry.get(key, "") for key in _FIELDS[endpoint]) for entry in entries]
+
+    merged, stats = merge_datasets(
+        rows(recalls, Endpoint.RECALL), rows(classifications, Endpoint.CLASSIFICATION)
+    )
+    expected, duplicates, unmatched = merge_ref(recalls, classifications)
+    assert [tuple(rec) for rec in merged] == expected
+    assert (stats.duplicate_classification_codes, stats.unmatched_product_codes) == (duplicates, unmatched)
 
 
 # --- clean -----------------------------------------------------------------
@@ -344,6 +371,28 @@ def test_wrong_header_raises_format_error(tmp_path):
 def test_missing_file_raises_format_error(tmp_path):
     with pytest.raises(FormatError):
         read_dataset(tmp_path / "nope.csv")
+
+
+def test_decode_error_past_the_first_64_kib_raises_format_error(tmp_path):
+    # The read streams, so bad bytes far into the file surface mid-loop, not in one up-front decode.
+    path = tmp_path / "dataset.csv"
+    write_dataset(table2_records()[:2000], path)
+    data = path.read_bytes()
+    assert len(data) > 3 * 65536
+    path.write_bytes(data[:-40] + b"\xff\xfe" + data[-38:])
+    with pytest.raises(FormatError, match="cannot read dataset") as caught:
+        read_dataset(path)
+    assert caught.value.exit_code == 4
+
+
+def test_read_shares_equal_values_within_one_call(tmp_path):
+    path = tmp_path / "dataset.csv"
+    write_dataset(sample_records(), path)
+    first, second = read_dataset(path)[:2]  # same product code, device and class
+    assert first.product_code is second.product_code
+    assert first.device_name is second.device_name and first.device_class is second.device_class
+    again = read_dataset(path)
+    assert again[0] == first and again[0].product_code is not first.product_code
 
 
 nasty_text = st.text(

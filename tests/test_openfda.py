@@ -15,6 +15,7 @@ from recallscan.errors import (
     TransportError,
 )
 from recallscan.openfda import (
+    _FIELDS,
     MANIFEST_NAME,
     Endpoint,
     FetchSpec,
@@ -40,7 +41,7 @@ def spec(**overrides) -> FetchSpec:
     return FetchSpec(**base)
 
 
-def rows_of(tmp_path, entries, endpoint=Endpoint.RECALL) -> list[dict]:
+def rows_of(tmp_path, entries, endpoint=Endpoint.RECALL) -> list[tuple[str, ...]]:
     """The rows ``fetch_pages`` keeps of one served page holding ``entries``."""
     body = json.dumps({"results": entries}).encode()
     pages = fetch_pages(
@@ -337,13 +338,7 @@ def test_parse_recall_page_extracts_five_fields(tmp_path):
     }
     parsed = rows_of(tmp_path, [entry])
     assert parsed == [
-        {
-            "product_code": "FRN",
-            "event_date_posted": "2018-01-02",
-            "recalling_firm": "Smith Medical ASD Inc.",
-            "root_cause_description": "Process design",
-            "product_quantity": "86 units",
-        }
+        ("FRN", "2018-01-02", "Smith Medical ASD Inc.", "Process design", "86 units")
     ]
 
 
@@ -355,7 +350,7 @@ def test_parse_recall_page_missing_quantity_becomes_empty_marker(tmp_path):
         "root_cause_description": "Nonconforming Material/Component",
     }
     parsed = rows_of(tmp_path, [entry])
-    assert parsed[0]["product_quantity"] == ""
+    assert parsed[0][_FIELDS[Endpoint.RECALL].index("product_quantity")] == ""
 
 
 def test_parse_recall_page_empty_results(tmp_path):
@@ -365,15 +360,61 @@ def test_parse_recall_page_empty_results(tmp_path):
 def test_parse_preserves_payload_order(tmp_path):
     entries = [{"product_code": code} for code in ("AAA", "BBB", "CCC")]
     parsed = rows_of(tmp_path, entries, Endpoint.CLASSIFICATION)
-    assert [p["product_code"] for p in parsed] == ["AAA", "BBB", "CCC"]
+    assert [p[0] for p in parsed] == ["AAA", "BBB", "CCC"]
 
 
 def test_parse_classification_page_fields(tmp_path):
     entry = {"product_code": "FRN", "device_name": "Pump, Infusion", "device_class": "2"}
     parsed = rows_of(tmp_path / "a", [entry], Endpoint.CLASSIFICATION)
-    assert parsed == [{"product_code": "FRN", "device_name": "Pump, Infusion", "device_class": "2"}]
+    assert parsed == [("FRN", "Pump, Infusion", "2")]
     missing = rows_of(tmp_path / "b", [{"product_code": "XYZ"}], Endpoint.CLASSIFICATION)
-    assert missing[0]["device_class"] == ""
+    assert missing[0][_FIELDS[Endpoint.CLASSIFICATION].index("device_class")] == ""
+
+
+@pytest.mark.parametrize("endpoint", list(Endpoint))
+def test_rows_are_tuples_in_field_order(tmp_path, endpoint):
+    fields = _FIELDS[endpoint]
+    entry = {key: f"value {i}" for i, key in reversed(list(enumerate(fields)))}  # keys out of order
+    [row] = rows_of(tmp_path, [{"extraneous": "x", **entry}], endpoint)
+    assert type(row) is tuple
+    assert row == tuple(f"value {i}" for i in range(len(fields)))
+
+
+def test_null_and_absent_fields_are_empty_and_numbers_are_text(tmp_path):
+    entries = [
+        {"product_code": None, "event_date_posted": 20180102, "root_cause_description": 1.5},
+        {"product_code": "FRN", "recalling_firm": None, "product_quantity": 86},
+    ]
+    assert rows_of(tmp_path, entries) == [
+        ("", "20180102", "", "1.5", ""),
+        ("FRN", "", "", "", "86"),
+    ]
+
+
+def fail_on_fetch(url, params, timeout):
+    raise AssertionError(f"unexpected request for skip {params['skip']}")
+
+
+def test_equal_values_are_one_object_across_entries_and_pages(tmp_path):
+    recalls = [
+        {"product_code": f"P{i % 2}", "recalling_firm": "Smith Medical ASD Inc.", "product_quantity": 86}
+        for i in range(5)
+    ]
+    pages = fetch_pages(
+        spec(page_size=2, max_pages=3), tmp_path, get=FakeOpenFDA(recalls=recalls), sleep=NO_SLEEP
+    )
+    rows = [row for page in pages for row in page.rows]
+    assert [page.record_count for page in pages] == [2, 2, 1]
+    for column in range(len(_FIELDS[Endpoint.RECALL])):  # shared within a page and across pages
+        for row in rows[1:]:
+            if row[column] == rows[0][column]:
+                assert row[column] is rows[0][column]
+    assert rows[0][0] is rows[4][0] and rows[1][0] is rows[3][0]
+    assert rows[0][4] is rows[4][4] == "86"  # str(86) is made per entry; the first is kept
+
+    again = fetch_pages(spec(page_size=2, max_pages=3), tmp_path, get=fail_on_fetch, sleep=NO_SLEEP)
+    # A second call (served from the cache) owns its own table: equal, not the same object.
+    assert again[0].rows[0] == rows[0] and again[0].rows[0][2] is not rows[0][2]
 
 
 def test_parse_error_carries_page_index(tmp_path):
@@ -413,11 +454,14 @@ def test_live_fetch_smoke(tmp_path):
     assert len(pages) <= 1
     records = pages[0].rows if pages else []
     assert len(records) <= 100
+    fields = (
+        "product_code",
+        "event_date_posted",
+        "recalling_firm",
+        "root_cause_description",
+        "product_quantity",
+    )
+    assert _FIELDS[Endpoint.RECALL] == fields
     for rec in records[:5]:
-        assert set(rec) == {
-            "product_code",
-            "event_date_posted",
-            "recalling_firm",
-            "root_cause_description",
-            "product_quantity",
-        }
+        assert type(rec) is tuple and len(rec) == len(fields)
+        assert all(isinstance(value, str) for value in rec)
