@@ -51,7 +51,8 @@ _COMMON_OPTIONS = [
 def _run(stage_fn, config_path: str | None, flags: dict) -> None:
     try:
         cfg = stages.PipelineConfig.from_sources(config_path, flags)
-        summary = stage_fn(cfg)
+        with stages.gc_paused():
+            summary = stage_fn(cfg)
         stages.echo_config(cfg)  # only a stage that succeeded is echoed
     except (RecallScanError, OSError) as exc:
         # An OSError is a file that could not be read or written: exit 4 like a data error.

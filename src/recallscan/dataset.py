@@ -7,6 +7,8 @@ import datetime as dt
 import re
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -83,8 +85,21 @@ class CleaningReport:
         return asdict(self)
 
 
+# The two date forms strptime would parse digit for digit; strptime also takes
+# 1-digit months and days and other scripts' digits, so everything else goes there.
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}|[0-9]{8}")
+
+
 def parse_date(value: str) -> dt.date | None:
-    """Accept YYYY-MM-DD or YYYYMMDD; anything else is an absent date."""
+    """Accept YYYY-MM-DD or YYYYMMDD (strptime's ``%Y-%m-%d`` or ``%Y%m%d``); anything
+    else is an absent date."""
+    if _ISO_DATE.fullmatch(value):
+        try:
+            if len(value) == 10:
+                return dt.date.fromisoformat(value)
+            return dt.date(int(value[:4]), int(value[4:6]), int(value[6:]))
+        except ValueError:
+            return None
     for fmt in ("%Y-%m-%d", "%Y%m%d"):
         try:
             return dt.datetime.strptime(value, fmt).date()
@@ -102,11 +117,18 @@ def merge_datasets(
     Rows are the tuples ``fetch_pages`` keeps: recalls as (product_code,
     event_date_posted, recalling_firm, root_cause_description,
     product_quantity), classifications as (product_code, device_name,
-    device_class). The first classification row per code wins (page order);
-    later duplicates only bump the warning counter. Unmatched codes get an
-    empty device name and the unknown class. Recall order and count are
+    device_class); an input whose first row has another shape (a dict, say)
+    is a ``ContractError``. The first classification row per code wins (page
+    order); later duplicates only bump the warning counter. Unmatched codes
+    get an empty device name and the unknown class. Recall order and count are
     preserved; unmatched_product_codes counts distinct codes.
     """
+    recalls, classifications = list(recalls), list(classifications)
+    for rows, fields, name in ((recalls, 5, "recall"), (classifications, 3, "classification")):
+        if rows and not (isinstance(rows[0], tuple) and len(rows[0]) == fields):
+            raise ContractError(
+                f"{name} rows must be tuples of {fields} field values, got {rows[0]!r:.80}"
+            )
     lookup: dict[str, tuple[str, str]] = {}
     stats = MergeStats()
     for code, device_name, raw_class in classifications:
@@ -117,18 +139,14 @@ def merge_datasets(
         lookup[code] = (device_name, device_class)
 
     unmatched_device = ("", UNKNOWN_DEVICE_CLASS)
-    dates: dict[str, dt.date | None] = {}  # parse_date per distinct string, for this call only
-    records: list[RecallRecord] = []
-    unmatched: set[str] = set()
-    for code, date, firm, cause, quantity in recalls:
-        device = lookup.get(code)
-        if device is None:
-            unmatched.add(code)
-            device = unmatched_device
-        if date not in dates:
-            dates[date] = parse_date(date)
-        records.append(RecallRecord(code, dates[date], firm, cause, quantity, *device))
-    stats.unmatched_product_codes = len(unmatched)
+    # parse_date per distinct string, for this call only
+    dates = {date: parse_date(date) for date in set(map(itemgetter(1), recalls))}
+    make, device = RecallRecord._make, lookup.get
+    records = [
+        make((code, dates[date], firm, cause, quantity, *device(code, unmatched_device)))
+        for code, date, firm, cause, quantity in recalls
+    ]
+    stats.unmatched_product_codes = len(set(map(itemgetter(0), recalls)).difference(lookup))
     return records, stats
 
 
@@ -158,37 +176,66 @@ def clean(
     report = CleaningReport()
     survivors: list[RecallRecord] = []
     seen: set[RecallRecord] = set()
+    date_from, date_to = rules.date_from, rules.date_to
     for rec in records:
         cleaned = rec
-        text = rec.product_code + rec.recalling_firm + rec.root_cause_description
-        text += rec.product_quantity + rec.device_name
+        code, date, firm, cause, quantity, device_name, _ = rec
+        text = code + firm + cause + quantity + device_name
         if not text.isascii() or _DIRT.search(text) is not None:
             stripped = {name: _strip_text(getattr(rec, name)) for name in _TEXT_FIELDS}
             removed = sum(n for _, n in stripped.values())
             if removed:  # non-ASCII letters alone are kept, and so is the record
                 report.stripped_char_count += removed
                 cleaned = rec._replace(**{name: value for name, (value, _) in stripped.items()})
-        if not cleaned.root_cause_description.strip():
+                cause = cleaned.root_cause_description
+        if not cause.strip():
             report.dropped_null_root_cause += 1
             continue
-        if cleaned in seen:
+        distinct = len(seen)
+        seen.add(cleaned)
+        if len(seen) == distinct:
             report.dropped_duplicates += 1
             continue
-        seen.add(cleaned)
-        date = cleaned.event_date_posted
-        if date is None or not rules.date_from <= date <= rules.date_to:
+        if date is None or not date_from <= date <= date_to:
             report.dropped_date_outliers += 1
             continue
         survivors.append(cleaned)
     return survivors, report
 
 
+# Records per encoded block: bounds the memory held by one block's fields and rows.
+WRITE_BLOCK = 1024
+# A field csv.writer quotes under QUOTE_MINIMAL: the delimiter, the quote or a line break.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _csv_fields(column: tuple) -> Iterable[str]:
+    """Each text value as csv.writer writes it: quoted, with ``"`` doubled, when it needs it.
+    Each distinct value is checked once."""
+    quoted = {
+        value: '"' + value.replace('"', '""') + '"'
+        for value in set(column)
+        if _NEEDS_QUOTES.search(value) is not None
+    }
+    return map(quoted.get, column, column)
+
+
 def write_dataset(records: Iterable[RecallRecord], path: str | Path) -> None:
-    """Stream the canonical CSV (UTF-8, RFC-4180, CRLF rows; ISO dates, None as empty) into place."""
+    """Stream the canonical CSV (UTF-8, RFC-4180, CRLF rows; ISO dates, None as empty) into place.
+
+    The bytes are csv.writer's under its default dialect. Records are encoded by column in
+    blocks of at most ``WRITE_BLOCK``, each distinct date formatted once, so the file is
+    never built in memory.
+    """
+    dates: dict[dt.date | None, str] = {None: ""}
+    rows = iter(records)
     with artifacts.replacing(Path(path)) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_HEADER)
-        writer.writerows(records)
+        fh.write(",".join(DATASET_HEADER) + "\r\n")
+        while block := list(islice(rows, WRITE_BLOCK)):
+            code, posted, *text = zip(*block)
+            dates.update((date, date.isoformat()) for date in set(posted).difference(dates))
+            columns = (_csv_fields(code), map(dates.__getitem__, posted), *map(_csv_fields, text))
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def read_dataset(path: str | Path) -> list[RecallRecord]:

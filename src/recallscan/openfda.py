@@ -16,6 +16,7 @@ import datetime as dt
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -132,15 +133,13 @@ def _parse_page(
         raise ParseError(f"page {page_index}: response carries no results array")
     if not all(isinstance(entry, dict) for entry in results):
         raise ParseError(f"page {page_index}: non-object result entry")
-    share = values.setdefault
-    rows = []
-    for entry in results:
-        row = []
-        for key in fields:
-            value = entry.get(key)
-            value = "" if value is None else value if isinstance(value, str) else str(value)
-            row.append(share(value, value))
-        rows.append(tuple(row))
+    columns = []
+    for key in fields:  # one field of every entry at a time
+        column = list(map(dict.get, results, repeat(key), repeat("")))
+        if not all(map(isinstance, column, repeat(str))):
+            column = ["" if v is None else v if isinstance(v, str) else str(v) for v in column]
+        columns.append(list(map(values.setdefault, column, column)))
+    rows = list(zip(*columns))
     meta = body.get("meta")
     total = meta.get("results") if isinstance(meta, dict) else None
     total = total.get("total") if isinstance(total, dict) else None

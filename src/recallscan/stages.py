@@ -10,8 +10,10 @@ in ``run``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import datetime as dt
+import gc
 import hashlib
 import json
 import math
@@ -361,10 +363,28 @@ def report_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
     return f"report: {names} (shares over {doc.metadata['clustered_records']} clustered records)"
 
 
+@contextlib.contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector for the block, then restore the state it found.
+
+    The stages build hundreds of thousands of tuples and strings that hold no reference
+    cycles; each automatic collection would rescan all of them and find nothing to free.
+    Reference counting still frees everything as usual.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def pipeline_stage(cfg: PipelineConfig, *, get=None) -> str:
     """Run fetch, build, cluster, aggregate and report in sequence (a fixture skips fetch)."""
     run: dict = {}  # saved values by file name and fetch's pages by endpoint, for the next stages
-    lines = [fetch_stage(cfg, get=get, run=run)] if cfg.fixture is None else []
-    for stage in (build_stage, cluster_stage, aggregate_stage, report_stage):
-        lines.append(stage(cfg, run=run))
+    with gc_paused():
+        lines = [fetch_stage(cfg, get=get, run=run)] if cfg.fixture is None else []
+        for stage in (build_stage, cluster_stage, aggregate_stage, report_stage):
+            lines.append(stage(cfg, run=run))
     return "\n".join(lines)

@@ -1,4 +1,5 @@
 import collections
+import gc
 import hashlib
 import json
 import shutil
@@ -9,6 +10,7 @@ from click.testing import CliRunner
 
 from recallscan import __version__, artifacts, openfda, stages
 from recallscan.cli import main
+from recallscan.errors import RequestError
 
 from .conftest import FakeOpenFDA, classification_entries
 
@@ -493,6 +495,41 @@ def test_pipeline_calls_each_stage_through_the_module(tmp_path, monkeypatch):
     assert calls == {name: 1 for name in ("fetch", "build", "cluster", "aggregate", "report")}
 
 
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_pipeline_pauses_the_collector_and_restores_its_state(tmp_path, enabled, fails):
+    api, during = FakeOpenFDA(status_first=400 if fails else None), []
+
+    def get(url, params, timeout):
+        during.append(gc.isenabled())
+        return api(url, params, timeout)
+
+    cfg = stages.PipelineConfig(
+        out=str(tmp_path / "out"), cache_dir=str(tmp_path / "cache"), page_size=4, max_pages=3,
+        min_pts=2,
+    )
+    gc.enable() if enabled else gc.disable()
+    try:
+        if fails:
+            with pytest.raises(RequestError):
+                stages.pipeline_stage(cfg, get=get)
+        else:
+            stages.pipeline_stage(cfg, get=get)
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert during and not any(during)
+    assert after is enabled
+
+
+def test_command_runs_its_stage_with_the_collector_paused(tmp_path, runner, monkeypatch):
+    seen = []
+    monkeypatch.setattr(stages, "build_stage", lambda cfg: seen.append(gc.isenabled()) or "built")
+    result = runner.invoke(main, ["build", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert seen == [False] and gc.isenabled()
+
+
 def test_report_formats_produce_expected_files(tmp_path, runner):
     out = tmp_path / "out"
     assert invoke(runner, "pipeline", "--fixture", "table2", "--out", out).exit_code == 0
@@ -538,6 +575,21 @@ def fixture_run(tmp_path_factory):
     result = CliRunner().invoke(main, ["pipeline", "--fixture", "table2", "--out", str(out)])
     assert result.exit_code == 0, result.output
     return out
+
+
+# sha256 of the build stage's artifacts on the table2 fixture with default flags, as
+# perfbench/expected_hashes.json records them: any change to the CSV bytes shows here.
+BUILD_HASHES = {
+    "dataset.csv": "db78dca520071b63025c3b87032a39776956022a798fc46d48a8cb59d82f264a",
+    "cleaning_report.json": "fc596a1f2c2e05359220f970dc4e68f16421192f4f6e9a5ff4ef9cc6f1e255b8",
+}
+
+
+def test_build_artifacts_match_pinned_hashes(fixture_run):
+    written = {
+        name: hashlib.sha256((fixture_run / name).read_bytes()).hexdigest() for name in BUILD_HASHES
+    }
+    assert written == BUILD_HASHES
 
 
 @pytest.mark.parametrize("with_dataset", [True, False], ids=["dataset", "no-dataset"])

@@ -19,11 +19,17 @@ from recallscan.dataset import (
     read_dataset,
     write_dataset,
 )
-from recallscan.errors import FormatError
+from recallscan.errors import ContractError, FormatError
 from recallscan.fixtures import table2_records
 from recallscan.openfda import _FIELDS, Endpoint
 
-from .conftest import classification_rows, recall_rows, sample_records
+from .conftest import (
+    classification_entries,
+    classification_rows,
+    recall_entries,
+    recall_rows,
+    sample_records,
+)
 from .oracles import clean_ref, merge_ref
 
 RULES = CleaningRules(dt.date(2018, 1, 1), dt.date(2024, 4, 15))
@@ -96,6 +102,14 @@ def test_strip_text_matches_the_per_character_rule(s):
 @example("")
 @example("2024-02-30")
 @example(" 2024-01-05")
+@example("0000-01-01")
+@example("20241301")
+@example("2024-W01-1")  # fromisoformat takes this ISO week date from 3.11 on; strptime does not
+@example("٢٠٢٤-٠١-٠٥")
+@example("٢٠٢٤-01-05")  # strptime's %Y matches any script's digits, so only ASCII may skip it
+@example("2024-01-05\n")
+@example("202401011")  # nine digits: the fast path must match the whole string
+@example("2024-1-05")
 def test_parse_date_matches_the_two_format_rule(s):
     expected = parse_date_ref(s)
     assert parse_date(s) == expected
@@ -139,6 +153,23 @@ def test_merge_preserves_recall_count_and_order():
 def test_merge_maps_odd_class_values_to_unknown():
     merged, _ = merge_datasets([("AAA", "", "", "", "")], [("AAA", "Thing", "U")])
     assert merged[0].device_class == "unknown"
+
+
+@pytest.mark.parametrize(
+    "recalls, classifications",
+    [
+        (recall_entries(), classification_entries()),  # the dict rows pages once held
+        (recall_rows(), classification_entries()),
+        (recall_entries(), classification_rows()),
+        ([row[:4] for row in recall_rows()], classification_rows()),
+        (recall_rows(), [row + ("",) for row in classification_rows()]),
+    ],
+    ids=["dicts", "dict-classifications", "dict-recalls", "short-recalls", "long-classifications"],
+)
+def test_merge_refuses_rows_of_another_shape(recalls, classifications):
+    with pytest.raises(ContractError, match="rows must be tuples") as caught:
+        merge_datasets(recalls, classifications)
+    assert caught.value.exit_code == 5
 
 
 def entries(fields: tuple[str, ...], **values) -> st.SearchStrategy[list[dict]]:
@@ -329,21 +360,63 @@ def test_double_write_of_7000_records_is_byte_identical(tmp_path):
     assert hashlib.sha256(a.read_bytes()).digest() == hashlib.sha256(b.read_bytes()).digest()
 
 
-def test_write_dataset_matches_csv_writer_over_iso_strings(tmp_path):
-    records = [
-        record(event_date_posted=None, recalling_firm='Smith, "Jr" & Co'),
-        record(root_cause_description="Design, software", product_quantity='12 "cases"'),
-        record(device_name="Line one\nline two", event_date_posted=dt.date(2024, 4, 15)),
-    ]
+def csv_writer_bytes(records) -> bytes:
+    """What csv.writer writes for the header and ``records`` with ISO-string dates."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(DATASET_HEADER)
     for rec in records:
         date = rec.event_date_posted.isoformat() if rec.event_date_posted else ""
         writer.writerow([rec.product_code, date, *rec[2:]])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_write_dataset_matches_csv_writer_over_iso_strings(tmp_path):
+    records = [
+        record(event_date_posted=None, recalling_firm='Smith, "Jr" & Co'),
+        record(root_cause_description="Design, software", product_quantity='12 "cases"'),
+        record(device_name="Line one\nline two", event_date_posted=dt.date(2024, 4, 15)),
+    ]
     path = tmp_path / "data.csv"
     write_dataset(iter(records), path)  # any iterable of records streams
-    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+    assert path.read_bytes() == csv_writer_bytes(records)
+
+
+# NUL is left out: csv.writer raises on it on 3.10 and writes it raw from 3.11, and
+# clean strips it, so the pipeline never writes one.
+csv_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(',"\r\n\u2028 éßЖ٣'),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    ),
+    max_size=10,
+)
+csv_records = st.builds(
+    RecallRecord,
+    product_code=csv_text,
+    event_date_posted=st.one_of(st.none(), st.dates()),
+    recalling_firm=csv_text,
+    root_cause_description=csv_text,
+    product_quantity=csv_text,
+    device_name=csv_text,
+    device_class=csv_text,
+)
+
+
+@given(
+    st.one_of(
+        st.lists(csv_records, max_size=8),
+        # Past one encoding block: a drawn set repeated to 1025..2100 records.
+        st.tuples(st.lists(csv_records, min_size=1, max_size=8), st.integers(1025, 2100)).map(
+            lambda drawn: (drawn[0] * drawn[1])[: drawn[1]]  # (records, n) -> n records
+        ),
+    )
+)
+@example([record(product_code="", recalling_firm='"', device_name="\u2028")] * 1025)
+def test_write_dataset_writes_the_bytes_of_csv_writer(tmp_path_factory, recs):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    write_dataset(recs, path)
+    assert path.read_bytes() == csv_writer_bytes(recs)
 
 
 def test_write_cut_off_midway_keeps_the_previous_dataset(tmp_path):
