@@ -7,7 +7,6 @@ from .aggregate import (
     AggregationParams,
     MergeOverrides,
     aggregate,
-    explain_merge,
 )
 from .dataset import (
     CleaningReport,
@@ -73,7 +72,6 @@ __all__ = [
     "cosine_distance",
     "dbscan",
     "dbscan_weighted",
-    "explain_merge",
     "fetch_pages",
     "lcs_similarity",
     "merge_datasets",

@@ -46,19 +46,6 @@ class AggregatedGroup:
     total_count: int
 
 
-@dataclass(frozen=True)
-class MergeTrace:
-    """Audit record of one pairwise merge decision."""
-
-    label_a: str
-    label_b: str
-    prefix_a: str
-    prefix_b: str
-    similarity: float
-    threshold: float
-    merged: bool
-
-
 @dataclass
 class MergeOverrides:
     """User-supplied pair overrides.
@@ -123,14 +110,6 @@ def _shared_counts(bags: np.ndarray, i: int) -> np.ndarray:
     Each entry bounds the LCS of the pair from above.
     """
     return np.minimum(bags[i], bags[i + 1:]).sum(axis=1)
-
-
-def explain_merge(a: str, b: str, params: AggregationParams = AggregationParams()) -> MergeTrace:
-    """Show the prefixes, similarity and verdict for one label pair."""
-    pa = prefix_key(a, params.prefix_len)
-    pb = prefix_key(b, params.prefix_len)
-    sim = lcs_similarity(pa, pb)
-    return MergeTrace(a, b, pa, pb, sim, params.theta, sim >= params.theta)
 
 
 def aggregate(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from typing import NoReturn
 
 import click
 
@@ -48,6 +49,12 @@ _COMMON_OPTIONS = [
 ]
 
 
+def _fail(error: str, code: int, message: str) -> NoReturn:
+    """Print the one JSON error line on stderr and exit with ``code``."""
+    click.echo(json.dumps({"error": error, "exit_code": code, "message": message}), err=True)
+    sys.exit(code)
+
+
 def _run(stage_fn, config_path: str | None, flags: dict) -> None:
     try:
         cfg = stages.PipelineConfig.from_sources(config_path, flags)
@@ -56,11 +63,19 @@ def _run(stage_fn, config_path: str | None, flags: dict) -> None:
         stages.echo_config(cfg)  # only a stage that succeeded is echoed
     except (RecallScanError, OSError) as exc:
         # An OSError is a file that could not be read or written: exit 4 like a data error.
-        code = getattr(exc, "exit_code", 4)
         error = type(exc).__name__ if isinstance(exc, RecallScanError) else "OSError"
-        click.echo(json.dumps({"error": error, "exit_code": code, "message": str(exc)}), err=True)
-        sys.exit(code)
+        _fail(error, getattr(exc, "exit_code", 4), str(exc))
     click.echo(summary)
+
+
+class _JsonErrorGroup(click.Group):
+    """Click's usage errors under a command end in the one JSON error line too."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail("UsageError", exc.exit_code, exc.format_message())
 
 
 # Each command and its option groups; every command also takes the common options.
@@ -74,7 +89,7 @@ COMMANDS = (
 )
 
 
-@click.group()
+@click.group(cls=_JsonErrorGroup)
 @click.version_option(version=__version__)
 def main():
     """Deterministic recall-initiator analysis over openFDA device data."""

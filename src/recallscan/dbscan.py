@@ -165,35 +165,31 @@ def cluster_root_causes(
     label of a cluster is the original-case spelling of its most frequent
     member (earliest first occurrence on ties).
     """
-    norm_of = {s: normalize_label(s) for s in dict.fromkeys(root_causes)}  # once per raw text
-    normalized = [norm_of[s] for s in root_causes]
-    order: dict[str, int] = {}
+    counts = Counter(root_causes)  # distinct texts, in first-occurrence order
+    norm_of = {text: normalize_label(text) for text in counts}  # once per distinct text
     canonical: dict[str, str] = {}
-    weights: dict[str, int] = {}
-    for original, norm in zip(root_causes, normalized):
-        if norm not in order:
-            order[norm] = len(order)
-            canonical[norm] = original
-            weights[norm] = 0
-        weights[norm] += 1
+    weights: dict[str, int] = {}  # one point per distinct normalised label, first occurrence first
+    for text, norm in norm_of.items():
+        canonical.setdefault(norm, text)
+        weights[norm] = weights.get(norm, 0) + counts[text]
 
-    uniques = list(order)  # first-occurrence order
-    vectors = [tf_vector(u) for u in uniques]
-    labels = dbscan_weighted(vectors, [weights[u] for u in uniques], params)
+    vectors = [tf_vector(u) for u in weights]
+    labels = dbscan_weighted(vectors, list(weights.values()), params)
 
-    label_of = dict(zip(uniques, labels))  # a plain dict: no per-record lookup goes through Labels
-    record_labels = [label_of[norm] for norm in normalized]
+    label_of = dict(zip(weights, labels))
+    cluster_of = {text: label_of[norm] for text, norm in norm_of.items()}
+    record_labels = list(map(cluster_of.__getitem__, root_causes))
 
     members: dict[int, list[str]] = {cid: [] for cid in range(NOISE, max(labels, default=NOISE) + 1)}
-    for u, lab in zip(uniques, labels):  # one pass, so each label keeps first-occurrence order
+    for u, lab in zip(weights, labels):  # one pass, so each label keeps first-occurrence order
         members[lab].append(u)
     summaries: list[ClusterSummary] = []
     for cid in range(max(labels, default=NOISE) + 1):
-        rep = max(members[cid], key=lambda u: (weights[u], -order[u]))
+        rep = max(members[cid], key=weights.__getitem__)  # the earliest of equal weights
         summaries.append(ClusterSummary(cid, canonical[rep], sum(weights[u] for u in members[cid])))
     noise = [ClusterSummary(NOISE, canonical[u], weights[u]) for u in members[NOISE]]
     core, noise_points = sum(labels.core), labels.count(NOISE)
-    points = dict(labels=len(uniques), core=core, border=len(uniques) - core - noise_points, noise=noise_points)
+    points = dict(labels=len(weights), core=core, border=len(weights) - core - noise_points, noise=noise_points)
     return RootCauseClusters(
         params=params, record_labels=record_labels, summaries=summaries, noise=noise, points=points
     )

@@ -3,9 +3,9 @@
 ``INPUTS`` is the artifact graph. Every stage writes its artifacts plus a
 ``<stage>.meta.json`` sidecar (input hashes, config, timestamp, peak RSS)
 and returns a one-line summary for the CLI. All artifacts are deterministic;
-only the sidecars carry timestamps. A stage reads its inputs with ``load``
-and writes with ``save``; inside ``pipeline`` the values saved are handed on
-in ``run``.
+only the sidecars carry timestamps. A stage reads its inputs with ``load``,
+which checks each file's lineage, and writes with ``save``; inside
+``pipeline`` the values saved are handed on in ``run``.
 """
 
 from __future__ import annotations
@@ -186,14 +186,16 @@ def _sha256(path: Path) -> str:
 
 
 def load(cfg: PipelineConfig, stage: str, name: str, run: dict | None = None):
-    """The input ``name`` of ``stage``: its value in ``run``, else its file parsed, which for
-    JSON gives that same payload dict. A missing file is a ``DataError`` naming its producer.
+    """The input ``name`` of ``stage``: its value in ``run``, which this run made, else its file
+    checked by ``check_lineage`` and parsed (JSON gives that same payload dict). A missing file
+    is a ``DataError`` naming its producer.
     """
     if run and name in run:
         return run[name]
-    path = cfg.out_dir / name
+    path, producer = cfg.out_dir / name, INPUTS[stage][name]
     if not path.exists():
-        raise DataError(f"missing input artifact {path}; run {INPUTS[stage][name]} first")
+        raise DataError(f"missing input artifact {path}; run {producer} first")
+    check_lineage(cfg, name, producer)
     return read_dataset(path) if name == DATASET_FILE else artifacts.read_object(path, "artifact")
 
 
@@ -207,28 +209,26 @@ def save(cfg: PipelineConfig, name: str, value, run: dict | None = None) -> None
         run[name] = value
 
 
-def check_lineage(cfg: PipelineConfig, stage: str) -> None:
-    """Refuse an input of ``stage`` built from files that have changed since.
+def check_lineage(cfg: PipelineConfig, name: str, producer: str) -> None:
+    """Refuse the input ``name`` if ``producer`` built it from files that have changed since.
 
-    The sidecar of the stage that wrote each input holds the sha256 of what
-    that stage read. A file it recorded that now exists with other bytes makes
-    the input stale (``DataError``). No sidecar means no check, so hand-made
-    and older artifacts still run; a malformed one is a ``FormatError``.
+    ``producer``'s sidecar holds the sha256 of what it read. A file it recorded
+    that now exists with other bytes makes ``name`` stale (``DataError``). No
+    sidecar means no check, so hand-made and older artifacts still run; a
+    malformed one is a ``FormatError``.
     """
-    out = cfg.out_dir
-    for name, producer in INPUTS[stage].items():
-        sidecar = out / f"{producer}.meta.json"
-        if not INPUTS[producer] or not sidecar.exists():
-            continue
-        recorded = artifacts.read_object(sidecar, "sidecar").get("inputs")
-        if not isinstance(recorded, dict) or not all(isinstance(h, str) for h in recorded.values()):
-            raise FormatError(f"sidecar {sidecar}: inputs must map file names to sha256 strings")
-        for upstream in INPUTS[producer]:
-            path = out / upstream
-            if upstream in recorded and path.exists() and _sha256(path) != recorded[upstream]:
-                raise DataError(
-                    f"{name} is stale: {upstream} changed after {producer} ran; rerun {producer}"
-                )
+    sidecar = cfg.out_dir / f"{producer}.meta.json"
+    if not INPUTS[producer] or not sidecar.exists():
+        return
+    recorded = artifacts.read_object(sidecar, "sidecar").get("inputs")
+    if not isinstance(recorded, dict) or not all(isinstance(h, str) for h in recorded.values()):
+        raise FormatError(f"sidecar {sidecar}: inputs must map file names to sha256 strings")
+    for upstream in INPUTS[producer]:
+        path = cfg.out_dir / upstream
+        if upstream in recorded and path.exists() and _sha256(path) != recorded[upstream]:
+            raise DataError(
+                f"{name} is stale: {upstream} changed after {producer} ran; rerun {producer}"
+            )
 
 
 def write_sidecar(cfg: PipelineConfig, stage: str, **extra) -> None:
@@ -335,7 +335,6 @@ def aggregate_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
         raise DataError(f"{out / CLUSTERS_FILE} holds no clusters; nothing to aggregate")
     params = cfg.aggregation_params()
     overrides = MergeOverrides.from_file(cfg.overrides_file) if cfg.overrides_file else None
-    check_lineage(cfg, "aggregate")
     groups = aggregate(summaries, params, overrides)
     save(cfg, GROUPS_FILE, groups_to_json_dict(groups, params), run)
     write_sidecar(cfg, "aggregate")
@@ -350,10 +349,8 @@ def report_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
     if not summaries or not groups:
         raise DataError("empty cluster or group artifact; nothing to report")
     records = load(cfg, "report", DATASET_FILE, run) if (out / DATASET_FILE).exists() else []
-    check_lineage(cfg, "report")
-    noise_count = sum(n.count for n in noise)
 
-    doc = build_document(summaries, groups, noise_count, records, cfg.top)
+    doc = build_document(summaries, groups, sum(n.count for n in noise), records, cfg.top)
     files = render(doc, cfg.format)
     for name, payload in files:
         artifacts.write(out / name, payload)

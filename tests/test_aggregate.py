@@ -10,7 +10,6 @@ from recallscan.aggregate import (
     _char_counts,
     _shared_counts,
     aggregate,
-    explain_merge,
     groups_to_json_dict,
 )
 from recallscan.dbscan import ClusterSummary
@@ -148,14 +147,20 @@ def test_params_validation():
         AggregationParams(theta=1.5)
 
 
-def test_explain_merge_examples():
-    merged = explain_merge("Process change control", "Process control")
-    assert merged.similarity == 0.9 and merged.merged
-    split = explain_merge("Package design/selection", "Process design")
-    assert split.similarity == 0.6 and not split.merged
-    same_prefix = explain_merge("Software design", "Software Design Change")
-    assert same_prefix.similarity == 1.0 and same_prefix.merged
-    assert same_prefix.prefix_a == same_prefix.prefix_b == "software d"
+@pytest.mark.parametrize(
+    "a, b, similarity, merged",
+    [
+        ("Process change control", "Process control", 0.9, True),
+        ("Package design/selection", "Process design", 0.6, False),
+        ("Software design", "Software Design Change", 1.0, True),
+    ],
+)
+def test_prefix_similarity_examples(a, b, similarity, merged):
+    pa, pb = prefix_key(a, DEFAULTS.prefix_len), prefix_key(b, DEFAULTS.prefix_len)
+    assert textprep.lcs_similarity(pa, pb) == similarity
+    assert (len(aggregate(summaries([(a, 2), (b, 1)]))) == 1) is merged
+    if similarity == 1.0:
+        assert pa == pb == "software d"
 
 
 def test_overrides_force_and_suppress_pairs():

@@ -1,6 +1,7 @@
 import collections
 import gc
 import hashlib
+import itertools
 import json
 import shutil
 from pathlib import Path
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 
 from recallscan import __version__, artifacts, openfda, stages
 from recallscan.cli import main
-from recallscan.errors import RequestError
+from recallscan.errors import DataError, RequestError
 
 from .conftest import FakeOpenFDA, classification_entries
 
@@ -294,6 +295,34 @@ def test_network_failure_exits_3(tmp_path, runner, monkeypatch):
 
 def test_unknown_flag_exits_2(runner):
     assert runner.invoke(main, ["cluster", "--bogus"]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, word",
+    [
+        (["clustr"], "No such command"),
+        (["cluster", "--bogus"], "No such option"),
+        (["cluster", "--eps"], "requires an argument"),
+        (["cluster", "extra"], "unexpected extra argument"),
+    ],
+    ids=["misspelt-command", "misspelt-flag", "flag-without-value", "extra-argument"],
+)
+def test_usage_errors_end_in_the_json_line(runner, args, word):
+    line = single_error_line(runner.invoke(main, args), 2, "UsageError")
+    assert word in line["message"]
+    # The in-process entry point that perfbench's probe uses exits the same way.
+    with pytest.raises(SystemExit) as exited:
+        main(args=args, standalone_mode=False)
+    assert exited.value.code == 2
+
+
+def test_bare_command_and_help_keep_clicks_help(tmp_path, runner):
+    for args, code in (([], 2), (["--help"], 0), (["cluster", "--help"], 0)):
+        result = runner.invoke(main, args)
+        assert result.exit_code == code and "Usage:" in result.output, args
+    out = tmp_path / "out"
+    assert main(args=["build", "--fixture", "table2", "--out", str(out)], standalone_mode=False) is None
+    assert (out / "dataset.csv").exists()
 
 
 def test_bad_config_file_exits_2(tmp_path, runner):
@@ -786,3 +815,101 @@ def test_malformed_sidecar_exits_4(fixture_run, tmp_path, runner, payload):
     (out / "aggregate.meta.json").write_bytes(payload)
     line = single_error_line(runner.invoke(main, ["report", "--out", str(out)]), 4, "FormatError")
     assert "aggregate.meta.json" in line["message"]
+
+
+def test_load_refuses_a_stale_file_and_trusts_the_run(fixture_run, tmp_path, runner):
+    cfg = stages.PipelineConfig(out=str(tmp_path / "out"))
+    shutil.copytree(fixture_run, cfg.out_dir)
+    assert invoke(runner, "cluster", "--min-pts", 100, "--out", cfg.out_dir).exit_code == 0
+    with pytest.raises(DataError, match="groups.json is stale: clusters.json changed"):
+        stages.load(cfg, "report", stages.GROUPS_FILE)
+    assert stages.load(cfg, "report", stages.CLUSTERS_FILE)["params"]["min_pts"] == 100
+    # A value this run saved is its own, so it is not checked again.
+    run = {stages.GROUPS_FILE: {"groups": []}}
+    assert stages.load(cfg, "report", stages.GROUPS_FILE, run) is run[stages.GROUPS_FILE]
+
+    rebuilt = ["build", "--fixture", "table2", "--from", "2019-01-01", "--out", cfg.out_dir]
+    assert invoke(runner, *rebuilt).exit_code == 0
+    with pytest.raises(DataError, match="clusters.json is stale: dataset.csv changed"):
+        stages.load(cfg, "aggregate", stages.CLUSTERS_FILE)
+
+
+def test_pipeline_hashes_each_sidecar_input_once(tmp_path, runner, monkeypatch):
+    # Only the sidecars hash: the pipeline's own values are not checked again.
+    hashed, sha256 = [], stages._sha256
+    monkeypatch.setattr(stages, "_sha256", lambda path: hashed.append(path.name) or sha256(path))
+    assert invoke(runner, "pipeline", "--fixture", "table2", "--out", tmp_path / "out").exit_code == 0
+    assert hashed == ["dataset.csv", "clusters.json", "clusters.json", "groups.json", "dataset.csv"]
+
+
+# Stage flags of the two complete runs a cut pipeline mixes: the fixture run's defaults
+# (A) and a run whose every stage artifact differs (B), whose build also takes --from.
+RUN_FLAGS = {
+    "A": {"cluster": [], "aggregate": [], "report": []},
+    "B": {"cluster": ["--eps", "0.3", "--min-pts", "2"], "aggregate": ["--theta", "0.5"], "report": []},
+}
+# Per stage: the artifact chain it relies on (each file built from the one before),
+# the sidecars its lineage check reads, and the files it writes.
+CHAIN = (stages.DATASET_FILE, stages.CLUSTERS_FILE, stages.GROUPS_FILE)
+CUT_STAGES = {
+    "cluster": (CHAIN[:1], set(), [stages.CLUSTERS_FILE]),
+    "aggregate": (CHAIN[:2], {"cluster.meta.json"}, [stages.GROUPS_FILE]),
+    "report": (CHAIN, {"cluster.meta.json", "aggregate.meta.json"}, ["report.md", stages.REPORT_METADATA_FILE]),
+}
+
+
+def test_a_cut_pipeline_poisons_no_later_stage(fixture_run, tmp_path, runner, monkeypatch):
+    """Cut a pipeline over a finished run at each file write, then run each stage alone.
+
+    Every write is atomic, so each file is whole, from run A or from run B. A stage whose
+    chain mixes the two must exit 4. A stage whose chain is all from one run, given that
+    run's flags, must write that run's bytes. One refusal is safe: when the cut fell on the
+    sidecar of a fresh artifact, the old sidecar calls it stale and rerunning its stage mends it.
+    """
+    runs = {"A": fixture_run, "B": tmp_path / "B"}
+    b_flags = [*RUN_FLAGS["B"]["cluster"], *RUN_FLAGS["B"]["aggregate"], "--from", "2019-01-01"]
+    assert invoke(runner, "pipeline", "--fixture", "table2", *b_flags, "--out", runs["B"]).exit_code == 0
+    assert all((runs["A"] / n).read_bytes() != (runs["B"] / n).read_bytes() for n in CHAIN)
+
+    writes, replacing = [], artifacts.replacing
+
+    def cut(path):
+        writes.append(path.name)
+        if len(writes) == k:
+            raise OSError(f"cut before {path.name}")
+        return replacing(path)
+
+    for k in itertools.count(1):
+        writes.clear()
+        out = tmp_path / f"cut{k}"
+        shutil.copytree(fixture_run, out)
+        with monkeypatch.context() as patch:
+            patch.setattr(artifacts, "replacing", cut)
+            result = runner.invoke(main, ["pipeline", "--fixture", "table2", *b_flags, "--out", str(out)])
+        if len(writes) < k:  # the pipeline made fewer than k writes: every write has been cut
+            assert result.exit_code == 0, result.output
+            break
+        single_error_line(result, 4, "OSError")
+        assert not list(out.glob("*.tmp"))
+        version = {}
+        for name in CHAIN:
+            data = (out / name).read_bytes()
+            [version[name]] = [run for run, path in runs.items() if (path / name).read_bytes() == data]
+        for stage, (chain, sidecars, outputs) in CUT_STAGES.items():
+            alone = tmp_path / f"cut{k}-{stage}"
+            shutil.copytree(out, alone)
+            versions = {version[name] for name in chain}
+            run = versions.pop() if len(versions) == 1 else None  # None: the chain mixes A and B
+            result = runner.invoke(main, [stage, *RUN_FLAGS[run or "B"][stage], "--out", str(alone)])
+            where = f"cut at write {k} ({writes[-1]}), {stage} alone"
+            if run is None or (result.exit_code == 4 and writes[-1] in sidecars):
+                assert "is stale" in single_error_line(result, 4, "DataError")["message"], where
+            else:
+                assert result.exit_code == 0, (where, result.output)
+                for name in outputs:
+                    assert (alone / name).read_bytes() == (runs[run] / name).read_bytes(), (where, name)
+    assert writes == [
+        "dataset.csv", "cleaning_report.json", "build.meta.json", "clusters.json", "cluster.meta.json",
+        "groups.json", "aggregate.meta.json", "report.md", "report_metadata.json", "report.meta.json",
+        "effective_config.json",
+    ]
