@@ -1,12 +1,12 @@
-"""Command-line orchestration of the recall-initiator pipeline."""
+"""Deterministic recall-initiator analysis over openFDA device data."""
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 from typing import NoReturn
-
-import click
 
 from . import __version__, stages
 from .errors import RecallScanError
@@ -15,68 +15,34 @@ from .openfda import API_KEY_ENV
 from .report import FORMATS
 
 
+# (flag, config key, help). Flags default to None and arrive as strings; PipelineConfig types them.
 _FETCH_OPTIONS = [
-    click.option("--from", "date_from", default=None, help="Start of the recall date window (YYYY-MM-DD)."),
-    click.option("--to", "date_to", default=None, help="End of the recall date window (YYYY-MM-DD)."),
-    click.option("--page-size", metavar="INTEGER", default=None, help="Records per API request (max 1000)."),
-    click.option("--max-pages", metavar="INTEGER", default=None, help="Pagination cap per endpoint."),
-    click.option("--cache-dir", default=None, help="Directory for verbatim response pages."),
-    click.option("--api-key", envvar=API_KEY_ENV, help=f"openFDA API key (falls back to ${API_KEY_ENV})."),
+    ("--from", "date_from", "Start of the recall date window (YYYY-MM-DD)."),
+    ("--to", "date_to", "End of the recall date window (YYYY-MM-DD)."),
+    ("--page-size", "page_size", "Records per API request (max 1000)."),
+    ("--max-pages", "max_pages", "Pagination cap per endpoint."),
+    ("--cache-dir", "cache_dir", "Directory for verbatim response pages."),
+    ("--api-key", "api_key", f"openFDA API key (falls back to ${API_KEY_ENV})."),
 ]
-_BUILD_OPTIONS = [
-    click.option(
-        "--fixture",
-        default=None,
-        help=f"Bundled offline dataset to build from instead of the cache: {', '.join(sorted(FIXTURE_BUILDERS))}.",
-    ),
-]
+_BUILD_OPTIONS = [("--fixture", "fixture",
+                   f"Bundled dataset to use instead of the cache: {', '.join(sorted(FIXTURE_BUILDERS))}.")]
 _CLUSTER_OPTIONS = [
-    click.option("--eps", metavar="FLOAT", default=None, help="DBSCAN neighbourhood radius."),
-    click.option("--min-pts", metavar="INTEGER", default=None, help="DBSCAN minimum neighbourhood size."),
+    ("--eps", "eps", "DBSCAN neighbourhood radius."),
+    ("--min-pts", "min_pts", "DBSCAN minimum neighbourhood size."),
 ]
 _AGGREGATE_OPTIONS = [
-    click.option("--prefix-len", metavar="INTEGER", default=None, help="Label prefix length to compare."),
-    click.option("--theta", metavar="FLOAT", default=None, help="Similarity threshold for merging."),
-    click.option("--overrides-file", default=None, help="JSON file with merge/split pair overrides."),
+    ("--prefix-len", "prefix_len", "Label prefix length to compare."),
+    ("--theta", "theta", "Similarity threshold for merging."),
+    ("--overrides-file", "overrides_file", "JSON file with merge/split pair overrides."),
 ]
 _REPORT_OPTIONS = [
-    click.option("--top", metavar="INTEGER", default=None, help="Entries in top-k summaries."),
-    click.option("--format", "format", default=None, help=f"Report output format: {', '.join(FORMATS)}."),
+    ("--top", "top", "Entries in top-k summaries."),
+    ("--format", "format", f"Report output format: {', '.join(FORMATS)}."),
 ]
 _COMMON_OPTIONS = [
-    click.option("--config", "config_path", default=None, help="JSON config file (flags override it)."),
-    click.option("--out", default=None, help="Output directory for stage artifacts."),
+    ("--config", "config_path", "JSON config file (flags override it)."),
+    ("--out", "out", "Output directory for stage artifacts."),
 ]
-
-
-def _fail(error: str, code: int, message: str) -> NoReturn:
-    """Print the one JSON error line on stderr and exit with ``code``."""
-    click.echo(json.dumps({"error": error, "exit_code": code, "message": message}), err=True)
-    sys.exit(code)
-
-
-def _run(stage_fn, config_path: str | None, flags: dict) -> None:
-    try:
-        cfg = stages.PipelineConfig.from_sources(config_path, flags)
-        with stages.gc_paused():
-            summary = stage_fn(cfg)
-        stages.echo_config(cfg)  # only a stage that succeeded is echoed
-    except (RecallScanError, OSError) as exc:
-        # An OSError is a file that could not be read or written: exit 4 like a data error.
-        error = type(exc).__name__ if isinstance(exc, RecallScanError) else "OSError"
-        _fail(error, getattr(exc, "exit_code", 4), str(exc))
-    click.echo(summary)
-
-
-class _JsonErrorGroup(click.Group):
-    """Click's usage errors under a command end in the one JSON error line too."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            _fail("UsageError", exc.exit_code, exc.format_message())
-
 
 # Each command and its option groups; every command also takes the common options.
 COMMANDS = (
@@ -89,27 +55,45 @@ COMMANDS = (
 )
 
 
-@click.group(cls=_JsonErrorGroup)
-@click.version_option(version=__version__)
-def main():
-    """Deterministic recall-initiator analysis over openFDA device data."""
+def _fail(error: str, code: int, message: str) -> NoReturn:
+    """Print the one JSON error line on stderr and exit with ``code``."""
+    print(json.dumps({"error": error, "exit_code": code, "message": message}), file=sys.stderr)
+    sys.exit(code)
 
 
-def _register(name: str, options: list) -> None:
-    """Add the command ``name``: it runs ``stages.<name>_stage`` and takes its help from it."""
-    stage = f"{name}_stage"
+class _Parser(argparse.ArgumentParser):
+    """A usage error, before or after the command name, ends in the one JSON error line."""
 
-    def command(config_path, **flags):
-        # Looked up per call, so a stage function replaced after import is the one that runs.
-        _run(getattr(stages, stage), config_path, flags)
-
-    for option in reversed(options + _COMMON_OPTIONS):
-        command = option(command)
-    main.command(name, help=getattr(stages, stage).__doc__)(command)
+    def error(self, message: str) -> NoReturn:
+        _fail("UsageError", 2, message)
 
 
-for _name, _options in COMMANDS:
-    _register(_name, _options)
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run the command in ``args`` (default ``sys.argv``); a failure exits with its code after
+    one JSON line on stderr. ``standalone_mode`` is accepted and ignored, for the benchmark probe."""
+    parser = _Parser(prog="recallscan", description=__doc__, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, options in COMMANDS:
+        # Looked up per call: a stage function replaced after import is the one described and run.
+        doc = getattr(stages, f"{name}_stage").__doc__
+        sub = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        for flag, key, text in options + _COMMON_OPTIONS:
+            sub.add_argument(flag, dest=key, help=text)
+    flags = vars(parser.parse_args(args))
+    command, config_path = flags.pop("command"), flags.pop("config_path")
+    if "api_key" in flags and flags["api_key"] is None:
+        flags["api_key"] = os.environ.get(API_KEY_ENV) or None  # an empty variable counts as unset
+    try:
+        cfg = stages.PipelineConfig.from_sources(config_path, flags)
+        with stages.gc_paused():
+            summary = getattr(stages, f"{command}_stage")(cfg)
+        stages.echo_config(cfg)  # only a stage that succeeded is echoed
+    except (RecallScanError, OSError) as exc:
+        # An OSError is a file that could not be read or written: exit 4 like a data error.
+        error = type(exc).__name__ if isinstance(exc, RecallScanError) else "OSError"
+        _fail(error, getattr(exc, "exit_code", 4), str(exc))
+    print(summary)
 
 
 if __name__ == "__main__":

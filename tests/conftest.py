@@ -1,9 +1,14 @@
-"""Shared fixtures: a small production-like record sample and a fake openFDA."""
+"""Shared fixtures: a small production-like record sample, a fake openFDA and a CLI runner."""
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import datetime as dt
+import io
 import json
+import os
+import tempfile
 
 import pytest
 import requests
@@ -125,3 +130,46 @@ class FakeOpenFDA:
 @pytest.fixture
 def fake_api():
     return FakeOpenFDA()
+
+
+@dataclasses.dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+class CliRunner:
+    """Runs ``main(args)`` in-process with stdout and stderr captured.
+
+    A ``SystemExit`` becomes ``exit_code``; any other exception propagates to the test.
+    """
+
+    def invoke(self, main, args) -> Result:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        code = 0
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                main(list(args))
+            except SystemExit as exc:
+                code = exc.code or 0
+        return Result(code, stdout.getvalue(), stderr.getvalue())
+
+    @contextlib.contextmanager
+    def isolated_filesystem(self, temp_dir):
+        """Work in a fresh directory under ``temp_dir`` for the block; the directory is kept."""
+        cwd, before = tempfile.mkdtemp(dir=temp_dir), os.getcwd()
+        os.chdir(cwd)
+        try:
+            yield cwd
+        finally:
+            os.chdir(before)
+
+
+@pytest.fixture
+def runner():
+    return CliRunner()

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import requests
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from recallscan.aggregate import AggregationParams, aggregate
@@ -31,6 +30,7 @@ from recallscan.reference import REFERENCE_GROUPS, REFERENCE_INITIATORS, TOTAL_C
 from recallscan.report import rank_initiators
 from recallscan.textprep import cosine_distance, lcs_similarity, tf_vector
 
+from .conftest import CliRunner
 from .oracles import canonical_partition, cosine_distance_ref, dbscan_ref, lcs_similarity_ref
 
 REFERENCE_SUMMARIES = [
@@ -43,7 +43,7 @@ def fixture_causes() -> list[str]:
 
 
 def run_cli(*args) -> None:
-    result = CliRunner().invoke(main, [str(a) for a in args], catch_exceptions=False)
+    result = CliRunner().invoke(main, [str(a) for a in args])
     assert result.exit_code == 0, result.output
 
 
@@ -251,10 +251,7 @@ def test_c09_offline_pipeline_runs_are_byte_identical(tmp_path):
         workdir = tmp_path / name
         workdir.mkdir()
         with runner.isolated_filesystem(temp_dir=workdir):
-            result = runner.invoke(
-                main, ["pipeline", "--fixture", "table2", "--out", "out"],
-                catch_exceptions=False,
-            )
+            result = runner.invoke(main, ["pipeline", "--fixture", "table2", "--out", "out"])
             assert result.exit_code == 0, result.output
             collected.append(hashes(Path("out")))
     assert collected[0] and collected[0] == collected[1]

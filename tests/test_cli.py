@@ -3,26 +3,24 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+import recallscan
 from recallscan import __version__, artifacts, openfda, stages
-from recallscan.cli import main
+from recallscan.cli import COMMANDS, main
 from recallscan.errors import DataError, RequestError
 
-from .conftest import FakeOpenFDA, classification_entries
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from .conftest import CliRunner, FakeOpenFDA, classification_entries
 
 
 def invoke(runner, *args):
-    return runner.invoke(main, [str(a) for a in args], catch_exceptions=False)
+    return runner.invoke(main, [str(a) for a in args])
 
 
 def artifact_hashes(out_dir: Path) -> dict[str, str]:
@@ -300,12 +298,17 @@ def test_unknown_flag_exits_2(runner):
 @pytest.mark.parametrize(
     "args, word",
     [
-        (["clustr"], "No such command"),
-        (["cluster", "--bogus"], "No such option"),
-        (["cluster", "--eps"], "requires an argument"),
-        (["cluster", "extra"], "unexpected extra argument"),
+        (["clustr"], "invalid choice: 'clustr'"),
+        (["cluster", "--bogus"], "unrecognized arguments: --bogus"),
+        (["--bogus"], "required: COMMAND"),
+        (["--bogus", "cluster"], "unrecognized arguments: --bogus"),
+        (["pipeline", "--fixture", "table2", "--thet", "0.5"], "unrecognized arguments: --thet"),
+        (["cluster", "--eps"], "argument --eps: expected one argument"),
+        (["cluster", "extra"], "unrecognized arguments: extra"),
+        ([], "required: COMMAND"),
     ],
-    ids=["misspelt-command", "misspelt-flag", "flag-without-value", "extra-argument"],
+    ids=["misspelt-command", "misspelt-flag", "flag-without-command", "flag-before-command",
+         "abbreviated-flag", "flag-without-value", "extra-argument", "bare-command"],
 )
 def test_usage_errors_end_in_the_json_line(runner, args, word):
     line = single_error_line(runner.invoke(main, args), 2, "UsageError")
@@ -316,10 +319,13 @@ def test_usage_errors_end_in_the_json_line(runner, args, word):
     assert exited.value.code == 2
 
 
-def test_bare_command_and_help_keep_clicks_help(tmp_path, runner):
-    for args, code in (([], 2), (["--help"], 0), (["cluster", "--help"], 0)):
+def test_help_exits_0_and_shows_the_stage_docstring(tmp_path, runner, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # help is wrapped to the terminal; keep the docstring on one line
+    for args in (["--help"], ["-h"], ["cluster", "--help"]):
         result = runner.invoke(main, args)
-        assert result.exit_code == code and "Usage:" in result.output, args
+        assert result.exit_code == 0 and result.stdout.startswith("usage: recallscan"), args
+        assert result.stderr == "", args
+    assert stages.cluster_stage.__doc__ in result.stdout
     out = tmp_path / "out"
     assert main(args=["build", "--fixture", "table2", "--out", str(out)], standalone_mode=False) is None
     assert (out / "dataset.csv").exists()
@@ -428,16 +434,29 @@ def test_flags_override_config_file(tmp_path, runner):
 def test_api_key_falls_back_to_environment_where_the_flag_exists(tmp_path, runner, monkeypatch):
     api = FakeOpenFDA()
     monkeypatch.setattr(openfda, "_requests_get", api)
+    monkeypatch.setenv(openfda.API_KEY_ENV, "from-env")
     out = tmp_path / "out"
-    env = {openfda.API_KEY_ENV: "from-env"}
     for stage in ("fetch", "build"):
         args = [stage, "--out", str(out), "--cache-dir", str(tmp_path / "cache")]
-        assert runner.invoke(main, args, env=env).exit_code == 0
+        assert runner.invoke(main, args).exit_code == 0
         # The key is a secret: no artifact, sidecar, config echo or cache file holds it.
         assert json.loads((out / "effective_config.json").read_text())["api_key"] is None
         files = [p for p in tmp_path.rglob("*") if p.is_file()]
         assert files and not [p.name for p in files if b"from-env" in p.read_bytes()]
     assert api.calls and all(params["api_key"] == "from-env" for _, params in api.calls)
+
+    # A command without the flag does not read the variable.
+    seen = []
+    monkeypatch.setattr(stages, "cluster_stage", lambda cfg: seen.append(cfg.api_key) or "clustered")
+    assert runner.invoke(main, ["cluster", "--out", str(out)]).exit_code == 0
+    assert seen == [None]
+
+    # An empty variable counts as unset: no key is sent.
+    monkeypatch.setenv(openfda.API_KEY_ENV, "")
+    api.calls.clear()
+    args = ["fetch", "--out", str(out), "--cache-dir", str(tmp_path / "fresh")]
+    assert runner.invoke(main, args).exit_code == 0
+    assert api.calls and not [params for _, params in api.calls if "api_key" in params]
 
 
 # Flags of a FakeOpenFDA run: every sample row fits in three pages of four.
@@ -740,10 +759,25 @@ def test_version_exits_0(runner):
     assert __version__ == "0.1.0" and result.output.strip().endswith("0.1.0")
 
 
+def test_a_fixture_pipeline_loads_neither_click_nor_requests(tmp_path):
+    # The runtime is numpy and the standard library; requests is imported by a live fetch only.
+    code = (
+        "import sys, recallscan.cli\n"
+        "recallscan.cli.main(['pipeline', '--fixture', 'table2', '--out', sys.argv[1]])\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('click', 'requests')))\n"
+    )
+    src = str(Path(recallscan.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out")], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 def test_commands_are_the_stages():
     stage_names = {name.removesuffix("_stage") for name in vars(stages) if name.endswith("_stage")}
-    assert set(main.commands) == stage_names == {*stages.INPUTS, "pipeline"}
-    assert main.commands["cluster"].help == stages.cluster_stage.__doc__
+    assert {name for name, _ in COMMANDS} == stage_names == {*stages.INPUTS, "pipeline"}
 
 
 def test_command_runs_the_stage_function_bound_at_call_time(tmp_path, runner, monkeypatch):
