@@ -1,5 +1,11 @@
 """Deterministic clustering and reporting of FDA device-recall root causes."""
 
+import os
+
+# recallscan makes no BLAS call, yet OpenBLAS starts a thread per CPU when numpy loads; one
+# thread saves their start-up. Set before any submodule imports numpy; a value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .aggregate import (

@@ -215,6 +215,7 @@ def clusters_from_json_dict(payload: dict) -> tuple[list[ClusterSummary], list[C
 
     Each entry needs an integer id (noise gets ``NOISE``), a string label and a
     positive integer count; no two entries share a label and no two clusters an id.
+    ``record_count`` is the sum of all counts and ``cluster_count`` the number of clusters.
     """
     try:
         clusters = [ClusterSummary(c["id"], c["label"], c["count"]) for c in payload["clusters"]]
@@ -233,4 +234,11 @@ def clusters_from_json_dict(payload: dict) -> tuple[list[ClusterSummary], list[C
         repeated = [v for v, c in Counter(values).items() if c > 1]
         if repeated:
             raise FormatError(f"malformed cluster artifact: {key} {repeated[0]!r} appears twice")
+    for key, want in (("record_count", sum(s.count for s in clusters + noise)),
+                      ("cluster_count", len(clusters))):
+        found = payload.get(key)
+        if not (artifacts.is_int(found, 0) and found == want):
+            raise FormatError(
+                f"malformed cluster artifact: {key} is {found!r}, its entries give {want}"
+            )
     return clusters, noise

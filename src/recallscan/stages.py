@@ -348,9 +348,32 @@ def report_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
     groups = groups_from_json_dict(load(cfg, "report", GROUPS_FILE, run))
     if not summaries or not groups:
         raise DataError("empty cluster or group artifact; nothing to report")
-    records = load(cfg, "report", DATASET_FILE, run) if (out / DATASET_FILE).exists() else []
+    # The artifacts must agree: each cluster label in one group, whose total is its members' sum,
+    # and as many dataset rows as records clustered.
+    counts = {s.label: s.count for s in summaries}
+    members = [m for g in groups for m in g.members]
+    if len(members) != len(counts) or set(members) != counts.keys():
+        raise DataError(
+            f"{GROUPS_FILE} disagrees with {CLUSTERS_FILE}: "
+            "the group members are not the cluster labels, each once; rerun aggregate"
+        )
+    for g in groups:
+        if g.total_count != (total := sum(counts[m] for m in g.members)):
+            raise DataError(
+                f"{GROUPS_FILE} disagrees with {CLUSTERS_FILE}: the group of {g.members[0]!r} "
+                f"totals {g.total_count}, its members {total}; rerun aggregate"
+            )
+    noise_count = sum(n.count for n in noise)
+    records = []
+    if (out / DATASET_FILE).exists():
+        records = load(cfg, "report", DATASET_FILE, run)
+        if len(records) != (total := sum(counts.values()) + noise_count):
+            raise DataError(
+                f"{CLUSTERS_FILE} disagrees with {DATASET_FILE}: it counts {total} records, "
+                f"{DATASET_FILE} holds {len(records)}; rerun cluster"
+            )
 
-    doc = build_document(summaries, groups, sum(n.count for n in noise), records, cfg.top)
+    doc = build_document(summaries, groups, noise_count, records, cfg.top)
     files = render(doc, cfg.format)
     for name, payload in files:
         artifacts.write(out / name, payload)

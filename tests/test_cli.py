@@ -719,10 +719,11 @@ def test_malformed_date_in_dataset_exits_4(tmp_path, runner):
         ("groups.json", "total_count", 0, "total_count"),
         ("groups.json", "total_count", 5.7, "total_count"),
         ("clusters.json", "label", "Device Design", "label"),
+        ("clusters.json", "count", 1699 + 1000, "record_count"),
     ],
     ids=["noise-without-count", "count-0", "count-negative", "count-float", "count-bool",
          "members-string", "members-empty", "members-non-string", "total-0", "total-float",
-         "label-repeated"],
+         "label-repeated", "count-plus-1000"],
 )
 def test_noise_entry_without_count_exits_4(fixture_run, tmp_path, runner, name, key, value, word):
     out = tmp_path / "out"
@@ -759,20 +760,39 @@ def test_version_exits_0(runner):
     assert __version__ == "0.1.0" and result.output.strip().endswith("0.1.0")
 
 
-def test_a_fixture_pipeline_loads_neither_click_nor_requests(tmp_path):
+@pytest.mark.parametrize("blas_threads", [None, "2"], ids=["blas-unset", "blas-preset"])
+def test_a_fixture_pipeline_loads_neither_click_nor_requests(tmp_path, blas_threads):
     # The runtime is numpy and the standard library; requests is imported by a live fetch only.
+    # Importing recallscan gives OpenBLAS one thread unless the caller chose a number, and the
+    # artifacts do not depend on it.
     code = (
-        "import sys, recallscan.cli\n"
+        "import os, sys, recallscan.cli\n"
         "recallscan.cli.main(['pipeline', '--fixture', 'table2', '--out', sys.argv[1]])\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('click', 'requests')))\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        "status = '/proc/self/status'\n"
+        "print(next((line.split()[1] for line in open(status) if line.startswith('Threads:')), '')"
+        " if os.path.exists(status) else '')\n"
     )
     src = str(Path(recallscan.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("OPENBLAS_NUM_THREADS", None)  # this process imported recallscan, which set it
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    out = tmp_path / "out"
     result = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "out")], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        [sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=env,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    modules, blas_var, threads = result.stdout.splitlines()[-3:]
+    assert modules == "[]"
+    assert blas_var == (blas_threads or "1")
+    if blas_threads is None and threads:
+        assert threads == "1"
+    pinned = {**BUILD_HASHES, **REPORT_HASHES}
+    for name in [*BUILD_HASHES, "report.md", "report_metadata.json"]:
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == pinned[name], name
 
 
 def test_commands_are_the_stages():
@@ -809,6 +829,51 @@ def test_report_over_reclustered_artifacts_is_refused(fixture_run, tmp_path, run
     assert result.exit_code == 0 and "over 5934 clustered records" in result.output
 
 
+def total_plus_1000(payload):
+    payload["groups"][0]["total_count"] += 1000
+
+
+def member_in_two_groups(payload):
+    payload["groups"][1]["members"].append(payload["groups"][0]["members"][0])
+
+
+def count_and_record_count_plus_1000(payload):
+    payload["clusters"][0]["count"] += 1000
+    payload["record_count"] += 1000
+
+
+@pytest.mark.parametrize(
+    "name, edit, rerun, message",
+    [
+        ("groups.json", total_plus_1000, None,
+         "groups.json disagrees with clusters.json: the group of 'Under Investigation by firm' "
+         "totals 2699, its members 1699; rerun aggregate"),
+        ("groups.json", member_in_two_groups, None,
+         "groups.json disagrees with clusters.json: the group members are not the cluster "
+         "labels, each once; rerun aggregate"),
+        # Self-consistent, and aggregate rebuilt groups.json from it: only the dataset disagrees.
+        ("clusters.json", count_and_record_count_plus_1000, "aggregate",
+         "clusters.json disagrees with dataset.csv: it counts 7991 records, dataset.csv holds "
+         "6991; rerun cluster"),
+    ],
+    ids=["group-total", "group-member", "record-count"],
+)
+def test_report_over_artifacts_that_disagree_is_refused(
+    fixture_run, tmp_path, runner, name, edit, rerun, message
+):
+    out = tmp_path / "out"
+    shutil.copytree(fixture_run, out)
+    payload = json.loads((out / name).read_text(encoding="utf-8"))
+    edit(payload)
+    (out / name).write_text(json.dumps(payload), encoding="utf-8")
+    if rerun:
+        assert invoke(runner, rerun, "--out", out).exit_code == 0
+    before = report_files(out)
+    line = single_error_line(runner.invoke(main, ["report", "--out", str(out)]), 4, "DataError")
+    assert line["message"] == message
+    assert report_files(out) == before
+
+
 def test_aggregate_over_a_rebuilt_dataset_is_refused(fixture_run, tmp_path, runner):
     out = tmp_path / "out"
     shutil.copytree(fixture_run, out)
@@ -827,14 +892,17 @@ def test_aggregate_over_a_rebuilt_dataset_is_refused(fixture_run, tmp_path, runn
 
 
 def test_artifacts_without_sidecars_are_not_checked(fixture_run, tmp_path, runner):
-    # Hand-made or older artifacts carry no sidecar, and so no lineage to check.
+    # Hand-made or older artifacts carry no sidecar, and so no lineage to check; report
+    # still compares what the artifacts say.
     out = tmp_path / "out"
     shutil.copytree(fixture_run, out)
     assert invoke(runner, "cluster", "--min-pts", 100, "--out", out).exit_code == 0
     for sidecar in out.glob("*.meta.json"):
         sidecar.unlink()
-    assert invoke(runner, "report", "--out", out).exit_code == 0
+    line = single_error_line(runner.invoke(main, ["report", "--out", str(out)]), 4, "DataError")
+    assert line["message"].startswith("groups.json disagrees with clusters.json")
     assert invoke(runner, "aggregate", "--out", out).exit_code == 0
+    assert invoke(runner, "report", "--out", out).exit_code == 0
 
 
 @pytest.mark.parametrize(

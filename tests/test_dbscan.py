@@ -292,6 +292,18 @@ def test_cluster_artifact_rejects_repeated_labels_and_ids(clusters, noise, repea
         clusters_from_json_dict({"clusters": clusters, "noise": noise})
 
 
+@pytest.mark.parametrize(
+    "key, value", [("record_count", 10), ("record_count", 9.0), ("record_count", None),
+                   ("cluster_count", 2), ("cluster_count", True)],
+)
+def test_cluster_artifact_counts_agree_with_its_entries(key, value):
+    payload = {"record_count": 9, "cluster_count": 1,
+               "clusters": [{"id": 0, "label": "A", "count": 5}], "noise": [{"label": "B", "count": 4}]}
+    assert [len(entries) for entries in clusters_from_json_dict(payload)] == [1, 1]
+    with pytest.raises(FormatError, match=key):
+        clusters_from_json_dict({**payload, key: value})
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 5),
