@@ -190,7 +190,8 @@ def groups_to_json_dict(groups: Iterable[AggregatedGroup], params: AggregationPa
 def groups_from_json_dict(payload: dict) -> list[AggregatedGroup]:
     """Rebuild aggregated groups from a group artifact payload.
 
-    Each group needs a non-empty list of string members and a positive integer total.
+    Each group needs a non-empty list of string members and a positive integer total;
+    ``group_count`` is the number of groups.
     """
     try:
         entries = [(g["members"], g["total_count"]) for g in payload["groups"]]
@@ -201,4 +202,6 @@ def groups_from_json_dict(payload: dict) -> list[AggregatedGroup]:
             raise FormatError(f"malformed group artifact: members {members!r} are not label strings")
         if not artifacts.is_int(total, 1):
             raise FormatError(f"malformed group artifact: total_count {total!r} is not positive")
+    if not (artifacts.is_int(found := payload.get("group_count"), 0) and found == len(entries)):
+        raise FormatError(f"malformed group artifact: group_count is {found!r}, its groups give {len(entries)}")
     return [AggregatedGroup(tuple(members), total) for members, total in entries]

@@ -90,6 +90,13 @@ class CleaningReport:
 _ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}|[0-9]{8}")
 
 
+def iso_date(value: str) -> dt.date:
+    """``YYYY-MM-DD`` alone; from 3.11 ``date.fromisoformat`` also takes ``20180101`` and ``2018W011``."""
+    if len(value) != 10 or not _ISO_DATE.fullmatch(value):  # only YYYY-MM-DD has ten characters
+        raise ValueError("expected YYYY-MM-DD")
+    return dt.date.fromisoformat(value)
+
+
 def parse_date(value: str) -> dt.date | None:
     """Accept YYYY-MM-DD or YYYYMMDD (strptime's ``%Y-%m-%d`` or ``%Y%m%d``); anything
     else is an absent date."""
@@ -259,7 +266,7 @@ def read_dataset(path: str | Path) -> list[RecallRecord]:
                 code, posted, *text = map(share, row, row)
                 if posted not in dates:
                     try:
-                        dates[posted] = dt.date.fromisoformat(posted)
+                        dates[posted] = iso_date(posted)
                     except ValueError as exc:
                         raise FormatError(
                             f"dataset {path} row {idx} has a malformed event_date_posted {posted!r}"

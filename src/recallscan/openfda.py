@@ -110,13 +110,20 @@ class RawPage:
         return len(self.rows)
 
 
-def _requests_get(url: str, params: dict, timeout: float) -> tuple[int, bytes]:
+def _http_get(url: str, params: dict, timeout: float) -> tuple[int, bytes]:
     if params["skip"] > MAX_SKIP:  # openFDA would answer HTTP 400; only an OSError is retried
         raise ContractError(f"skip {params['skip']} is past openFDA's limit of {MAX_SKIP}; narrow the date window")
-    import requests  # only the live API needs it; its exceptions subclass OSError
+    import http.client, urllib.error, urllib.parse, urllib.request  # only the live API needs them
 
-    resp = requests.get(url, params=params, timeout=timeout)
-    return resp.status_code, resp.content
+    try:
+        try:
+            resp = urllib.request.urlopen(f"{url}?{urllib.parse.urlencode(params)}", timeout=timeout)
+        except urllib.error.HTTPError as exc:  # a status is an answer, not a failure to retry
+            resp = exc
+        with resp:
+            return resp.status, resp.read()
+    except http.client.HTTPException as exc:  # a bad status line or a cut-off body: not an OSError
+        raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _parse_page(
@@ -213,9 +220,9 @@ def fetch_pages(
     Pagination stops early when a page comes back with fewer than
     ``page_size`` records (or the API reports the result set exhausted).
     Every fetched page is written to the cache before the call returns, so a
-    rerun with the same spec makes no network requests at all.
+    rerun with the same spec makes no network request at all.
     """
-    get = get or _requests_get
+    get = get or _http_get
     endpoint_dir = Path(cache_dir) / spec.endpoint.value
     manifest = _load_manifest(endpoint_dir)
     # Pages and an end-of-data marker answer only the query that was sent.

@@ -35,6 +35,7 @@ from .aggregate import (
 from .dataset import (
     CleaningRules,
     clean,
+    iso_date,
     merge_datasets,
     read_dataset,
     write_dataset,
@@ -69,7 +70,7 @@ INPUTS: dict[str, dict[str, str]] = {
 }
 
 
-_PARSERS = {int: int, float: float, dt.date: dt.date.fromisoformat}
+_PARSERS = {int: int, float: float, dt.date: iso_date}
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string", dt.date: "a YYYY-MM-DD date"}
 
 

@@ -1,18 +1,22 @@
-"""Shared fixtures: a small production-like record sample, a fake openFDA and a CLI runner."""
+"""Shared fixtures: a small production-like record sample, a fake openFDA, a loopback HTTP
+server and a CLI runner."""
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
 import datetime as dt
+import http.server
 import io
 import json
 import os
+import socket
 import tempfile
+import threading
 
 import pytest
-import requests
 
+from recallscan import openfda
 from recallscan.dataset import RecallRecord
 
 # Ten rows mirroring real merged recall data (one blank firm, blank quantities,
@@ -108,7 +112,7 @@ class FakeOpenFDA:
         self.calls.append((url, dict(params)))
         if self.fail_first > 0:
             self.fail_first -= 1
-            raise requests.ConnectionError("synthetic connection failure")
+            raise ConnectionError("synthetic connection failure")
         if self.status_first is not None:
             status = self.status_first
             self.status_first = None
@@ -130,6 +134,80 @@ class FakeOpenFDA:
 @pytest.fixture
 def fake_api():
     return FakeOpenFDA()
+
+
+class Loopback:
+    """An HTTP server on 127.0.0.1, in a thread, for the real transport.
+
+    The n-th request gets ``answers[n]``, and the last answer once they run out. An
+    answer is ``(status, body)``, or ``(status, body, length)`` to declare a
+    ``Content-Length`` other than the body's; status None sends the body alone, with
+    no status line or headers. ``paths`` records each request path.
+    """
+
+    def __init__(self, answers):
+        self.answers, self.paths = answers, []
+        loopback = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_GET(self):
+                loopback.paths.append(self.path)
+                status, body, *length = loopback.answers[min(len(loopback.paths), len(loopback.answers)) - 1]
+                if status is not None:
+                    self.send_response(status)
+                    self.send_header("Content-Length", str(length[0] if length else len(body)))
+                    self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        self.server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_port}"
+        self.thread = threading.Thread(target=self.server.serve_forever, args=(0.01,), daemon=True)
+        self.thread.start()
+
+    def close(self):
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+
+def clear_proxies(monkeypatch):
+    """Unset the ``*_proxy`` variables, so urllib connects to loopback directly."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """``loopback(*answers)`` starts a ``Loopback`` serving them and points the recall
+    endpoint at it; each server is closed after the test."""
+    clear_proxies(monkeypatch)
+    servers = []
+
+    def serve(*answers):
+        servers.append(Loopback(answers))
+        monkeypatch.setattr(openfda, "RECALL_URL", f"{servers[-1].url}/device/recall.json")
+        return servers[-1]
+
+    yield serve
+    for server in servers:
+        server.close()
+
+
+@pytest.fixture
+def refused_openfda(monkeypatch):
+    """Points both endpoints at a loopback port that is bound but not listening, so every
+    connection is refused."""
+    clear_proxies(monkeypatch)
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        for name in ("RECALL_URL", "CLASSIFICATION_URL"):
+            monkeypatch.setattr(openfda, name, f"http://127.0.0.1:{sock.getsockname()[1]}/{name}")
+        yield
 
 
 @dataclasses.dataclass

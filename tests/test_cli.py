@@ -37,7 +37,7 @@ def fail_on_network(url, params, timeout):
 
 
 def test_pipeline_fixture_end_to_end(tmp_path, runner, monkeypatch):
-    monkeypatch.setattr(openfda, "_requests_get", fail_on_network)
+    monkeypatch.setattr(openfda, "_http_get", fail_on_network)
     out = tmp_path / "out"
     result = invoke(runner, "pipeline", "--fixture", "table2", "--out", out)
     assert result.exit_code == 0, result.output
@@ -86,7 +86,7 @@ def test_effective_config_replay_reproduces_outputs(tmp_path, runner):
 
 def test_api_path_pipeline_with_fake_transport(tmp_path, runner, monkeypatch):
     api = FakeOpenFDA()
-    monkeypatch.setattr(openfda, "_requests_get", api)
+    monkeypatch.setattr(openfda, "_http_get", api)
     monkeypatch.setattr(openfda, "BACKOFF_BASE_SECONDS", 0.0)
     out = tmp_path / "out"
     cache = tmp_path / "cache"
@@ -103,7 +103,7 @@ def test_api_path_pipeline_with_fake_transport(tmp_path, runner, monkeypatch):
     assert sum(n["count"] for n in clusters["noise"]) == 4
 
     # With the cache populated the whole pipeline reruns without any network.
-    monkeypatch.setattr(openfda, "_requests_get", fail_on_network)
+    monkeypatch.setattr(openfda, "_http_get", fail_on_network)
     rerun = invoke(
         runner, "pipeline", "--out", tmp_path / "out2", "--cache-dir", cache,
         "--page-size", 10, "--max-pages", 2, "--min-pts", 2,
@@ -121,9 +121,9 @@ def test_build_without_cache_exits_4(tmp_path, runner):
     assert line["exit_code"] == 4 and "fetch" in line["message"]
 
 
-def test_build_reads_the_cache_without_requests(tmp_path, runner, monkeypatch):
+def test_build_reads_the_cache_without_a_request(tmp_path, runner, monkeypatch):
     calls = []
-    monkeypatch.setattr(openfda, "_requests_get", lambda *a: calls.append(a))
+    monkeypatch.setattr(openfda, "_http_get", lambda *a: calls.append(a))
     cache = tmp_path / "cache"
     result = runner.invoke(main, ["build", "--out", str(tmp_path / "out"), "--cache-dir", str(cache)])
     assert result.exit_code == 4
@@ -131,11 +131,11 @@ def test_build_reads_the_cache_without_requests(tmp_path, runner, monkeypatch):
     assert not cache.exists()
 
     # A cache with a page missing names that page.
-    monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA())
+    monkeypatch.setattr(openfda, "_http_get", FakeOpenFDA())
     flags = ["--cache-dir", str(cache), "--page-size", "4", "--max-pages", "3"]
     assert invoke(runner, "fetch", "--out", tmp_path / "out", *flags).exit_code == 0
     (cache / "recall" / "1.json").unlink()
-    monkeypatch.setattr(openfda, "_requests_get", lambda *a: calls.append(a))
+    monkeypatch.setattr(openfda, "_http_get", lambda *a: calls.append(a))
     result = runner.invoke(main, ["build", "--out", str(tmp_path / "out"), *flags])
     assert result.exit_code == 4
     line = json.loads(result.stderr)
@@ -144,7 +144,7 @@ def test_build_reads_the_cache_without_requests(tmp_path, runner, monkeypatch):
 
 
 def test_fetch_records_reported_totals_and_warns_when_cut_short(tmp_path, runner, monkeypatch):
-    monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA())  # 10 recalls, 9 classifications
+    monkeypatch.setattr(openfda, "_http_get", FakeOpenFDA())  # 10 recalls, 9 classifications
     out = tmp_path / "out"
     flags = ("--out", out, "--cache-dir", tmp_path / "cache", "--page-size", 4)
     cut = invoke(runner, "fetch", *flags, "--max-pages", 2)
@@ -164,7 +164,7 @@ def test_fetch_records_reported_totals_and_warns_when_cut_short(tmp_path, runner
 
     # A body that reports no total records none and warns of nothing.
     body = json.dumps({"results": [{"product_code": "A"}]}).encode()
-    monkeypatch.setattr(openfda, "_requests_get", lambda *a: (200, body))
+    monkeypatch.setattr(openfda, "_http_get", lambda *a: (200, body))
     bare = invoke(runner, "fetch", "--out", out, "--cache-dir", tmp_path / "bare", "--page-size", 4)
     assert bare.exit_code == 0 and bare.stderr == ""
     assert json.loads((out / "fetch.meta.json").read_text())["reported"] == {}
@@ -172,7 +172,7 @@ def test_fetch_records_reported_totals_and_warns_when_cut_short(tmp_path, runner
 
 def test_cut_fetch_then_failing_stage_keeps_stderr_json(tmp_path, runner, monkeypatch):
     # Eight recalls form no cluster, so aggregate fails after fetch warned: two JSON lines.
-    monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA())
+    monkeypatch.setattr(openfda, "_http_get", FakeOpenFDA())
     result = runner.invoke(main, [
         "pipeline", "--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache"),
         "--page-size", "4", "--max-pages", "2",
@@ -202,7 +202,7 @@ def test_every_sidecar_records_the_process_peak_rss(fixture_run):
 def test_build_sidecar_records_duplicate_classification_codes(tmp_path, runner, monkeypatch):
     classifications = classification_entries()
     api = FakeOpenFDA(classifications=[*classifications, classifications[0]])
-    monkeypatch.setattr(openfda, "_requests_get", api)
+    monkeypatch.setattr(openfda, "_http_get", api)
     out = tmp_path / "out"
     flags = ("--out", out, "--cache-dir", tmp_path / "cache", *FAKE_FETCH)
     assert invoke(runner, "fetch", *flags).exit_code == 0
@@ -213,7 +213,7 @@ def test_build_sidecar_records_duplicate_classification_codes(tmp_path, runner, 
 
 
 def test_build_after_fetch_of_no_records_names_the_query(tmp_path, runner, monkeypatch):
-    monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA(recalls=[]))
+    monkeypatch.setattr(openfda, "_http_get", FakeOpenFDA(recalls=[]))
     flags = ["--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")]
     assert invoke(runner, "fetch", *flags).exit_code == 0
     result = runner.invoke(main, ["build", *flags])
@@ -281,7 +281,7 @@ def test_failed_stage_leaves_the_config_echo_unchanged(tmp_path, runner):
 
 
 def test_network_failure_exits_3(tmp_path, runner, monkeypatch):
-    monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA(fail_first=99))
+    monkeypatch.setattr(openfda, "_http_get", FakeOpenFDA(fail_first=99))
     monkeypatch.setattr(openfda, "BACKOFF_BASE_SECONDS", 0.0)
     result = runner.invoke(
         main, ["fetch", "--out", str(tmp_path / "o"), "--cache-dir", str(tmp_path / "c")]
@@ -289,6 +289,15 @@ def test_network_failure_exits_3(tmp_path, runner, monkeypatch):
     assert result.exit_code == 3
     line = json.loads(result.stderr.strip().splitlines()[-1])
     assert line["error"] == "TransportError"
+
+
+def test_a_transport_error_line_carries_no_api_key(tmp_path, runner, monkeypatch, refused_openfda):
+    monkeypatch.setattr(openfda, "BACKOFF_BASE_SECONDS", 0.0)
+    args = ["fetch", "--api-key", "SEKRIT", "--max-pages", "1", "--out", tmp_path / "o", "--cache-dir", tmp_path / "c"]
+    result = invoke(runner, *args)
+    line = single_error_line(result, 3, "TransportError")
+    assert "giving up after 3 attempts" in line["message"]
+    assert "SEKRIT" not in result.stderr + result.stdout
 
 
 def test_unknown_flag_exits_2(runner):
@@ -362,6 +371,7 @@ def single_error_line(result, exit_code: int, error: str) -> dict:
     [
         ({"date_from": 2018}, "date_from"),
         ({"date_to": None}, "date_to"),
+        ({"date_to": "2024W011"}, "date_to"),
         ({"out": 5}, "out"),
         ({"out": None}, "out"),
         ({"cache_dir": ["cache"]}, "cache_dir"),
@@ -388,6 +398,16 @@ def test_bad_cli_date_exits_2_with_json_line(tmp_path, runner, flag):
     result = runner.invoke(main, ["fetch", flag, "2018-13-01", "--out", str(out)])
     line = single_error_line(result, 2, "UsageError")
     assert "2018-13-01" in line["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--from", "20180101"), ("--from", "2018W011"), ("--to", "20240415")])
+def test_only_yyyy_mm_dd_is_a_cli_date(tmp_path, runner, flag, value):
+    # From Python 3.11 date.fromisoformat also reads these; the window must not depend on it.
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["pipeline", "--fixture", "table2", flag, value, "--out", str(out)])
+    line = single_error_line(result, 2, "UsageError")
+    assert value in line["message"] and "YYYY-MM-DD" in line["message"]
     assert not out.exists()
 
 
@@ -433,7 +453,7 @@ def test_flags_override_config_file(tmp_path, runner):
 
 def test_api_key_falls_back_to_environment_where_the_flag_exists(tmp_path, runner, monkeypatch):
     api = FakeOpenFDA()
-    monkeypatch.setattr(openfda, "_requests_get", api)
+    monkeypatch.setattr(openfda, "_http_get", api)
     monkeypatch.setenv(openfda.API_KEY_ENV, "from-env")
     out = tmp_path / "out"
     for stage in ("fetch", "build"):
@@ -470,7 +490,7 @@ def test_stage_by_stage_matches_pipeline(tmp_path, runner, monkeypatch, source):
     else:
         # Each side fetches into its own cache: the pipeline's build takes the
         # pages its fetch returned, the staged build reads them from disk.
-        monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA())
+        monkeypatch.setattr(openfda, "_http_get", FakeOpenFDA())
         fetch = (*FAKE_FETCH, "--cache-dir", tmp_path / "staged-cache")
         whole_flags = (*FAKE_FETCH, "--cache-dir", tmp_path / "whole-cache", "--min-pts", 2)
         steps = [("fetch", *fetch), ("build", *fetch), ("cluster", "--min-pts", 2)]
@@ -509,7 +529,7 @@ def test_pipeline_parses_nothing_it_wrote(tmp_path, runner, monkeypatch):
         return parse_object(data, *args)
 
     monkeypatch.setattr(artifacts, "parse_object", counted_parse)
-    monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA())
+    monkeypatch.setattr(openfda, "_http_get", FakeOpenFDA())
     cache = tmp_path / "cache"
     # Pages fetched into the cache, then served from it, then read by build alone.
     for command, out, extra in (
@@ -682,19 +702,16 @@ def test_malformed_date_in_dataset_exits_4(tmp_path, runner):
     out = tmp_path / "out"
     assert invoke(runner, "build", "--fixture", "table2", "--out", out).exit_code == 0
     dataset = out / "dataset.csv"
-    lines = dataset.read_bytes().decode("utf-8").split("\r\n")
-    fields = lines[2].split(",")
-    fields[1] = "2018-13-45"
-    lines[2] = ",".join(fields)
-    dataset.write_bytes("\r\n".join(lines).encode("utf-8"))
-    result = runner.invoke(main, ["cluster", "--out", str(out)])
-    assert result.exit_code == 4
-    stderr = result.stderr.strip().splitlines()
-    assert len(stderr) == 1 and "Traceback" not in result.stderr
-    line = json.loads(stderr[0])
-    assert line["error"] == "FormatError"
-    assert "dataset.csv" in line["message"] and "row 3" in line["message"]
-    assert "2018-13-45" in line["message"]
+    original = dataset.read_bytes().decode("utf-8").split("\r\n")
+    for bad in ("2018-13-45", "20240105"):  # the second reads as a date from Python 3.11 on
+        lines = list(original)
+        fields = lines[2].split(",")
+        fields[1] = bad
+        lines[2] = ",".join(fields)
+        dataset.write_bytes("\r\n".join(lines).encode("utf-8"))
+        line = single_error_line(runner.invoke(main, ["cluster", "--out", str(out)]), 4, "FormatError")
+        assert "dataset.csv" in line["message"] and "row 3" in line["message"]
+        assert f"malformed event_date_posted {bad!r}" in line["message"]
 
     # Bytes that are not UTF-8, and a stray quote that runs past the csv field limit.
     header = b"product_code,event_date_posted,recalling_firm,root_cause_description,"
@@ -720,18 +737,19 @@ def test_malformed_date_in_dataset_exits_4(tmp_path, runner):
         ("groups.json", "total_count", 5.7, "total_count"),
         ("clusters.json", "label", "Device Design", "label"),
         ("clusters.json", "count", 1699 + 1000, "record_count"),
+        ("groups.json", "group_count", 99, "group_count"),
     ],
     ids=["noise-without-count", "count-0", "count-negative", "count-float", "count-bool",
          "members-string", "members-empty", "members-non-string", "total-0", "total-float",
-         "label-repeated", "count-plus-1000"],
+         "label-repeated", "count-plus-1000", "group-count-99"],
 )
 def test_noise_entry_without_count_exits_4(fixture_run, tmp_path, runner, name, key, value, word):
     out = tmp_path / "out"
     shutil.copytree(fixture_run, out)
     path = out / name
     payload = json.loads(path.read_text(encoding="utf-8"))
-    if key == "noise":
-        payload["noise"] = value
+    if key in ("noise", "group_count"):
+        payload[key] = value
     else:
         payload["clusters" if name == "clusters.json" else "groups"][0][key] = value
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -745,11 +763,11 @@ def test_noise_entry_without_count_exits_4(fixture_run, tmp_path, runner, name, 
     ['[]', 'null', '{"pages": []}', '{"pages": {"0": 5}}', '{"exhausted_at": "x", "pages": {}}'],
 )
 def test_malformed_cache_manifest_exits_4(tmp_path, runner, monkeypatch, manifest):
-    monkeypatch.setattr(openfda, "_requests_get", FakeOpenFDA())
+    monkeypatch.setattr(openfda, "_http_get", FakeOpenFDA())
     args = ["--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")]
     assert runner.invoke(main, ["fetch", *args]).exit_code == 0
     (tmp_path / "cache" / "recall" / "manifest.json").write_text(manifest, encoding="utf-8")
-    monkeypatch.setattr(openfda, "_requests_get", fail_on_network)
+    monkeypatch.setattr(openfda, "_http_get", fail_on_network)
     line = single_error_line(runner.invoke(main, ["build", *args]), 4, "FormatError")
     assert "manifest" in line["message"]
 
@@ -761,32 +779,40 @@ def test_version_exits_0(runner):
 
 
 @pytest.mark.parametrize("blas_threads", [None, "2"], ids=["blas-unset", "blas-preset"])
-def test_a_fixture_pipeline_loads_neither_click_nor_requests(tmp_path, blas_threads):
-    # The runtime is numpy and the standard library; requests is imported by a live fetch only.
+def test_a_fixture_pipeline_loads_neither_click_nor_requests(tmp_path, loopback, blas_threads):
+    # The runtime is numpy and the standard library. A fixture pipeline loads no HTTP module;
+    # a live fetch loads urllib's, and neither click, requests nor urllib3.
     # Importing recallscan gives OpenBLAS one thread unless the caller chose a number, and the
     # artifacts do not depend on it.
     code = (
         "import os, sys, recallscan.cli\n"
+        "from recallscan import openfda\n"
+        "ruled_out = lambda *names: sorted(m for m in sys.modules if m.partition('.')[0] in names)\n"
         "recallscan.cli.main(['pipeline', '--fixture', 'table2', '--out', sys.argv[1]])\n"
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('click', 'requests')))\n"
+        "print(ruled_out('click', 'requests', 'urllib3', 'http'))\n"
+        "print(openfda._http_get(sys.argv[2], {'skip': 0}, 10))\n"
+        "print(ruled_out('click', 'requests', 'urllib3'))\n"
         "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
         "status = '/proc/self/status'\n"
         "print(next((line.split()[1] for line in open(status) if line.startswith('Threads:')), '')"
         " if os.path.exists(status) else '')\n"
     )
+    server = loopback((200, b'{"results": []}'))
     src = str(Path(recallscan.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = src
     env.pop("OPENBLAS_NUM_THREADS", None)  # this process imported recallscan, which set it
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     out = tmp_path / "out"
     result = subprocess.run(
-        [sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=env,
-        timeout=120,
+        [sys.executable, "-c", code, str(out), f"{server.url}/device/recall.json"],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    modules, blas_var, threads = result.stdout.splitlines()[-3:]
-    assert modules == "[]"
+    modules, answer, fetch_modules, blas_var, threads = result.stdout.splitlines()[-5:]
+    assert modules == fetch_modules == "[]"
+    assert answer == "(200, b'{\"results\": []}')" and len(server.paths) == 1
     assert blas_var == (blas_threads or "1")
     if blas_threads is None and threads:
         assert threads == "1"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from recallscan import textprep
+from recallscan.aggregate import groups_from_json_dict
 from recallscan.dbscan import (
     NOISE,
     DbscanParams,
@@ -302,6 +303,15 @@ def test_cluster_artifact_counts_agree_with_its_entries(key, value):
     assert [len(entries) for entries in clusters_from_json_dict(payload)] == [1, 1]
     with pytest.raises(FormatError, match=key):
         clusters_from_json_dict({**payload, key: value})
+
+
+@pytest.mark.parametrize("value", [99, 0, 2.0, None, True])
+def test_group_artifact_count_agrees_with_its_groups(value):
+    payload = {"group_count": 2, "groups": [{"members": ["A"], "total_count": 5},
+                                            {"members": ["B", "C"], "total_count": 4}]}
+    assert len(groups_from_json_dict(payload)) == 2
+    with pytest.raises(FormatError, match="group_count"):
+        groups_from_json_dict({**payload, "group_count": value})
 
 
 @settings(max_examples=100, deadline=None)

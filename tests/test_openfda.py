@@ -3,7 +3,6 @@ import json
 from pathlib import Path
 
 import pytest
-import requests
 
 from recallscan import stages
 from recallscan.dataset import write_dataset
@@ -20,11 +19,11 @@ from recallscan.openfda import (
     Endpoint,
     FetchSpec,
     _fetch_one,
-    _requests_get,
+    _http_get,
     fetch_pages,
 )
 
-from .conftest import FakeOpenFDA, sample_records
+from .conftest import FakeOpenFDA, recall_entries, sample_records
 
 NO_SLEEP = lambda s: None
 
@@ -111,7 +110,7 @@ def test_cached_pages_are_never_refetched(tmp_path):
     first = fetch_pages(spec(page_size=4, max_pages=3), tmp_path, get=api, sleep=NO_SLEEP)
     calls_after_first = len(api.calls)
     second = fetch_pages(spec(page_size=4, max_pages=3), tmp_path, get=api, sleep=NO_SLEEP)
-    assert len(api.calls) == calls_after_first  # zero new network requests
+    assert len(api.calls) == calls_after_first  # no new network request
     assert [p.rows for p in second] == [p.rows for p in first]
     assert [p.record_count for p in second] == [p.record_count for p in first]
     assert [p.total for p in second] == [p.total for p in first] == [10, 10, 10]
@@ -427,18 +426,63 @@ def test_parse_error_carries_page_index(tmp_path):
         fetch_pages(spec(page_size=1, max_pages=5), tmp_path, get=get, sleep=NO_SLEEP)
 
 
-def test_live_transport_refuses_a_skip_past_the_api_limit(monkeypatch):
-    calls = []
-
-    class Response:
-        status_code, content = 200, b'{"results": []}'
-
-    monkeypatch.setattr(requests, "get", lambda *a, **k: calls.append(k["params"]["skip"]) or Response())
+def test_live_transport_refuses_a_skip_past_the_api_limit(loopback):
+    server = loopback((200, b'{"results": []}'))
     with pytest.raises(ContractError, match="skip 26000"):
-        _fetch_one(spec(), 26, _requests_get, NO_SLEEP)
-    assert calls == []  # refused before any request, and not retried
-    assert _fetch_one(spec(), 25, _requests_get, NO_SLEEP) == Response.content
-    assert calls == [25_000]
+        _fetch_one(spec(), 26, _http_get, NO_SLEEP)
+    assert server.paths == []  # refused before any request, and not retried
+    assert _fetch_one(spec(), 25, _http_get, NO_SLEEP) == b'{"results": []}'
+    assert [path.split("&")[1] for path in server.paths] == ["skip=25000"]
+
+
+# --- the real transport against a loopback server ----------------------------
+
+PAGE = json.dumps({"results": recall_entries()}).encode()
+NOT_FOUND = json.dumps({"error": {"code": "NOT_FOUND", "message": "No matches found!"}}).encode()
+
+
+@pytest.mark.parametrize(
+    "answers, want, hits",
+    [
+        ([(200, PAGE)], PAGE, 1),
+        ([(404, NOT_FOUND)], None, 1),
+        ([(500, b"busy"), (200, PAGE)], PAGE, 2),
+        ([(429, b"slow down"), (200, PAGE)], PAGE, 2),
+        ([(200, PAGE[:50], len(PAGE)), (200, PAGE)], PAGE, 2),
+        ([(None, b"NOT HTTP\r\n\r\n"), (200, PAGE)], PAGE, 2),
+    ],
+    ids=["200", "404-not-found", "500-then-200", "429-then-200", "cut-off-body-then-200",
+         "bad-status-line-then-200"],
+)
+def test_http_get_answers_fetch_one(loopback, answers, want, hits):
+    server = loopback(*answers)
+    assert _fetch_one(spec(), 0, _http_get, NO_SLEEP) == want
+    assert len(server.paths) == hits
+
+
+def test_http_get_gives_a_400_back_without_retrying(loopback):
+    server = loopback((400, b'{"error": {"code": "BAD_REQUEST"}}'))
+    with pytest.raises(RequestError, match="BAD_REQUEST"):
+        _fetch_one(spec(), 0, _http_get, NO_SLEEP)
+    assert len(server.paths) == 1
+
+
+def test_http_get_on_a_refused_port_gives_up_after_three_attempts(refused_openfda):
+    sleeps = []
+    with pytest.raises(TransportError, match="giving up after 3 attempts"):
+        _fetch_one(spec(), 0, _http_get, sleeps.append)
+    assert sleeps == [1.0, 2.0]
+
+
+def test_http_get_sends_the_query_string_unchanged(loopback):
+    # Byte for byte: the search's colon, brackets and spaces and the key's space and
+    # slash are form-encoded, and the parameters keep their order.
+    server = loopback((200, PAGE))
+    _fetch_one(spec(api_key="a b/c"), 0, _http_get, NO_SLEEP)
+    assert server.paths == [
+        "/device/recall.json?limit=1000&skip=0"
+        "&search=event_date_posted%3A%5B2018-01-01+TO+2024-04-15%5D&api_key=a+b%2Fc"
+    ]
 
 
 # --- live smoke (non-gating) --------------------------------------------------
@@ -449,7 +493,7 @@ def test_live_fetch_smoke(tmp_path):
     live_spec = spec(page_size=100, max_pages=1)
     try:
         pages = fetch_pages(live_spec, tmp_path)
-    except (TransportError, requests.RequestException) as exc:
+    except TransportError as exc:
         pytest.skip(f"live API unreachable: {exc}")
     assert len(pages) <= 1
     records = pages[0].rows if pages else []
