@@ -135,13 +135,12 @@ def aggregate(
     uf = _UnionFind(len(labels))
     suppressed = set()
     if overrides is not None:
-        for a, b in overrides.merge:
+        for a, b in [*overrides.merge, *overrides.split]:
             if a not in index or b not in index:
                 raise ContractError(f"override pair ({a!r}, {b!r}) names unknown labels")
+        for a, b in overrides.merge:
             uf.union(index[a], index[b])
-        for a, b in overrides.split:
-            if a in index and b in index:
-                suppressed.add(frozenset((index[a], index[b])))
+        suppressed = {frozenset((index[a], index[b])) for a, b in overrides.split}
 
     prefixes = [prefix_key(label, params.prefix_len) for label in labels]
     bags = _char_counts(prefixes)

@@ -89,11 +89,16 @@ def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
         with stages.gc_paused():
             summary = getattr(stages, f"{command}_stage")(cfg)
         stages.echo_config(cfg)  # only a stage that succeeded is echoed
+        print(summary, flush=True)
     except (RecallScanError, OSError) as exc:
-        # An OSError is a file that could not be read or written: exit 4 like a data error.
+        # An OSError is a file that could not be read or written, stdout included: exit 4 like
+        # a data error. A closed stdout is pointed at devnull so the exit flushes nothing into it.
+        if isinstance(exc, BrokenPipeError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         error = type(exc).__name__ if isinstance(exc, RecallScanError) else "OSError"
         _fail(error, getattr(exc, "exit_code", 4), str(exc))
-    print(summary)
 
 
 if __name__ == "__main__":

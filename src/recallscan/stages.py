@@ -4,8 +4,9 @@
 ``<stage>.meta.json`` sidecar (input hashes, config, timestamp, peak RSS)
 and returns a one-line summary for the CLI. All artifacts are deterministic;
 only the sidecars carry timestamps. A stage reads its inputs with ``load``,
-which checks each file's lineage, and writes with ``save``; inside
-``pipeline`` the values saved are handed on in ``run``.
+which checks each file's lineage, and ends in one ``save``, which writes its
+artifacts and then the sidecar; inside ``pipeline`` the values saved are
+handed on in ``run``.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ def _parse_value(key: str, value, hint):
     kind = kinds[0]
     if value is None and type(None) in kinds:
         return None
+    if isinstance(value, str):
+        try:  # argv and the environment hold any bytes; every file written is UTF-8
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:  # the value is not echoed: it may be the API key
+            raise UsageError(f"{key} is not valid UTF-8: {exc.reason} at position {exc.start}") from exc
     if isinstance(value, str) and kind in _PARSERS:
         try:
             value = _PARSERS[kind](value)
@@ -200,16 +206,6 @@ def load(cfg: PipelineConfig, stage: str, name: str, run: dict | None = None):
     return read_dataset(path) if name == DATASET_FILE else artifacts.read_object(path, "artifact")
 
 
-def save(cfg: PipelineConfig, name: str, value, run: dict | None = None) -> None:
-    """Write the artifact ``name`` from ``value`` and keep ``value`` in ``run`` for later stages."""
-    if name == DATASET_FILE:
-        write_dataset(value, cfg.out_dir / name)
-    else:
-        artifacts.write_json(cfg.out_dir / name, value)
-    if run is not None:
-        run[name] = value
-
-
 def check_lineage(cfg: PipelineConfig, name: str, producer: str) -> None:
     """Refuse the input ``name`` if ``producer`` built it from files that have changed since.
 
@@ -232,9 +228,10 @@ def check_lineage(cfg: PipelineConfig, name: str, producer: str) -> None:
             )
 
 
-def write_sidecar(cfg: PipelineConfig, stage: str, **extra) -> None:
-    """``<stage>.meta.json``: the hashes of the inputs ``stage`` read, the run's config and
-    ``peak_rss_kb``.
+def save(cfg: PipelineConfig, stage: str, outputs: dict, run: dict | None = None, **extra) -> None:
+    """Write ``stage``'s artifacts in order (``dataset.csv`` as a dataset, bytes as they are, the
+    rest as JSON) and keep each value in ``run``; then ``<stage>.meta.json``, which vouches for
+    them: the hashes of the inputs ``stage`` read, the run's config, ``peak_rss_kb`` and ``extra``.
 
     ``peak_rss_kb`` is the process's resident-set high-water mark so far (``ru_maxrss`` of
     ``RUSAGE_SELF``), not this stage's own use: in ``pipeline`` it covers every stage up to
@@ -242,15 +239,23 @@ def write_sidecar(cfg: PipelineConfig, stage: str, **extra) -> None:
     leave its own, larger RSS in the figure until the process outgrows it.
     """
     out = cfg.out_dir
-    meta = {
+    for name, value in outputs.items():
+        if name == DATASET_FILE:
+            write_dataset(value, out / name)
+        elif isinstance(value, bytes):
+            artifacts.write(out / name, value)
+        else:
+            artifacts.write_json(out / name, value)
+        if run is not None:
+            run[name] = value
+    artifacts.write_json(out / f"{stage}.meta.json", {
         "stage": stage,
         "created_at": dt.datetime.now(dt.timezone.utc).isoformat(),
         "inputs": {name: _sha256(out / name) for name in INPUTS[stage] if (out / name).exists()},
         "params": cfg.to_dict(),
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         **extra,
-    }
-    artifacts.write_json(out / f"{stage}.meta.json", meta)
+    })
 
 
 def echo_config(cfg: PipelineConfig) -> None:
@@ -268,7 +273,7 @@ def fetch_stage(cfg: PipelineConfig, *, get=None, run: dict | None = None) -> st
             reported[endpoint.value] = pages[-1].total
         if run is not None:
             run[endpoint] = pages
-    write_sidecar(cfg, "fetch", records=totals, reported=reported)
+    save(cfg, "fetch", {}, run, records=totals, reported=reported)
     short = [f"{name} {totals[name]} of {n}" for name, n in reported.items() if totals[name] < n]
     if short:  # a pull cut off by max_pages; JSON like the CLI's error line, so stderr stays JSON
         message = "fetched fewer records than openFDA reports: " + ", ".join(short)
@@ -308,9 +313,7 @@ def build_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
         report.unmatched_product_codes = stats.unmatched_product_codes
         merge = {"duplicate_classification_codes": stats.duplicate_classification_codes}
 
-    save(cfg, DATASET_FILE, records, run)
-    save(cfg, CLEANING_REPORT_FILE, report.to_dict(), run)
-    write_sidecar(cfg, "build", **merge)
+    save(cfg, "build", {DATASET_FILE: records, CLEANING_REPORT_FILE: report.to_dict()}, run, **merge)
     return f"build: {len(records)} records -> {cfg.out_dir / DATASET_FILE}"
 
 
@@ -320,8 +323,7 @@ def cluster_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
     if not records:
         raise DataError(f"dataset {cfg.out_dir / DATASET_FILE} holds no records; nothing to cluster")
     result = cluster_root_causes([r.root_cause_description for r in records], cfg.dbscan_params())
-    save(cfg, CLUSTERS_FILE, clusters_to_json_dict(result), run)
-    write_sidecar(cfg, "cluster", points=result.points)
+    save(cfg, "cluster", {CLUSTERS_FILE: clusters_to_json_dict(result)}, run, points=result.points)
     return (
         f"cluster: {result.cluster_count} clusters over {result.clustered_count} records, "
         f"{result.noise_count} noise -> {cfg.out_dir / CLUSTERS_FILE}"
@@ -337,8 +339,7 @@ def aggregate_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
     params = cfg.aggregation_params()
     overrides = MergeOverrides.from_file(cfg.overrides_file) if cfg.overrides_file else None
     groups = aggregate(summaries, params, overrides)
-    save(cfg, GROUPS_FILE, groups_to_json_dict(groups, params), run)
-    write_sidecar(cfg, "aggregate")
+    save(cfg, "aggregate", {GROUPS_FILE: groups_to_json_dict(groups, params)}, run)
     return f"aggregate: {len(groups)} groups -> {out / GROUPS_FILE}"
 
 
@@ -375,12 +376,9 @@ def report_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
             )
 
     doc = build_document(summaries, groups, noise_count, records, cfg.top)
-    files = render(doc, cfg.format)
-    for name, payload in files:
-        artifacts.write(out / name, payload)
-    save(cfg, REPORT_METADATA_FILE, doc.metadata, run)
-    write_sidecar(cfg, "report")
-    names = ", ".join(name for name, _ in files)
+    files = dict(render(doc, cfg.format))
+    save(cfg, "report", {**files, REPORT_METADATA_FILE: doc.metadata}, run)
+    names = ", ".join(files)
     return f"report: {names} (shares over {doc.metadata['clustered_records']} clustered records)"
 
 

@@ -186,6 +186,9 @@ def test_override_with_unknown_label_rejected(monkeypatch):
     rows = summaries([("Process control", 7), ("Process change control", 3)])
     with pytest.raises(ContractError, match="unknown labels"):
         aggregate(rows, DEFAULTS, MergeOverrides(merge=[("Process control", "Nope")]))
+    # A typo in a split pair is refused like one in a merge pair, not read as nothing to split.
+    with pytest.raises(ContractError, match="unknown labels"):
+        aggregate(rows, DEFAULTS, MergeOverrides(split=[("Process control", "Proces change control")]))
 
 
 def test_overrides_file_roundtrip(tmp_path):

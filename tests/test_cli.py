@@ -392,6 +392,24 @@ def test_mistyped_config_value_exits_2(tmp_path, runner, monkeypatch, payload, k
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "environment"])
+def test_a_value_that_is_not_utf8_exits_2_before_any_write(tmp_path, runner, monkeypatch, source):
+    # A byte that is not UTF-8 reaches Python as a lone surrogate, which no UTF-8 file can hold.
+    monkeypatch.chdir(tmp_path)
+    bad = os.fsdecode(b"o\xff")
+    args, key = ["--out", bad], "out"
+    if source == "config":
+        (tmp_path / "cfg.json").write_text(json.dumps({"out": bad}))
+        args = ["--config", "cfg.json"]
+    elif source == "environment":
+        monkeypatch.setenv(openfda.API_KEY_ENV, bad)
+        args, key = ["--out", "out"], "api_key"
+    result = runner.invoke(main, ["pipeline", "--fixture", "table2", *args])
+    line = single_error_line(result, 2, "UsageError")
+    assert line["message"].startswith(f"{key} is not valid UTF-8") and bad not in line["message"]
+    assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if source == "config" else [])
+
+
 @pytest.mark.parametrize("flag", ["--from", "--to"])
 def test_bad_cli_date_exits_2_with_json_line(tmp_path, runner, flag):
     out = tmp_path / "out"
@@ -821,6 +839,25 @@ def test_a_fixture_pipeline_loads_neither_click_nor_requests(tmp_path, loopback,
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == pinned[name], name
 
 
+def test_a_closed_stdout_exits_4_with_one_json_line(tmp_path):
+    # Every artifact is written before the summary; a reader that has gone is an OSError.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(recallscan.__file__).parents[1])}
+    args = ["-m", "recallscan.cli", "pipeline", "--fixture", "table2", "--out", str(tmp_path / "out")]
+    try:
+        result = subprocess.run(
+            [sys.executable, *args], stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 4, result.stderr
+    [line] = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "OSError"
+    assert (tmp_path / "out" / "effective_config.json").exists()
+
+
 def test_commands_are_the_stages():
     stage_names = {name.removesuffix("_stage") for name in vars(stages) if name.endswith("_stage")}
     assert {name for name, _ in COMMANDS} == stage_names == {*stages.INPUTS, "pipeline"}
@@ -929,6 +966,18 @@ def test_artifacts_without_sidecars_are_not_checked(fixture_run, tmp_path, runne
     assert line["message"].startswith("groups.json disagrees with clusters.json")
     assert invoke(runner, "aggregate", "--out", out).exit_code == 0
     assert invoke(runner, "report", "--out", out).exit_code == 0
+
+
+def test_report_over_empty_artifacts_exits_4(tmp_path, runner):
+    # Hand-made artifacts carry no sidecar: an all-noise clustering and no groups.
+    out = tmp_path / "out"
+    out.mkdir()
+    noise = [{"label": "Other", "count": 2}]
+    clusters = {"record_count": 2, "cluster_count": 0, "clusters": [], "noise": noise}
+    (out / stages.CLUSTERS_FILE).write_text(json.dumps(clusters))
+    (out / stages.GROUPS_FILE).write_text(json.dumps({"group_count": 0, "groups": []}))
+    line = single_error_line(runner.invoke(main, ["report", "--out", str(out)]), 4, "DataError")
+    assert line["message"] == "empty cluster or group artifact; nothing to report"
 
 
 @pytest.mark.parametrize(
