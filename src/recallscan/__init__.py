@@ -2,8 +2,9 @@
 
 import os
 
-# recallscan makes no BLAS call, yet OpenBLAS starts a thread per CPU when numpy loads; one
-# thread saves their start-up. Set before any submodule imports numpy; a value already set wins.
+# numpy loads only for inputs of textprep.NUMPY_MIN_POINTS labels or more. recallscan makes no
+# BLAS call, yet OpenBLAS then starts a thread per CPU; one thread saves their start-up. Set
+# here, before any submodule can import numpy; a value already set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

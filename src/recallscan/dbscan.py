@@ -2,7 +2,7 @@
 
 ``dbscan`` takes the neighbourhoods from the rows of a square distance matrix;
 ``dbscan_weighted`` takes them from token-count vectors with
-``cosine_neighbourhoods``, one block of rows at a time, so no u x u matrix is built.
+``cosine_neighbourhoods``, so no u x u matrix is built.
 ``cluster_root_causes`` is the pipeline-facing layer: it collapses records
 with identical normalised labels into weighted unique points before
 clustering (provably equivalent to clustering every record, see the property
@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import artifacts
 from .errors import ContractError, FormatError
 from .textprep import cosine_neighbourhoods, normalize_label, tf_vector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NOISE = -1
 
@@ -50,15 +51,16 @@ class Labels(list):
         self.core = core
 
 
-def _dbscan(neighbourhoods: Sequence[np.ndarray], weights: Sequence[int] | None, min_pts: int) -> Labels:
+def _dbscan(neighbourhoods: Sequence[list[int]], weights: Sequence[int] | None, min_pts: int) -> Labels:
     """The one core and expansion loop, over each point's ascending eps-neighbourhood."""
     n = len(neighbourhoods)
-    w = np.ones(n, dtype=np.int64) if weights is None else np.asarray(list(weights), dtype=np.int64)
+    w = [1] * n if weights is None else list(weights)
     if len(w) != n:
         raise ContractError("weights and points must have equal length")
-    if n and w.min() < 1:
-        raise ContractError("weights must be positive integers")
-    core = [int(w[nb].sum()) >= min_pts for nb in neighbourhoods]
+    for weight in w:
+        if not artifacts.is_int(weight, 1):
+            raise ContractError(f"weights must be positive integers, got {weight!r}")
+    core = [sum(w[q] for q in nb) >= min_pts for nb in neighbourhoods]
     labels = [NOISE] * n
     cluster = 0
     for i in range(n):
@@ -67,7 +69,7 @@ def _dbscan(neighbourhoods: Sequence[np.ndarray], weights: Sequence[int] | None,
         labels[i] = cluster
         queue = [i]
         for p in queue:  # breadth-first: the queue grows while it is read
-            for q in neighbourhoods[p].tolist():
+            for q in neighbourhoods[p]:
                 if labels[q] == NOISE:
                     labels[q] = cluster
                     if core[q]:
@@ -95,6 +97,8 @@ def dbscan(
     deterministic sample of pairs must be symmetric. Neither these checks nor
     the neighbourhoods (taken one row at a time) build an n x n temporary.
     """
+    import numpy as np
+
     dist = np.asarray(dist, dtype=np.float64)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ContractError(f"distance matrix must be square, got shape {dist.shape}")
@@ -110,7 +114,7 @@ def dbscan(
         j = n - 1 - i
         if dist[i, j] != dist[j, i]:
             raise ContractError(f"distance matrix is asymmetric on pair ({i}, {j})")
-    return _dbscan([np.flatnonzero(row <= params.eps) for row in dist], weights, params.min_pts)
+    return _dbscan([np.flatnonzero(row <= params.eps).tolist() for row in dist], weights, params.min_pts)
 
 
 def dbscan_weighted(

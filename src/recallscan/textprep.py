@@ -1,7 +1,7 @@
 """Root-cause text normalisation and the two string metrics of the pipeline.
 
 Cosine distance over token-count dicts (``tf_vector``), one pair at a time or
-as eps-neighbourhoods from row blocks (``cosine_neighbourhoods``), drives the clustering step;
+as eps-neighbourhoods (``cosine_neighbourhoods``), drives the clustering step;
 normalised longest-common-subsequence similarity over label prefixes drives
 the group aggregation step. Everything here is pure and deterministic.
 """
@@ -10,16 +10,21 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import ContractError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Parentheses vanish, slash and hyphen become token separators.
 _TRANSFORM = str.maketrans({"(": None, ")": None, "/": " ", "-": " "})
 
 DEFAULT_PREFIX_LEN = 10
+
+# The pairwise steps import numpy from this many points on. Below it their plain Python pair
+# loops cost less than numpy's import, so the paper's few dozen labels never load numpy.
+NUMPY_MIN_POINTS = 64
 
 
 def normalize_label(s: str) -> str:
@@ -72,6 +77,8 @@ def _cosine_blocks(vectors: Sequence[dict[str, int]]) -> Iterator[np.ndarray]:
     ``_BLOCK_CELLS // n`` rows (at least one). Pairs ``(i, n - 1 - i)`` are
     checked with ``cosine_distance`` in the block of row ``i`` (ContractError).
     """
+    import numpy as np
+
     q = np.array([sum(c * c for c in v.values()) for v in vectors], dtype=np.float64)
     if q.size and q.max() >= 2.0**53:
         raise ContractError("token counts too large for an exact cosine matrix")
@@ -108,9 +115,27 @@ def _cosine_blocks(vectors: Sequence[dict[str, int]]) -> Iterator[np.ndarray]:
         yield dist
 
 
-def cosine_neighbourhoods(vectors: Sequence[dict[str, int]], eps: float) -> list[np.ndarray]:
-    """Per vector, the ascending indices of the vectors within ``cosine_distance`` ``eps`` of it."""
-    return [np.flatnonzero(row <= eps) for dist in _cosine_blocks(vectors) for row in dist]
+def cosine_neighbourhoods(vectors: Sequence[dict[str, int]], eps: float) -> list[list[int]]:
+    """Per vector, the ascending indices of the vectors within ``cosine_distance`` ``eps`` of it.
+
+    Below ``NUMPY_MIN_POINTS`` vectors each pair is taken once with
+    ``cosine_distance``; from there on the distances come from the row blocks
+    of ``_cosine_blocks``, which equal it bit for bit and refuse squared norms
+    of 2**53 or more.
+    """
+    n = len(vectors)
+    if n >= NUMPY_MIN_POINTS:
+        import numpy as np
+
+        return [np.flatnonzero(row <= eps).tolist() for dist in _cosine_blocks(vectors) for row in dist]
+    neighbourhoods: list[list[int]] = [[] for _ in range(n)]
+    for i, a in enumerate(vectors):
+        neighbourhoods[i].append(i)  # the earlier neighbours are in already, so the list ascends
+        for j in range(i + 1, n):
+            if cosine_distance(a, vectors[j]) <= eps:
+                neighbourhoods[i].append(j)
+                neighbourhoods[j].append(i)
+    return neighbourhoods
 
 
 def prefix_key(s: str, n: int = DEFAULT_PREFIX_LEN) -> str:

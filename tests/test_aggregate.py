@@ -1,4 +1,5 @@
 import importlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,3 +307,28 @@ def test_pruned_aggregate_equals_unpruned_brute_force(labels, theta, prefix_len,
     )
     plain = MergeOverrides()
     assert group_map(aggregate(summ, params)) == brute_force_groups(summ, params, plain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 8),
+        st.sampled_from([textprep.NUMPY_MIN_POINTS - 1, textprep.NUMPY_MIN_POINTS, textprep.NUMPY_MIN_POINTS + 1]),
+    ),
+    st.data(),
+    st.sampled_from([0.0, 0.5, 0.85, 1.0]),
+    st.sampled_from([1, 3, 10]),
+)
+def test_both_bound_paths_agree(size, data, theta, prefix_len):
+    # Blank labels have the empty prefix; equal prefixes and 0/0 bounds both occur.
+    labels = data.draw(st.lists(st.text(alphabet="ab cé", max_size=12), unique=True, min_size=size, max_size=size))
+    summ = summaries((label, 1 + i % 3) for i, label in enumerate(labels))
+    pair = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+    params = AggregationParams(prefix_len=prefix_len, theta=theta)
+    for overrides in (None, MergeOverrides(merge=data.draw(st.lists(pair, max_size=2)),
+                                           split=data.draw(st.lists(pair, max_size=4)))):
+        with mock.patch.object(textprep, "NUMPY_MIN_POINTS", 0):
+            rows = aggregate(summ, params, overrides)
+        with mock.patch.object(textprep, "NUMPY_MIN_POINTS", size + 1):
+            pairs = aggregate(summ, params, overrides)
+        assert pairs == rows == aggregate(summ, params, overrides)

@@ -798,18 +798,19 @@ def test_version_exits_0(runner):
 
 @pytest.mark.parametrize("blas_threads", [None, "2"], ids=["blas-unset", "blas-preset"])
 def test_a_fixture_pipeline_loads_neither_click_nor_requests(tmp_path, loopback, blas_threads):
-    # The runtime is numpy and the standard library. A fixture pipeline loads no HTTP module;
-    # a live fetch loads urllib's, and neither click, requests nor urllib3.
-    # Importing recallscan gives OpenBLAS one thread unless the caller chose a number, and the
-    # artifacts do not depend on it.
+    # The runtime is numpy and the standard library. A fixture pipeline loads no HTTP module
+    # and, with 36 labels, no numpy; a live fetch loads urllib's, and neither click, requests
+    # nor urllib3. Importing recallscan gives OpenBLAS one thread unless the caller chose a
+    # number, and the artifacts do not depend on it; the child loads numpy itself to count.
     code = (
         "import os, sys, recallscan.cli\n"
         "from recallscan import openfda\n"
         "ruled_out = lambda *names: sorted(m for m in sys.modules if m.partition('.')[0] in names)\n"
         "recallscan.cli.main(['pipeline', '--fixture', 'table2', '--out', sys.argv[1]])\n"
-        "print(ruled_out('click', 'requests', 'urllib3', 'http'))\n"
+        "print(ruled_out('click', 'requests', 'urllib3', 'http', 'numpy'))\n"
         "print(openfda._http_get(sys.argv[2], {'skip': 0}, 10))\n"
         "print(ruled_out('click', 'requests', 'urllib3'))\n"
+        "import numpy\n"
         "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
         "status = '/proc/self/status'\n"
         "print(next((line.split()[1] for line in open(status) if line.startswith('Threads:')), '')"
@@ -837,6 +838,33 @@ def test_a_fixture_pipeline_loads_neither_click_nor_requests(tmp_path, loopback,
     pinned = {**BUILD_HASHES, **REPORT_HASHES}
     for name in [*BUILD_HASHES, "report.md", "report_metadata.json"]:
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == pinned[name], name
+
+
+@pytest.mark.parametrize("step", ["cluster_root_causes", "aggregate"])
+def test_numpy_loads_from_numpy_min_points_labels(step):
+    # Both pairwise steps stay in plain Python one label short of the constant; either loads
+    # numpy at the constant.
+    code = (
+        "import sys\n"
+        "from recallscan import aggregate, cluster_root_causes, textprep\n"
+        "from recallscan.dbscan import ClusterSummary\n"
+        "steps = {\n"
+        "    'cluster_root_causes': cluster_root_causes,\n"
+        "    'aggregate': lambda labels: aggregate([ClusterSummary(0, s, 1) for s in labels]),\n"
+        "}\n"
+        "labels = [f'cause number {k}' for k in range(textprep.NUMPY_MIN_POINTS)]\n"
+        "for run in steps.values():\n"
+        "    run(labels[:-1])\n"
+        "print('numpy' in sys.modules)\n"
+        "steps[sys.argv[1]](labels)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(recallscan.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code, step], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["False", "True"]
 
 
 def test_a_closed_stdout_exits_4_with_one_json_line(tmp_path):

@@ -247,6 +247,14 @@ def test_weighted_input_validation():
         dbscan_weighted([vec], [0])
 
 
+@pytest.mark.parametrize("weight", [1.7, True, "2", 0])
+def test_a_weight_that_is_not_a_positive_integer_is_refused(weight):
+    with pytest.raises(ContractError, match="positive integers"):
+        dbscan_weighted([tf_vector("a b")], [weight], DbscanParams(min_pts=1))
+    with pytest.raises(ContractError, match="positive integers"):
+        dbscan(np.zeros((1, 1)), DbscanParams(min_pts=1), [weight])
+
+
 def test_weighted_empty_singleton_and_lonely_noise():
     vec = tf_vector("a")
     assert dbscan_weighted([], [], DbscanParams(0.1, 1)) == []
@@ -323,14 +331,15 @@ def test_group_artifact_count_agrees_with_its_groups(value):
     st.integers(min_value=1, max_value=5),
 )
 def test_weighted_equals_dbscan_over_the_scalar_matrix(height, size, data, eps, min_pts):
-    # Row blocks of ``height`` rows, sizes on and around a block boundary;
-    # few words and empty labels, so neighbourhoods cross blocks.
+    # Row blocks of ``height`` rows at every size, sizes on and around a block
+    # boundary; few words and empty labels, so neighbourhoods cross blocks.
     n = size(height)
     words = st.lists(st.sampled_from(["process", "control", "design", "a"]), max_size=4)
     vectors = [tf_vector(" ".join(w)) for w in data.draw(st.lists(words, min_size=n, max_size=n))]
     weights = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     params = DbscanParams(eps, min_pts)
-    with mock.patch.object(textprep, "_BLOCK_CELLS", height * n):
+    with mock.patch.object(textprep, "NUMPY_MIN_POINTS", 0), \
+            mock.patch.object(textprep, "_BLOCK_CELLS", height * n):
         got = dbscan_weighted(vectors, weights, params)
     want = dbscan(matrix(vectors, cosine_distance).reshape(n, n), params, weights)
     assert got == want and got.core == want.core

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from unittest import mock
 
@@ -159,9 +160,21 @@ def blocked_matrix(vectors):
     return np.vstack([np.empty((0, len(vectors))), *_cosine_blocks(vectors)])
 
 
+def numpy_from(n):
+    """Patch the point count from which the pairwise steps take numpy."""
+    return mock.patch.object(textprep, "NUMPY_MIN_POINTS", n)
+
+
+def row_blocks():
+    """Take the numpy row blocks at any number of vectors."""
+    return numpy_from(0)
+
+
+@contextlib.contextmanager
 def block_height(height, n):
-    """Patch the block size so that ``n`` vectors go ``height`` rows to a block."""
-    return mock.patch.object(textprep, "_BLOCK_CELLS", height * n)
+    """Take the row blocks, with the block size patched so that ``n`` vectors go ``height`` rows to a block."""
+    with row_blocks(), mock.patch.object(textprep, "_BLOCK_CELLS", height * n):
+        yield
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,7 +203,7 @@ def test_neighbourhoods_equal_thresholded_scalar_matrix(height, size, data, eps)
     raws = data.draw(st.lists(small_vocab_labels, min_size=size(height), max_size=size(height)))
     vectors = [tf_vector(s) for s in raws]
     with block_height(height, len(vectors)):
-        got = [nb.tolist() for nb in cosine_neighbourhoods(vectors, eps)]
+        got = cosine_neighbourhoods(vectors, eps)
     assert got == [np.flatnonzero(row <= eps).tolist() for row in scalar_matrix(vectors)]
 
 
@@ -200,9 +213,9 @@ def test_neighbourhoods_with_empty_vectors_on_both_sides_of_a_boundary():
     with block_height(2, len(vectors)):
         assert blocked_matrix(vectors).tobytes() == scalar_matrix(vectors).tobytes()
         for eps in (0.0, 0.5, 1.0):
-            got = [nb.tolist() for nb in cosine_neighbourhoods(vectors, eps)]
+            got = cosine_neighbourhoods(vectors, eps)
             assert got == [np.flatnonzero(row <= eps).tolist() for row in scalar_matrix(vectors)]
-    assert [nb.tolist() for nb in cosine_neighbourhoods(vectors, 0.5)] == [
+    assert cosine_neighbourhoods(vectors, 0.5) == [
         [0, 3], [1, 2, 4], [1, 2, 4], [0, 3], [1, 2, 4]
     ]
 
@@ -223,9 +236,9 @@ def test_cosine_matrix_edge_cases():
 
 
 def test_cosine_matrix_rejects_counts_beyond_exact_range():
-    with pytest.raises(ContractError):
+    with row_blocks(), pytest.raises(ContractError):
         cosine_neighbourhoods([{"x": 2**27}, tf_vector("x")], 0.1)
-    with pytest.raises(ContractError):  # beyond int64 too: refused before any array is built
+    with row_blocks(), pytest.raises(ContractError):  # beyond int64 too: refused before any array is built
         cosine_neighbourhoods([{"x": 2**70}, tf_vector("x")], 0.1)
 
 
@@ -234,7 +247,7 @@ def test_cosine_matrix_rejects_disagreement_with_scalar(monkeypatch):
     # drifted from the scalar definition must not reach DBSCAN.
     vectors = [tf_vector("a"), tf_vector("b"), tf_vector("a b")]
     monkeypatch.setattr(textprep, "cosine_distance", lambda a, b: 0.5)
-    with pytest.raises(ContractError, match="disagrees"):
+    with row_blocks(), pytest.raises(ContractError, match="disagrees"):
         cosine_neighbourhoods(vectors, 0.1)
     # One row per block: the sampled pair (0, 2) spans blocks 0 and 2, and
     # the block holding row 0 checks it.
@@ -244,3 +257,24 @@ def test_cosine_matrix_rejects_disagreement_with_scalar(monkeypatch):
     )
     with block_height(1, len(vectors)), pytest.raises(ContractError, match=r"pair \(0, 2\)"):
         cosine_neighbourhoods(vectors, 0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, 8),
+        st.sampled_from([textprep.NUMPY_MIN_POINTS - 1, textprep.NUMPY_MIN_POINTS, textprep.NUMPY_MIN_POINTS + 1]),
+    ),
+    st.data(),
+    st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0]),
+)
+def test_both_neighbourhood_paths_agree(size, data, eps):
+    # Few words and empty labels, so distances of 0, 1 and ties at eps all occur.
+    raws = data.draw(st.lists(small_vocab_labels, min_size=size, max_size=size))
+    vectors = [tf_vector(s) for s in raws]
+    with numpy_from(0):
+        blocks = cosine_neighbourhoods(vectors, eps)
+    with numpy_from(size + 1):
+        pairs = cosine_neighbourhoods(vectors, eps)
+    assert pairs == blocks == cosine_neighbourhoods(vectors, eps)
+    assert all(type(i) is int for nb in blocks for i in nb)
