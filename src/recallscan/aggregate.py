@@ -13,10 +13,9 @@ individual pairs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import artifacts, textprep
 from .errors import ContractError, FormatError
@@ -28,30 +27,33 @@ if TYPE_CHECKING:
 DEFAULT_THETA = 0.85
 
 
-@dataclass(frozen=True)
-class AggregationParams:
-    """Prefix length for comparison and the similarity threshold for merging."""
-
+class _Merging(NamedTuple):  # a NamedTuple's own body may not define __new__
     prefix_len: int = DEFAULT_PREFIX_LEN
     theta: float = DEFAULT_THETA
 
-    def __post_init__(self):
+
+class AggregationParams(_Merging):
+    """Prefix length for comparison and the similarity threshold for merging."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.prefix_len < 1:
             raise ContractError(f"prefix_len must be >= 1, got {self.prefix_len}")
         if not 0.0 <= self.theta <= 1.0:
             raise ContractError(f"theta must be in [0, 1], got {self.theta}")
+        return self
 
 
-@dataclass(frozen=True)
-class AggregatedGroup:
+class AggregatedGroup(NamedTuple):
     """A set of merged cluster labels and their combined case count."""
 
     members: tuple[str, ...]
     total_count: int
 
 
-@dataclass
-class MergeOverrides:
+class MergeOverrides(NamedTuple):
     """User-supplied pair overrides.
 
     ``merge`` pairs are unioned unconditionally; ``split`` pairs suppress the
@@ -59,8 +61,8 @@ class MergeOverrides:
     up together through a transitive chain).
     """
 
-    merge: list[tuple[str, str]] = field(default_factory=list)
-    split: list[tuple[str, str]] = field(default_factory=list)
+    merge: Sequence[tuple[str, str]] = ()
+    split: Sequence[tuple[str, str]] = ()
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MergeOverrides":

@@ -6,7 +6,6 @@ import csv
 import datetime as dt
 import re
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
@@ -51,28 +50,30 @@ class RecallRecord(NamedTuple):
     device_class: str
 
 
-@dataclass
-class MergeStats:
+class MergeStats(NamedTuple):
     """Join statistics reported by merge_datasets."""
 
     duplicate_classification_codes: int = 0
     unmatched_product_codes: int = 0
 
 
-@dataclass
-class CleaningRules:
-    """Date window used by the outlier rule (the configured fetch range)."""
-
+class _Window(NamedTuple):  # a NamedTuple's own body may not define __new__
     date_from: dt.date
     date_to: dt.date
 
-    def __post_init__(self):
-        if self.date_from > self.date_to:
-            raise ContractError(f"date_from {self.date_from} is after date_to {self.date_to}")
+
+class CleaningRules(_Window):
+    """Date window used by the outlier rule (the configured fetch range)."""
+
+    __slots__ = ()
+
+    def __new__(cls, date_from: dt.date, date_to: dt.date):
+        if date_from > date_to:
+            raise ContractError(f"date_from {date_from} is after date_to {date_to}")
+        return super().__new__(cls, date_from, date_to)
 
 
-@dataclass
-class CleaningReport:
+class CleaningReport(NamedTuple):
     """Removal counters, one per cleaning rule."""
 
     dropped_null_root_cause: int = 0
@@ -82,7 +83,7 @@ class CleaningReport:
     unmatched_product_codes: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # The two date forms strptime would parse digit for digit; strptime also takes
@@ -137,13 +138,10 @@ def merge_datasets(
                 f"{name} rows must be tuples of {fields} field values, got {rows[0]!r:.80}"
             )
     lookup: dict[str, tuple[str, str]] = {}
-    stats = MergeStats()
     for code, device_name, raw_class in classifications:
-        if code in lookup:
-            stats.duplicate_classification_codes += 1
-            continue
-        device_class = raw_class if raw_class in DEVICE_CLASSES else UNKNOWN_DEVICE_CLASS
-        lookup[code] = (device_name, device_class)
+        if code not in lookup:  # every other row is a duplicate
+            device_class = raw_class if raw_class in DEVICE_CLASSES else UNKNOWN_DEVICE_CLASS
+            lookup[code] = (device_name, device_class)
 
     unmatched_device = ("", UNKNOWN_DEVICE_CLASS)
     # parse_date per distinct string, for this call only
@@ -153,8 +151,8 @@ def merge_datasets(
         make((code, dates[date], firm, cause, quantity, *device(code, unmatched_device)))
         for code, date, firm, cause, quantity in recalls
     ]
-    stats.unmatched_product_codes = len(set(map(itemgetter(0), recalls)).difference(lookup))
-    return records, stats
+    unmatched = len(set(map(itemgetter(0), recalls)).difference(lookup))
+    return records, MergeStats(len(classifications) - len(lookup), unmatched)
 
 
 _TEXT_FIELDS = (
@@ -180,7 +178,7 @@ def clean(
     window (absent dates count as outside). Survivor order follows input
     order, and the pass is idempotent.
     """
-    report = CleaningReport()
+    chars = null_causes = duplicates = outliers = 0
     survivors: list[RecallRecord] = []
     seen: set[RecallRecord] = set()
     date_from, date_to = rules.date_from, rules.date_to
@@ -192,22 +190,22 @@ def clean(
             stripped = {name: _strip_text(getattr(rec, name)) for name in _TEXT_FIELDS}
             removed = sum(n for _, n in stripped.values())
             if removed:  # non-ASCII letters alone are kept, and so is the record
-                report.stripped_char_count += removed
+                chars += removed
                 cleaned = rec._replace(**{name: value for name, (value, _) in stripped.items()})
                 cause = cleaned.root_cause_description
         if not cause.strip():
-            report.dropped_null_root_cause += 1
+            null_causes += 1
             continue
         distinct = len(seen)
         seen.add(cleaned)
         if len(seen) == distinct:
-            report.dropped_duplicates += 1
+            duplicates += 1
             continue
         if date is None or not date_from <= date <= date_to:
-            report.dropped_date_outliers += 1
+            outliers += 1
             continue
         survivors.append(cleaned)
-    return survivors, report
+    return survivors, CleaningReport(null_causes, duplicates, outliers, chars)
 
 
 # Records per encoded block: bounds the memory held by one block's fields and rows.
@@ -216,32 +214,36 @@ WRITE_BLOCK = 1024
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
-def _csv_fields(column: tuple) -> Iterable[str]:
+def _csv_fields(column: tuple, written: dict[str, str]) -> Iterable[str]:
     """Each text value as csv.writer writes it: quoted, with ``"`` doubled, when it needs it.
-    Each distinct value is checked once."""
-    quoted = {
-        value: '"' + value.replace('"', '""') + '"'
-        for value in set(column)
-        if _NEEDS_QUOTES.search(value) is not None
-    }
-    return map(quoted.get, column, column)
+
+    A column block with nothing to quote is scanned once and passed through. Otherwise each
+    value missing from ``written``, the file's table of values as written, is checked and added.
+    """
+    if _NEEDS_QUOTES.search("".join(column)) is None:
+        return column
+    for value in set(column).difference(written):
+        written[value] = '"' + value.replace('"', '""') + '"' if _NEEDS_QUOTES.search(value) else value
+    return map(written.__getitem__, column)
 
 
 def write_dataset(records: Iterable[RecallRecord], path: str | Path) -> None:
     """Stream the canonical CSV (UTF-8, RFC-4180, CRLF rows; ISO dates, None as empty) into place.
 
     The bytes are csv.writer's under its default dialect. Records are encoded by column in
-    blocks of at most ``WRITE_BLOCK``, each distinct date formatted once, so the file is
-    never built in memory.
+    blocks of at most ``WRITE_BLOCK``, so the file is never built in memory. Each distinct
+    date is formatted, and each distinct text value checked for quoting, once per file.
     """
     dates: dict[dt.date | None, str] = {None: ""}
+    written: dict[str, str] = {}
     rows = iter(records)
     with artifacts.replacing(Path(path)) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(DATASET_HEADER) + "\r\n")
         while block := list(islice(rows, WRITE_BLOCK)):
             code, posted, *text = zip(*block)
             dates.update((date, date.isoformat()) for date in set(posted).difference(dates))
-            columns = (_csv_fields(code), map(dates.__getitem__, posted), *map(_csv_fields, text))
+            text = (_csv_fields(column, written) for column in text)
+            columns = (_csv_fields(code, written), map(dates.__getitem__, posted), *text)
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 

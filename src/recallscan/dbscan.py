@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import artifacts
 from .errors import ContractError, FormatError
@@ -29,18 +28,23 @@ DEFAULT_EPS = 0.1
 DEFAULT_MIN_PTS = 4
 
 
-@dataclass(frozen=True)
-class DbscanParams:
-    """Neighbourhood radius and minimum neighbourhood weight (point included)."""
-
+class _Density(NamedTuple):  # a NamedTuple's own body may not define __new__
     eps: float = DEFAULT_EPS
     min_pts: int = DEFAULT_MIN_PTS
 
-    def __post_init__(self):
+
+class DbscanParams(_Density):
+    """Neighbourhood radius and minimum neighbourhood weight (point included)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.eps < math.inf:
             raise ContractError(f"eps must be finite and >= 0, got {self.eps}")
         if self.min_pts < 1:
             raise ContractError(f"min_pts must be >= 1, got {self.min_pts}")
+        return self
 
 
 class Labels(list):
@@ -126,8 +130,7 @@ def dbscan_weighted(
     return _dbscan(cosine_neighbourhoods(vectors, params.eps), weights, params.min_pts)
 
 
-@dataclass(frozen=True)
-class ClusterSummary:
+class ClusterSummary(NamedTuple):
     """One cluster (or noise bucket, id -1): canonical label plus case count."""
 
     cluster_id: int
@@ -135,16 +138,15 @@ class ClusterSummary:
     count: int
 
 
-@dataclass
-class RootCauseClusters:
+class RootCauseClusters(NamedTuple):
     """Full clustering result over a list of root-cause strings."""
 
     params: DbscanParams
     record_labels: list[int]
-    summaries: list[ClusterSummary] = field(default_factory=list)
-    noise: list[ClusterSummary] = field(default_factory=list)
+    summaries: list[ClusterSummary]
+    noise: list[ClusterSummary]
     # Distinct labels (DBSCAN points) in all, and how many are core, border and noise.
-    points: dict[str, int] = field(default_factory=dict)
+    points: dict[str, int]
 
     @property
     def cluster_count(self) -> int:

@@ -8,7 +8,7 @@ devices, so all downstream stages run against a stable 6991-record dataset.
 from __future__ import annotations
 
 import datetime as dt
-from itertools import count
+from itertools import cycle, product
 
 from .dataset import RecallRecord
 from .openfda import DEFAULT_DATE_FROM, DEFAULT_DATE_TO
@@ -41,37 +41,29 @@ _DEVICES = (
 # One string per distinct quantity, shared by every record that carries it.
 _QUANTITIES = tuple(f"{n} units" for n in range(1, 41))
 
-
-def _product_code(i: int) -> str:
-    letters = []
-    for div in (26 * 26, 26, 1):
-        letters.append(chr(ord("A") + (i // div) % 26))
-    return "".join(letters)
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def table2_records(
     date_from: dt.date = DEFAULT_DATE_FROM, date_to: dt.date = DEFAULT_DATE_TO
 ) -> list[RecallRecord]:
-    """Build the bundled fixture dataset (one record per snapshot case)."""
-    span = (date_to - date_from).days
-    records: list[RecallRecord] = []
-    i = count()
-    for label, cases in REFERENCE_INITIATORS:
-        for _ in range(cases):
-            k = next(i)
-            device_name, device_class = _DEVICES[k % len(_DEVICES)]
-            records.append(
-                RecallRecord(
-                    product_code=_product_code(k),
-                    event_date_posted=date_from + dt.timedelta(days=(k * 7) % (span + 1)),
-                    recalling_firm=_FIRMS[k % len(_FIRMS)],
-                    root_cause_description=label,
-                    product_quantity=_QUANTITIES[k % len(_QUANTITIES)],
-                    device_name=device_name,
-                    device_class=device_class,
-                )
-            )
-    return records
+    """Build the bundled fixture dataset (one record per snapshot case).
+
+    Record ``k`` has the ``k``-th three-letter product code (``AAA``, ``AAB``, ...),
+    is dated ``7 * k`` days into the window (modulo its length), and takes firm,
+    quantity and device in turn. The fields are built by column, each code and
+    each distinct date once.
+    """
+    labels = [label for label, cases in REFERENCE_INITIATORS for _ in range(cases)]
+    days = (date_to - date_from).days + 1
+    offsets = [k * 7 % days for k in range(len(labels))]
+    dates = {offset: date_from + dt.timedelta(days=offset) for offset in set(offsets)}
+    codes = cycle(map("".join, product(_LETTERS, repeat=3)))
+    names, classes = zip(*_DEVICES)
+    return list(map(
+        RecallRecord, codes, map(dates.__getitem__, offsets), cycle(_FIRMS), labels,
+        cycle(_QUANTITIES), cycle(names), cycle(classes),
+    ))
 
 
 FIXTURE_BUILDERS = {"table2": table2_records}

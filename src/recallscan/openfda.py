@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import datetime as dt
 import time
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import artifacts
 from .errors import ContractError, FormatError, ParseError, RequestError, TransportError
@@ -64,10 +63,7 @@ _FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class FetchSpec:
-    """What to fetch: endpoint, date window and pagination bounds."""
-
+class _Query(NamedTuple):  # a NamedTuple's own body may not define __new__
     endpoint: Endpoint
     date_from: dt.date = DEFAULT_DATE_FROM
     date_to: dt.date = DEFAULT_DATE_TO
@@ -75,7 +71,14 @@ class FetchSpec:
     max_pages: int = DEFAULT_MAX_PAGES
     api_key: str | None = None
 
-    def __post_init__(self):
+
+class FetchSpec(_Query):
+    """What to fetch: endpoint, date window and pagination bounds."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 1 <= self.page_size <= MAX_PAGE_SIZE:
             raise ContractError(
                 f"page_size must be in 1..{MAX_PAGE_SIZE}, got {self.page_size}"
@@ -84,6 +87,7 @@ class FetchSpec:
             raise ContractError(f"date_from {self.date_from} is after date_to {self.date_to}")
         if self.max_pages < 1:
             raise ContractError(f"max_pages must be >= 1, got {self.max_pages}")
+        return self
 
     def search_expression(self) -> str | None:
         """Date filter for the recall endpoint; classifications are not time-scoped."""
@@ -92,8 +96,7 @@ class FetchSpec:
         return None
 
 
-@dataclass(frozen=True)
-class RawPage:
+class RawPage(NamedTuple):
     """One response body, decoded: per entry, a tuple of the endpoint's fields in ``_FIELDS``
     order, as text (an absent or null field is ``""``, any other non-string ``str(value)``),
     and the ``meta.results.total`` it reports, if any. Equal values on the pages of one

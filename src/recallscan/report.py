@@ -13,8 +13,8 @@ import collections
 import csv
 import io
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import artifacts
 from .dataset import RecallRecord
@@ -25,8 +25,7 @@ SCHEMA_VERSION = 1
 UNSPECIFIED = "(unspecified)"
 
 
-@dataclass(frozen=True)
-class RankedEntry:
+class RankedEntry(NamedTuple):
     """One ranked row: member labels, case count and share of the total."""
 
     rank: int
@@ -41,19 +40,17 @@ class RankedEntry:
         return str(list(self.members))
 
 
-@dataclass
-class RankedReport:
+class RankedReport(NamedTuple):
     """A titled ranking plus the denominator its shares were computed from."""
 
     title: str
     entries: list[RankedEntry]
     total_count: int
     grouped: bool = False
-    metadata: dict = field(default_factory=dict)
+    metadata: Mapping = MappingProxyType({})  # read-only, so no instance can change another's
 
 
-@dataclass
-class ReportDocument:
+class ReportDocument(NamedTuple):
     """A run's reports; the comparison is the top ``k`` of ``before`` and ``after``.
 
     The top ``k`` firms and devices need the dataset and are None without it.
@@ -138,13 +135,13 @@ def build_document(
         grouped=True,
         metadata=metadata,
     )
-    doc = ReportDocument(metadata, before, after, k)
-    if records:
-        doc.top_firms = RankedReport(f"Top {k} recalled firms", top_firms(records, k), len(records))
-        doc.top_devices = RankedReport(
-            f"Top {k} recalled devices", top_devices(records, k), len(records)
-        )
-    return doc
+    if not records:
+        return ReportDocument(metadata, before, after, k)
+    return ReportDocument(
+        metadata, before, after, k,
+        RankedReport(f"Top {k} recalled firms", top_firms(records, k), len(records)),
+        RankedReport(f"Top {k} recalled devices", top_devices(records, k), len(records)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +188,7 @@ def _report_json_dict(report: RankedReport) -> dict:
         "title": report.title,
         "grouped": report.grouped,
         "total_count": report.total_count,
-        "metadata": report.metadata,
+        "metadata": dict(report.metadata),
         "entries": [
             {
                 "rank": e.rank,

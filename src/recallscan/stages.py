@@ -12,7 +12,6 @@ handed on in ``run``.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import datetime as dt
 import gc
 import hashlib
@@ -21,7 +20,6 @@ import math
 import resource
 import sys
 import typing
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import artifacts, openfda
@@ -99,8 +97,7 @@ def _parse_value(key: str, value, hint):
     return float(value) if kind is float else value
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(typing.NamedTuple):
     """Effective configuration of a run; flags override file, file overrides defaults."""
 
     date_from: dt.date = openfda.DEFAULT_DATE_FROM
@@ -123,7 +120,7 @@ class PipelineConfig:
         """JSON values, the API key null: it is a secret, so no written file holds it."""
         return {
             key: value.isoformat() if isinstance(value, dt.date) else value
-            for key, value in {**dataclasses.asdict(self), "api_key": None}.items()
+            for key, value in {**self._asdict(), "api_key": None}.items()
         }
 
     @classmethod
@@ -135,7 +132,7 @@ class PipelineConfig:
         A value out of range is a ``ContractError``, raised here so that no
         stage has written a file yet.
         """
-        values = dataclasses.asdict(cls())
+        values = dict(cls._field_defaults)
         if config_path:
             loaded = artifacts.read_object(Path(config_path), "config file", UsageError)
             unknown = set(loaded) - set(values)
@@ -310,7 +307,7 @@ def build_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
             raise DataError(f"the recall query {search} returned no records; nothing to build")
         merged, stats = merge_datasets(recalls, classifications)
         records, report = clean(merged, rules)
-        report.unmatched_product_codes = stats.unmatched_product_codes
+        report = report._replace(unmatched_product_codes=stats.unmatched_product_codes)
         merge = {"duplicate_classification_codes": stats.duplicate_classification_codes}
 
     save(cfg, "build", {DATASET_FILE: records, CLEANING_REPORT_FILE: report.to_dict()}, run, **merge)

@@ -54,7 +54,10 @@ def cosine_distance(a: dict[str, int], b: dict[str, int]) -> float:
     dot = sum(c * large[t] for t, c in small.items() if t in large)
     qa = sum(c * c for c in a.values())
     qb = sum(c * c for c in b.values())
-    cos = dot / math.sqrt(qa * qb)
+    try:
+        cos = dot / math.sqrt(qa * qb)
+    except OverflowError as exc:  # counts past float range
+        raise ContractError(f"token counts too large for a cosine distance: {exc}") from exc
     return min(1.0, max(0.0, 1.0 - cos))
 
 
@@ -62,15 +65,24 @@ def cosine_distance(a: dict[str, int], b: dict[str, int]) -> float:
 _BLOCK_CELLS = 2**14
 
 
+def _squared_norms(vectors: Sequence[dict[str, int]]) -> list[int]:
+    """Each vector's squared norm; ContractError unless all are below 2**53 (about 10**8 tokens
+    in one label), the range in which ``_cosine_blocks`` is exact."""
+    q = [sum(c * c for c in v.values()) for v in vectors]
+    if q and max(q) >= 2**53:
+        raise ContractError("token counts too large for an exact cosine matrix")
+    return q
+
+
 def _cosine_blocks(vectors: Sequence[dict[str, int]]) -> Iterator[np.ndarray]:
     """The ``cosine_distance`` matrix of ``vectors`` in blocks of whole rows, bit for bit.
 
     Row ``i``'s dot products are summed over its tokens from each token's
     posting list (the rows holding it, with their counts), so the work
-    follows the tokens labels share. Precondition, checked with
-    ContractError: every squared norm is below 2**53 (about 10**8 tokens in
-    one label). Then every product and partial sum is an integer below 2**53
-    (a dot product never exceeds the larger squared norm), so the sums are
+    follows the tokens labels share. Precondition, checked by
+    ``_squared_norms``: every squared norm is below 2**53. Then every
+    product and partial sum is an integer below 2**53 (a dot product never
+    exceeds the larger squared norm), so the sums are
     exact in any order. ``q[i] * q[j]`` rounds once, as the float conversion
     of the scalar path's integer product does, and the division, ``1 - x``
     and the clip follow the scalar expression step for step. A block holds
@@ -79,9 +91,7 @@ def _cosine_blocks(vectors: Sequence[dict[str, int]]) -> Iterator[np.ndarray]:
     """
     import numpy as np
 
-    q = np.array([sum(c * c for c in v.values()) for v in vectors], dtype=np.float64)
-    if q.size and q.max() >= 2.0**53:
-        raise ContractError("token counts too large for an exact cosine matrix")
+    q = np.array(_squared_norms(vectors), dtype=np.float64)
     postings: dict[str, tuple[list[int], list[int]]] = {}
     for i, v in enumerate(vectors):
         for token, c in v.items():
@@ -118,16 +128,17 @@ def _cosine_blocks(vectors: Sequence[dict[str, int]]) -> Iterator[np.ndarray]:
 def cosine_neighbourhoods(vectors: Sequence[dict[str, int]], eps: float) -> list[list[int]]:
     """Per vector, the ascending indices of the vectors within ``cosine_distance`` ``eps`` of it.
 
+    Squared norms of 2**53 or more are refused (ContractError) at any size.
     Below ``NUMPY_MIN_POINTS`` vectors each pair is taken once with
     ``cosine_distance``; from there on the distances come from the row blocks
-    of ``_cosine_blocks``, which equal it bit for bit and refuse squared norms
-    of 2**53 or more.
+    of ``_cosine_blocks``, which equal it bit for bit.
     """
     n = len(vectors)
-    if n >= NUMPY_MIN_POINTS:
+    if n >= NUMPY_MIN_POINTS:  # _cosine_blocks checks the norms first
         import numpy as np
 
         return [np.flatnonzero(row <= eps).tolist() for dist in _cosine_blocks(vectors) for row in dist]
+    _squared_norms(vectors)
     neighbourhoods: list[list[int]] = [[] for _ in range(n)]
     for i, a in enumerate(vectors):
         neighbourhoods[i].append(i)  # the earlier neighbours are in already, so the list ascends

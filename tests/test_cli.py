@@ -798,16 +798,17 @@ def test_version_exits_0(runner):
 
 @pytest.mark.parametrize("blas_threads", [None, "2"], ids=["blas-unset", "blas-preset"])
 def test_a_fixture_pipeline_loads_neither_click_nor_requests(tmp_path, loopback, blas_threads):
-    # The runtime is numpy and the standard library. A fixture pipeline loads no HTTP module
-    # and, with 36 labels, no numpy; a live fetch loads urllib's, and neither click, requests
-    # nor urllib3. Importing recallscan gives OpenBLAS one thread unless the caller chose a
+    # The runtime is numpy and the standard library. A fixture pipeline loads no HTTP module,
+    # no dataclasses (its import and generated methods cost start-up time) and, with 36
+    # labels, no numpy; a live fetch loads urllib's, and neither click, requests nor urllib3.
+    # Importing recallscan gives OpenBLAS one thread unless the caller chose a
     # number, and the artifacts do not depend on it; the child loads numpy itself to count.
     code = (
         "import os, sys, recallscan.cli\n"
         "from recallscan import openfda\n"
         "ruled_out = lambda *names: sorted(m for m in sys.modules if m.partition('.')[0] in names)\n"
         "recallscan.cli.main(['pipeline', '--fixture', 'table2', '--out', sys.argv[1]])\n"
-        "print(ruled_out('click', 'requests', 'urllib3', 'http', 'numpy'))\n"
+        "print(ruled_out('click', 'requests', 'urllib3', 'http', 'numpy', 'dataclasses'))\n"
         "print(openfda._http_get(sys.argv[2], {'skip': 0}, 10))\n"
         "print(ruled_out('click', 'requests', 'urllib3'))\n"
         "import numpy\n"

@@ -212,6 +212,14 @@ def test_merge_of_rows_matches_the_dict_reference(recalls, classifications):
 # --- clean -----------------------------------------------------------------
 
 
+def test_cleaning_rules_refuse_a_window_that_ends_before_it_starts():
+    with pytest.raises(ContractError, match="is after"):
+        CleaningRules(dt.date(2024, 1, 2), dt.date(2024, 1, 1))
+    with pytest.raises(ContractError, match="is after"):
+        CleaningRules(date_to=dt.date(2024, 1, 1), date_from=dt.date(2024, 1, 2))
+    assert CleaningRules(dt.date(2024, 1, 1), dt.date(2024, 1, 1)).date_to == dt.date(2024, 1, 1)
+
+
 def test_clean_drops_empty_root_cause():
     kept, report = clean([record(root_cause_description="")], RULES)
     assert kept == []
@@ -413,6 +421,8 @@ csv_records = st.builds(
     )
 )
 @example([record(product_code="", recalling_firm='"', device_name="\u2028")] * 1025)
+# The first value that needs quoting is in the second block; the first block has none to quote.
+@example([record(device_name="Pump")] * 1024 + [record(device_name="Pump, Infusion"), record(device_name="Pump")])
 def test_write_dataset_writes_the_bytes_of_csv_writer(tmp_path_factory, recs):
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     write_dataset(recs, path)

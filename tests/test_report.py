@@ -30,11 +30,11 @@ def report_of(items, grouped=False, title="Ranked") -> RankedReport:
 def document_of(before, after=None, k=10, records=()) -> ReportDocument:
     """A document over ``before`` (and ``after``, else ``before`` again), with firms and devices given records."""
     metadata = {"clustered_records": before.total_count, "records_including_noise": before.total_count}
-    doc = ReportDocument(metadata, before, after or before, k)
-    if records:
-        doc.top_firms = RankedReport("Top firms", top_firms(records, k), len(records))
-        doc.top_devices = RankedReport("Top devices", top_devices(records, k), len(records))
-    return doc
+    if not records:
+        return ReportDocument(metadata, before, after or before, k)
+    firms = RankedReport("Top firms", top_firms(records, k), len(records))
+    devices = RankedReport("Top devices", top_devices(records, k), len(records))
+    return ReportDocument(metadata, before, after or before, k, firms, devices)
 
 
 def test_rank_initiators_reference_top_entry():

@@ -236,10 +236,23 @@ def test_cosine_matrix_edge_cases():
 
 
 def test_cosine_matrix_rejects_counts_beyond_exact_range():
-    with row_blocks(), pytest.raises(ContractError):
-        cosine_neighbourhoods([{"x": 2**27}, tf_vector("x")], 0.1)
-    with row_blocks(), pytest.raises(ContractError):  # beyond int64 too: refused before any array is built
-        cosine_neighbourhoods([{"x": 2**70}, tf_vector("x")], 0.1)
+    # One rule at every size: below NUMPY_MIN_POINTS vectors (the plain pair loop) and from it
+    # on (the row blocks), which are also forced at the smaller sizes.
+    for copies in (1, textprep.NUMPY_MIN_POINTS // 2, textprep.NUMPY_MIN_POINTS):
+        for count in (2**27, 2**70):  # beyond int64 too: refused before any array is built
+            vectors = [{"x": count}, tf_vector("x")] * copies
+            with pytest.raises(ContractError, match="too large"):
+                cosine_neighbourhoods(vectors, 0.1)
+            with row_blocks(), pytest.raises(ContractError, match="too large"):
+                cosine_neighbourhoods(vectors, 0.1)
+        below = [{"x": 2**26}, tf_vector("x")] * copies  # squared norm 2**52, still exact
+        assert cosine_neighbourhoods(below, 0.1) == [list(range(2 * copies))] * (2 * copies)
+
+
+def test_cosine_distance_beyond_float_range_is_a_contract_error():
+    with pytest.raises(ContractError, match="too large"):
+        cosine_distance({"x": 2**600}, {"x": 1, "y": 1})
+    assert cosine_distance({"x": 2**500}, {"x": 1}) == 0.0  # exact integers, within float range
 
 
 def test_cosine_matrix_rejects_disagreement_with_scalar(monkeypatch):
