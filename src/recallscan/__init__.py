@@ -1,12 +1,5 @@
 """Deterministic clustering and reporting of FDA device-recall root causes."""
 
-import os
-
-# numpy loads only for inputs of textprep.NUMPY_MIN_POINTS labels or more. recallscan makes no
-# BLAS call, yet OpenBLAS then starts a thread per CPU; one thread saves their start-up. Set
-# here, before any submodule can import numpy; a value already set wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 __version__ = "0.1.0"
 
 from .aggregate import (

@@ -2,27 +2,22 @@
 
 Two labels merge when the LCS similarity of their normalised prefixes
 reaches a threshold; union-find takes the transitive closure, so the result
-does not depend on input order. Before any LCS, each prefix's character
-counts are compared with those of every later prefix (in one numpy step per
-row from ``textprep.NUMPY_MIN_POINTS`` labels on); a pair whose shared
-character count already keeps the similarity below the threshold skips the
-LCS dynamic program. An optional override set can force or suppress
-individual pairs.
+does not depend on input order. Before any LCS, each prefix's characters
+are compared with those of every later prefix, as sets of ``(char,
+occurrence)`` tokens; a pair whose shared character count already keeps the
+similarity below the threshold skips the LCS dynamic program. An optional
+override set can force or suppress individual pairs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from . import artifacts, textprep
+from . import artifacts
 from .errors import ContractError, FormatError
 from .textprep import DEFAULT_PREFIX_LEN, lcs_similarity, prefix_key
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_THETA = 0.85
 
@@ -100,59 +95,33 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _char_counts(strings: Sequence[str]) -> np.ndarray:
-    """Count matrix: one row per string, one column per character of their alphabet."""
-    import numpy as np
-
-    alphabet = {ch: k for k, ch in enumerate(dict.fromkeys("".join(strings)))}
-    bags = np.zeros((len(strings), len(alphabet)), dtype=np.int64)
-    for i, s in enumerate(strings):
-        for ch in s:
-            bags[i, alphabet[ch]] += 1
-    return bags
-
-
-def _shared_counts(bags: np.ndarray, i: int) -> np.ndarray:
-    """Characters string ``i`` shares with each later string, with multiplicity.
-
-    Each entry bounds the LCS of the pair from above.
-    """
-    import numpy as np
-
-    return np.minimum(bags[i], bags[i + 1:]).sum(axis=1)
+def _char_tokens(s: str) -> frozenset[tuple[str, int]]:
+    """``s`` as a set of ``(char, occurrence)`` tokens: ``"aab"`` holds ``("a", 0)``, ``("a", 1)``
+    and ``("b", 0)``. Two such sets share as many tokens as their strings share characters,
+    with multiplicity."""
+    return frozenset((ch, k) for ch, c in Counter(s).items() for k in range(c))
 
 
 def _bound_survivors(prefixes: Sequence[str], theta: float) -> Iterator[list[int]]:
     """Per prefix ``i``, the later prefixes ``j`` whose shared-character bound is not below ``theta``.
 
-    LCS <= shared characters, and the similarity is monotone in its numerator,
-    so a pair whose bound ``2.0 * shared / (len_i + len_j)`` falls below theta
-    can never reach it. Equal prefixes give exactly 1.0; one empty prefix gives
-    0.0, pruned only when theta > 0, where lcs_similarity's 0.0 fails too; two
-    empty prefixes give 0/0, which is kept for lcs_similarity's 1.0. Both paths
-    evaluate the same float64 expression, so they prune the same pairs.
+    The shared count of a pair is the size of the intersection of their
+    ``_char_tokens``. LCS <= shared characters, and the similarity is
+    monotone in its numerator, so a pair whose bound ``2.0 * shared /
+    (len_i + len_j)`` falls below theta can never reach it. Equal prefixes
+    give exactly 1.0; one empty prefix gives 0.0, pruned only when theta > 0,
+    where lcs_similarity's 0.0 fails too; two empty prefixes are kept for
+    lcs_similarity's 1.0.
     """
-    n = len(prefixes)
-    if n < textprep.NUMPY_MIN_POINTS:
-        bags = [Counter(p) for p in prefixes]
-        for i, bag in enumerate(bags):
-            chars, counts, length = list(bag), list(bag.values()), len(prefixes[i])
-            survivors = []
-            for j in range(i + 1, n):
-                total = length + len(prefixes[j])
-                shared = sum(map(min, counts, map(bags[j].get, chars, repeat(0))))
-                if not (total and 2.0 * shared / total < theta):
-                    survivors.append(j)
-            yield survivors
-        return
-    import numpy as np
-
-    bags = _char_counts(prefixes)
-    lengths = bags.sum(axis=1)
-    for i in range(n):
-        with np.errstate(invalid="ignore"):  # two empty prefixes: nan, which `<` keeps
-            bound = 2.0 * _shared_counts(bags, i) / (lengths[i] + lengths[i + 1:])
-        yield (np.flatnonzero(~(bound < theta)) + (i + 1)).tolist()
+    bags = list(map(_char_tokens, prefixes))
+    for i, bag in enumerate(bags):
+        length = len(bag)
+        survivors = []
+        for j in range(i + 1, len(bags)):
+            total = length + len(bags[j])
+            if not (total and 2.0 * len(bag & bags[j]) / total < theta):
+                survivors.append(j)
+        yield survivors
 
 
 def aggregate(

@@ -2,7 +2,8 @@
 
 ``dbscan`` takes the neighbourhoods from the rows of a square distance matrix;
 ``dbscan_weighted`` takes them from token-count vectors with
-``cosine_neighbourhoods``, so no u x u matrix is built.
+``cosine_neighbourhoods``, whose exact filters leave most pairs uncomputed,
+so no u x u matrix is built.
 ``cluster_root_causes`` is the pipeline-facing layer: it collapses records
 with identical normalised labels into weighted unique points before
 clustering (provably equivalent to clustering every record, see the property
@@ -13,14 +14,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import artifacts
 from .errors import ContractError, FormatError
 from .textprep import cosine_neighbourhoods, normalize_label, tf_vector
-
-if TYPE_CHECKING:
-    import numpy as np
 
 NOISE = -1
 
@@ -83,7 +81,7 @@ def _dbscan(neighbourhoods: Sequence[list[int]], weights: Sequence[int] | None, 
 
 
 def dbscan(
-    dist: np.ndarray,
+    dist: Sequence[Sequence[float]],
     params: DbscanParams = DbscanParams(),
     weights: Sequence[int] | None = None,
 ) -> Labels:
@@ -97,28 +95,30 @@ def dbscan(
     point keeps the id of the first cluster that reaches it. Low-density
     points come back as NOISE.
 
-    The matrix must have a zero diagonal and no negative entry, and a
-    deterministic sample of pairs must be symmetric. Neither these checks nor
-    the neighbourhoods (taken one row at a time) build an n x n temporary.
+    ``dist`` is a sequence of rows of numbers. The matrix must be square, with
+    a zero diagonal and no negative entry, and a deterministic sample of pairs
+    must be symmetric.
     """
-    import numpy as np
-
-    dist = np.asarray(dist, dtype=np.float64)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise ContractError(f"distance matrix must be square, got shape {dist.shape}")
-    n = len(dist)
-    nonzero = np.flatnonzero(np.diagonal(dist))
-    if nonzero.size:
-        raise ContractError(f"self-distance must be 0, violated at index {nonzero[0]}")
-    if n and dist.min() < 0:
-        i, j = np.unravel_index(dist.argmin(), dist.shape)
-        raise ContractError(f"negative distance between indices {i} and {j}")
-    # Deterministic sample; a full check (dist == dist.T) would build an n x n temporary.
+    try:
+        rows = [[float(d) for d in row] for row in dist]
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"distance matrix must be square rows of numbers: {exc}") from exc
+    n = len(rows)
+    ragged = [len(row) for row in rows if len(row) != n]
+    if ragged:
+        raise ContractError(f"distance matrix must be square, got {n} rows and a row of {ragged[0]}")
+    for i, row in enumerate(rows):
+        if row[i] != 0:
+            raise ContractError(f"self-distance must be 0, violated at index {i}")
+        for j, d in enumerate(row):
+            if d < 0:
+                raise ContractError(f"negative distance between indices {i} and {j}")
     for i in range(0, n, max(1, n // 8)):
         j = n - 1 - i
-        if dist[i, j] != dist[j, i]:
+        if rows[i][j] != rows[j][i]:
             raise ContractError(f"distance matrix is asymmetric on pair ({i}, {j})")
-    return _dbscan([np.flatnonzero(row <= params.eps).tolist() for row in dist], weights, params.min_pts)
+    eps = params.eps
+    return _dbscan([[j for j, d in enumerate(row) if d <= eps] for row in rows], weights, params.min_pts)
 
 
 def dbscan_weighted(

@@ -10,21 +10,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ContractError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Parentheses vanish, slash and hyphen become token separators.
 _TRANSFORM = str.maketrans({"(": None, ")": None, "/": " ", "-": " "})
 
 DEFAULT_PREFIX_LEN = 10
-
-# The pairwise steps import numpy from this many points on. Below it their plain Python pair
-# loops cost less than numpy's import, so the paper's few dozen labels never load numpy.
-NUMPY_MIN_POINTS = 64
 
 
 def normalize_label(s: str) -> str:
@@ -61,91 +54,68 @@ def cosine_distance(a: dict[str, int], b: dict[str, int]) -> float:
     return min(1.0, max(0.0, 1.0 - cos))
 
 
-# Distances per row block: at most 128 KB of float64, so a block and its temporaries stay in cache.
-_BLOCK_CELLS = 2**14
-
-
 def _squared_norms(vectors: Sequence[dict[str, int]]) -> list[int]:
     """Each vector's squared norm; ContractError unless all are below 2**53 (about 10**8 tokens
-    in one label), the range in which ``_cosine_blocks`` is exact."""
+    in one label), so that every norm and bound below is a float computed from an exact integer."""
     q = [sum(c * c for c in v.values()) for v in vectors]
     if q and max(q) >= 2**53:
-        raise ContractError("token counts too large for an exact cosine matrix")
+        raise ContractError("token counts too large for exact cosine distances")
     return q
-
-
-def _cosine_blocks(vectors: Sequence[dict[str, int]]) -> Iterator[np.ndarray]:
-    """The ``cosine_distance`` matrix of ``vectors`` in blocks of whole rows, bit for bit.
-
-    Row ``i``'s dot products are summed over its tokens from each token's
-    posting list (the rows holding it, with their counts), so the work
-    follows the tokens labels share. Precondition, checked by
-    ``_squared_norms``: every squared norm is below 2**53. Then every
-    product and partial sum is an integer below 2**53 (a dot product never
-    exceeds the larger squared norm), so the sums are
-    exact in any order. ``q[i] * q[j]`` rounds once, as the float conversion
-    of the scalar path's integer product does, and the division, ``1 - x``
-    and the clip follow the scalar expression step for step. A block holds
-    ``_BLOCK_CELLS // n`` rows (at least one). Pairs ``(i, n - 1 - i)`` are
-    checked with ``cosine_distance`` in the block of row ``i`` (ContractError).
-    """
-    import numpy as np
-
-    q = np.array(_squared_norms(vectors), dtype=np.float64)
-    postings: dict[str, tuple[list[int], list[int]]] = {}
-    for i, v in enumerate(vectors):
-        for token, c in v.items():
-            rows, counts = postings.setdefault(token, ([], []))
-            rows.append(i)
-            counts.append(c)
-    columns = {t: (np.array(rows), np.array(counts, dtype=np.float64)) for t, (rows, counts) in postings.items()}
-    n = len(vectors)
-    empty = q == 0
-    height = max(1, _BLOCK_CELLS // max(n, 1))
-    sampled = range(0, n, max(1, n // 8))
-    for start in range(0, n, height):
-        stop = min(start + height, n)
-        dist = np.zeros((stop - start, n))
-        for row, v in zip(dist, vectors[start:stop]):
-            for token, c in v.items():
-                rows, counts = columns[token]
-                row[rows] += c * counts
-        with np.errstate(divide="ignore", invalid="ignore"):  # empty rows, fixed below
-            dist /= np.sqrt(q[start:stop, None] * q)
-        np.subtract(1.0, dist, out=dist)
-        np.clip(dist, 0.0, 1.0, out=dist)
-        dist[empty[start:stop], :] = 1.0
-        dist[:, empty] = 1.0
-        dist[np.ix_(empty[start:stop], empty)] = 0.0
-        np.fill_diagonal(dist[:, start:], 0.0)
-        for i in (i for i in sampled if start <= i < stop):
-            j = n - 1 - i
-            if cosine_distance(vectors[i], vectors[j]) != dist[i - start, j]:
-                raise ContractError(f"cosine matrix disagrees with cosine_distance on pair ({i}, {j})")
-        yield dist
 
 
 def cosine_neighbourhoods(vectors: Sequence[dict[str, int]], eps: float) -> list[list[int]]:
     """Per vector, the ascending indices of the vectors within ``cosine_distance`` ``eps`` of it.
 
-    Squared norms of 2**53 or more are refused (ContractError) at any size.
-    Below ``NUMPY_MIN_POINTS`` vectors each pair is taken once with
-    ``cosine_distance``; from there on the distances come from the row blocks
-    of ``_cosine_blocks``, which equal it bit for bit.
-    """
-    n = len(vectors)
-    if n >= NUMPY_MIN_POINTS:  # _cosine_blocks checks the norms first
-        import numpy as np
+    Two exact filters from all-pairs similarity search (Bayardo, Ma &
+    Srikant, WWW 2007) pick the candidate pairs; ``cosine_distance`` decides
+    each candidate, so the lists equal the all-pairs loop bit for bit. With
+    ``t = 1 - eps - 1e-9`` (the margin covers the rounding of every float
+    below), a pair within ``eps`` has cosine at least ``t``:
 
-        return [np.flatnonzero(row <= eps).tolist() for dist in _cosine_blocks(vectors) for row in dist]
-    _squared_norms(vectors)
-    neighbourhoods: list[list[int]] = [[] for _ in range(n)]
-    for i, a in enumerate(vectors):
-        neighbourhoods[i].append(i)  # the earlier neighbours are in already, so the list ascends
-        for j in range(i + 1, n):
-            if cosine_distance(a, vectors[j]) <= eps:
-                neighbourhoods[i].append(j)
-                neighbourhoods[j].append(i)
+    - *Prefix filter.* Tokens are ordered once, rarest first (ties by token).
+      Each vector indexes its shortest prefix in that order whose remaining
+      tokens' squared norm is below ``t**2`` times its own. Of a pair sharing
+      no token in both prefixes, take the one whose prefix ends first: every
+      shared token lies in its suffix, so by Cauchy-Schwarz the cosine is
+      below ``t``.
+    - *Size bound.* ``dot(x, y) <= min(L1(x) * max(y), L1(y) * max(x))``, so a
+      candidate whose bound over ``|x| |y|`` is below ``t`` is dropped.
+
+    Empty vectors are neighbours of each other only; when ``t <= 0`` (eps of
+    1 or more) every pair goes to ``cosine_distance``. Squared norms of 2**53
+    or more are refused (ContractError).
+    """
+    q = _squared_norms(vectors)
+    t = 1.0 - eps - 1e-9
+    frequency = Counter(token for v in vectors for token in v)
+    rank = {token: k for k, token in enumerate(sorted(frequency, key=lambda tok: (frequency[tok], tok)))}
+    norms = [math.sqrt(x) for x in q]
+    l1 = [sum(v.values()) for v in vectors]
+    top = [max(v.values(), default=0) for v in vectors]
+    postings: dict[str, list[int]] = {}
+    empties: list[int] = []
+    neighbourhoods: list[list[int]] = []
+    for i, v in enumerate(vectors):
+        if t <= 0.0:
+            candidates: Iterable[int] = range(i)
+        elif not v:
+            candidates = empties
+            empties = [*empties, i]
+        else:
+            found: set[int] = set()
+            rest, stop = q[i], t * t * q[i]
+            for token in sorted(v, key=rank.__getitem__):
+                found.update(postings.setdefault(token, []))
+                postings[token].append(i)
+                rest -= v[token] * v[token]
+                if rest < stop:
+                    break
+            reach = t * norms[i]
+            candidates = sorted(j for j in found if min(l1[i] * top[j], l1[j] * top[i]) >= reach * norms[j])
+        near = [j for j in candidates if cosine_distance(v, vectors[j]) <= eps]
+        for j in near:
+            neighbourhoods[j].append(i)  # i exceeds every index already in j's list
+        neighbourhoods.append([*near, i])
     return neighbourhoods
 
 

@@ -1,5 +1,6 @@
 import importlib
-from unittest import mock
+import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,8 @@ from recallscan.aggregate import (
     AggregatedGroup,
     AggregationParams,
     MergeOverrides,
-    _char_counts,
-    _shared_counts,
+    _bound_survivors,
+    _char_tokens,
     aggregate,
     groups_to_json_dict,
 )
@@ -217,17 +218,12 @@ def test_group_artifact_payload_sorted():
 
 @given(st.lists(st.text(alphabet="abcdeé ", max_size=14), min_size=2, max_size=6))
 def test_shared_count_bounds_lcs(strings):
-    bags = _char_counts(strings)
-    backwards = _char_counts(strings[::-1])
-    n = len(strings)
-    for i in range(n):
-        shared = _shared_counts(bags, i)
-        assert shared.shape == (n - i - 1,)
-        for j in range(i + 1, n):
-            a, b = strings[i], strings[j]
-            # string j is row n-1-j of the reversed list, and string i sits j-i rows after it
-            assert shared[j - i - 1] == _shared_counts(backwards, n - 1 - j)[j - i - 1]
-            assert lcs_table(a, b) <= shared[j - i - 1] <= min(len(a), len(b))
+    tokens = [_char_tokens(s) for s in strings]
+    assert [len(t) for t in tokens] == [len(s) for s in strings]
+    for (a, ta), (b, tb) in itertools.combinations(zip(strings, tokens), 2):
+        shared = len(ta & tb)
+        assert shared == sum((Counter(a) & Counter(b)).values())  # with multiplicity
+        assert lcs_table(a, b) <= shared <= min(len(a), len(b))
 
 
 def test_bound_prunes_the_reference_pairs(monkeypatch):
@@ -309,26 +305,32 @@ def test_pruned_aggregate_equals_unpruned_brute_force(labels, theta, prefix_len,
     assert group_map(aggregate(summ, params)) == brute_force_groups(summ, params, plain)
 
 
-@settings(max_examples=60, deadline=None)
+def counter_bound_survivors(prefixes, theta):
+    """The all-pairs reference: each pair's shared characters from two ``Counter`` bags."""
+    survivors = []
+    for i, a in enumerate(prefixes):
+        row = []
+        for j in range(i + 1, len(prefixes)):
+            b = prefixes[j]
+            total, shared = len(a) + len(b), sum((Counter(a) & Counter(b)).values())
+            if not (total and 2.0 * shared / total < theta):
+                row.append(j)
+        survivors.append(row)
+    return survivors
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    st.one_of(
-        st.integers(1, 8),
-        st.sampled_from([textprep.NUMPY_MIN_POINTS - 1, textprep.NUMPY_MIN_POINTS, textprep.NUMPY_MIN_POINTS + 1]),
-    ),
-    st.data(),
-    st.sampled_from([0.0, 0.5, 0.85, 1.0]),
-    st.sampled_from([1, 3, 10]),
-)
-def test_both_bound_paths_agree(size, data, theta, prefix_len):
     # Blank labels have the empty prefix; equal prefixes and 0/0 bounds both occur.
-    labels = data.draw(st.lists(st.text(alphabet="ab cé", max_size=12), unique=True, min_size=size, max_size=size))
-    summ = summaries((label, 1 + i % 3) for i, label in enumerate(labels))
-    pair = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
-    params = AggregationParams(prefix_len=prefix_len, theta=theta)
-    for overrides in (None, MergeOverrides(merge=data.draw(st.lists(pair, max_size=2)),
-                                           split=data.draw(st.lists(pair, max_size=4)))):
-        with mock.patch.object(textprep, "NUMPY_MIN_POINTS", 0):
-            rows = aggregate(summ, params, overrides)
-        with mock.patch.object(textprep, "NUMPY_MIN_POINTS", size + 1):
-            pairs = aggregate(summ, params, overrides)
-        assert pairs == rows == aggregate(summ, params, overrides)
+    st.lists(st.text(alphabet="ab cé", max_size=12), max_size=30),
+    st.sampled_from([1, 3, 10]),
+    st.data(),
+)
+def test_bound_survivors_equal_the_all_pairs_counter_bound(labels, prefix_len, data):
+    prefixes = [prefix_key(label, prefix_len) for label in labels]
+    occurring = {
+        2.0 * sum((Counter(a) & Counter(b)).values()) / (len(a) + len(b))
+        for a, b in itertools.combinations(prefixes, 2) if a or b
+    }
+    theta = data.draw(st.sampled_from(sorted(occurring | {0.0, 0.85, 1.0})))  # exactly on a bound
+    assert list(_bound_survivors(prefixes, theta)) == counter_bound_survivors(prefixes, theta)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,10 @@ import pytest
 import recallscan
 from recallscan import __version__, artifacts, openfda, stages
 from recallscan.cli import COMMANDS, main
+from recallscan.dbscan import ClusterSummary
 from recallscan.errors import DataError, RequestError
+from recallscan.reference import REFERENCE_INITIATORS
+from recallscan.textprep import normalize_label
 
 from .conftest import CliRunner, FakeOpenFDA, classification_entries
 
@@ -798,11 +802,10 @@ def test_version_exits_0(runner):
 
 @pytest.mark.parametrize("blas_threads", [None, "2"], ids=["blas-unset", "blas-preset"])
 def test_a_fixture_pipeline_loads_neither_click_nor_requests(tmp_path, loopback, blas_threads):
-    # The runtime is numpy and the standard library. A fixture pipeline loads no HTTP module,
-    # no dataclasses (its import and generated methods cost start-up time) and, with 36
-    # labels, no numpy; a live fetch loads urllib's, and neither click, requests nor urllib3.
-    # Importing recallscan gives OpenBLAS one thread unless the caller chose a
-    # number, and the artifacts do not depend on it; the child loads numpy itself to count.
+    # The runtime is the standard library. A fixture pipeline loads no HTTP module, no numpy
+    # and no dataclasses (its import and generated methods cost start-up time); a live fetch
+    # loads urllib's, and neither click, requests nor urllib3. recallscan leaves
+    # OPENBLAS_NUM_THREADS as the caller set it, or unset, and the artifacts do not depend on it.
     code = (
         "import os, sys, recallscan.cli\n"
         "from recallscan import openfda\n"
@@ -811,17 +814,13 @@ def test_a_fixture_pipeline_loads_neither_click_nor_requests(tmp_path, loopback,
         "print(ruled_out('click', 'requests', 'urllib3', 'http', 'numpy', 'dataclasses'))\n"
         "print(openfda._http_get(sys.argv[2], {'skip': 0}, 10))\n"
         "print(ruled_out('click', 'requests', 'urllib3'))\n"
-        "import numpy\n"
-        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
-        "status = '/proc/self/status'\n"
-        "print(next((line.split()[1] for line in open(status) if line.startswith('Threads:')), '')"
-        " if os.path.exists(status) else '')\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))\n"
     )
     server = loopback((200, b'{"results": []}'))
     src = str(Path(recallscan.__file__).parents[1])
     env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
     env["PYTHONPATH"] = src
-    env.pop("OPENBLAS_NUM_THREADS", None)  # this process imported recallscan, which set it
+    env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     out = tmp_path / "out"
@@ -830,42 +829,56 @@ def test_a_fixture_pipeline_loads_neither_click_nor_requests(tmp_path, loopback,
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    modules, answer, fetch_modules, blas_var, threads = result.stdout.splitlines()[-5:]
+    modules, answer, fetch_modules, blas_var = result.stdout.splitlines()[-4:]
     assert modules == fetch_modules == "[]"
     assert answer == "(200, b'{\"results\": []}')" and len(server.paths) == 1
-    assert blas_var == (blas_threads or "1")
-    if blas_threads is None and threads:
-        assert threads == "1"
+    assert blas_var == (blas_threads or "unset")
     pinned = {**BUILD_HASHES, **REPORT_HASHES}
     for name in [*BUILD_HASHES, "report.md", "report_metadata.json"]:
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == pinned[name], name
 
 
+def wide_labels(n, seed=0):
+    """``n`` labels shaped like the ``labels-wide`` benchmark's: 2-4 distinct words of the
+    reference labels, no two with the same word set."""
+    words = sorted({w for label, _ in REFERENCE_INITIATORS for w in normalize_label(label).split()})
+    rng, seen = random.Random(seed), set()
+    while len(seen) < n:
+        chosen = rng.sample(words, rng.randint(2, 4))
+        if frozenset(chosen) not in seen:
+            seen.add(frozenset(chosen))
+            yield " ".join(chosen)
+
+
 @pytest.mark.parametrize("step", ["cluster_root_causes", "aggregate"])
-def test_numpy_loads_from_numpy_min_points_labels(step):
-    # Both pairwise steps stay in plain Python one label short of the constant; either loads
-    # numpy at the constant.
+def test_no_pairwise_step_loads_numpy(step):
+    # Both pairwise steps are plain Python at every size: 1500 distinct labels, every fifth
+    # with four records, cluster into 300; aggregate sees 300 labels.
     code = (
-        "import sys\n"
-        "from recallscan import aggregate, cluster_root_causes, textprep\n"
+        "import json, sys\n"
+        "from recallscan import aggregate, cluster_root_causes\n"
         "from recallscan.dbscan import ClusterSummary\n"
-        "steps = {\n"
-        "    'cluster_root_causes': cluster_root_causes,\n"
-        "    'aggregate': lambda labels: aggregate([ClusterSummary(0, s, 1) for s in labels]),\n"
-        "}\n"
-        "labels = [f'cause number {k}' for k in range(textprep.NUMPY_MIN_POINTS)]\n"
-        "for run in steps.values():\n"
-        "    run(labels[:-1])\n"
-        "print('numpy' in sys.modules)\n"
-        "steps[sys.argv[1]](labels)\n"
+        "labels = json.load(sys.stdin)\n"
+        "if sys.argv[1] == 'cluster_root_causes':\n"
+        "    records = [label for k, label in enumerate(labels) for _ in range(4 if k % 5 == 0 else 1)]\n"
+        "    print(cluster_root_causes(records).cluster_count)\n"
+        "else:\n"
+        "    print(len(aggregate([ClusterSummary(k, label, 1) for k, label in enumerate(labels)])))\n"
         "print('numpy' in sys.modules)\n"
     )
+    labels = list(wide_labels(1500 if step == "cluster_root_causes" else 300))
     env = {**os.environ, "PYTHONPATH": str(Path(recallscan.__file__).parents[1])}
     result = subprocess.run(
-        [sys.executable, "-c", code, step], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code, step], input=json.dumps(labels), capture_output=True, text=True,
+        env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["False", "True"]
+    count, numpy_loaded = result.stdout.splitlines()
+    assert numpy_loaded == "False"
+    if step == "cluster_root_causes":
+        assert count == "300"  # distinct word sets lie more than the default eps apart
+    else:
+        assert count == str(len(recallscan.aggregate([ClusterSummary(k, s, 1) for k, s in enumerate(labels)])))
 
 
 def test_a_closed_stdout_exits_4_with_one_json_line(tmp_path):

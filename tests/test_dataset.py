@@ -21,6 +21,7 @@ from recallscan.dataset import (
 )
 from recallscan.errors import ContractError, FormatError
 from recallscan.fixtures import table2_records
+from recallscan.reference import TOTAL_CASES
 from recallscan.openfda import _FIELDS, Endpoint
 
 from .conftest import (
@@ -338,6 +339,19 @@ def test_fixture_survives_cleaning_untouched():
         "stripped_char_count": 0,
         "unmatched_product_codes": 0,
     }
+
+
+@pytest.mark.parametrize("date_from", [dt.date(2020, 1, 2), dt.date(2020, 1, 5)], ids=["one-day", "four-days"])
+def test_fixture_refuses_a_window_that_ends_before_it_starts(date_from):
+    # Reversed by one day, the window used to divide by zero; by four, it dated records outside it.
+    with pytest.raises(ContractError, match="after date_to"):
+        table2_records(date_from, dt.date(2020, 1, 1))
+
+
+def test_fixture_takes_a_one_day_window():
+    day = dt.date(2020, 1, 2)
+    records = table2_records(day, day)
+    assert len(records) == TOTAL_CASES and {r.event_date_posted for r in records} == {day}
 
 
 # --- file round-trips --------------------------------------------------------

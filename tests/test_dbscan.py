@@ -1,12 +1,10 @@
 import itertools
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from recallscan import textprep
 from recallscan.aggregate import groups_from_json_dict
 from recallscan.dbscan import (
     NOISE,
@@ -70,6 +68,17 @@ def test_asymmetric_distance_is_rejected():
 
     with pytest.raises(ContractError):
         dbscan(matrix([0, 1, 2, 3], skewed), DbscanParams(0.3, 2))
+
+
+def test_matrix_is_any_sequence_of_rows():
+    # Lists of ints and tuples of floats are rows as well as numpy arrays are.
+    assert dbscan([[0, 1, 9], [1, 0, 9], [9, 9, 0]], DbscanParams(1.0, 2)) == [0, 0, NOISE]
+    assert dbscan(((0.0, 0.5), (0.5, 0.0)), DbscanParams(0.5, 2)) == [0, 0]
+    assert dbscan([], DbscanParams(0.5, 1)) == []
+    with pytest.raises(ContractError, match="square"):
+        dbscan([[0.0, 1.0], [1.0]], DbscanParams(0.5, 1))
+    with pytest.raises(ContractError, match="square"):
+        dbscan([[0.0, "far"], ["far", 0.0]], DbscanParams(0.5, 1))
 
 
 def test_nonzero_self_distance_is_rejected():
@@ -323,25 +332,18 @@ def test_group_artifact_count_agrees_with_its_groups(value):
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 5),
-    st.sampled_from([lambda b: b - 1, lambda b: b, lambda b: b + 1, lambda b: 2 * b + 1]),
-    st.data(),
-    st.sampled_from([0.0, 0.1, 0.3, 0.6]),
-    st.integers(min_value=1, max_value=5),
-)
-def test_weighted_equals_dbscan_over_the_scalar_matrix(height, size, data, eps, min_pts):
-    # Row blocks of ``height`` rows at every size, sizes on and around a block
-    # boundary; few words and empty labels, so neighbourhoods cross blocks.
-    n = size(height)
+@given(st.integers(0, 14), st.data(), st.integers(min_value=1, max_value=5))
+def test_weighted_equals_dbscan_over_the_scalar_matrix(n, data, min_pts):
+    # Few words and empty labels, so distances of 0 and 1 and shared tokens all occur;
+    # eps sits exactly on a distance that occurs or on a fixed value.
     words = st.lists(st.sampled_from(["process", "control", "design", "a"]), max_size=4)
     vectors = [tf_vector(" ".join(w)) for w in data.draw(st.lists(words, min_size=n, max_size=n))]
     weights = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    rows = [[cosine_distance(a, b) for b in vectors] for a in vectors]
+    eps = data.draw(st.sampled_from(sorted({d for row in rows for d in row} | {0.0, 0.1, 0.3, 0.6})))
     params = DbscanParams(eps, min_pts)
-    with mock.patch.object(textprep, "NUMPY_MIN_POINTS", 0), \
-            mock.patch.object(textprep, "_BLOCK_CELLS", height * n):
-        got = dbscan_weighted(vectors, weights, params)
-    want = dbscan(matrix(vectors, cosine_distance).reshape(n, n), params, weights)
+    got = dbscan_weighted(vectors, weights, params)
+    want = dbscan(rows, params, weights)
     assert got == want and got.core == want.core
 
 

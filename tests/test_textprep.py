@@ -1,16 +1,12 @@
-import contextlib
 import math
-from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recallscan import textprep
+from recallscan.dbscan import DbscanParams, dbscan, dbscan_weighted
 from recallscan.errors import ContractError
 from recallscan.reference import REFERENCE_INITIATORS
 from recallscan.textprep import (
-    _cosine_blocks,
     _lcs_length,
     cosine_distance,
     cosine_neighbourhoods,
@@ -147,103 +143,90 @@ small_vocab_labels = st.lists(
     st.sampled_from(["process", "control", "design", "a", "b"]), max_size=6
 ).map(" ".join)
 
-
-def scalar_matrix(vectors):
-    """The reference: ``cosine_distance`` on every pair."""
-    return np.array(
-        [[cosine_distance(a, b) for b in vectors] for a in vectors], dtype=np.float64
-    ).reshape(len(vectors), len(vectors))
-
-
-def blocked_matrix(vectors):
-    """The row blocks of ``_cosine_blocks`` stacked into the whole matrix."""
-    return np.vstack([np.empty((0, len(vectors))), *_cosine_blocks(vectors)])
-
-
-def numpy_from(n):
-    """Patch the point count from which the pairwise steps take numpy."""
-    return mock.patch.object(textprep, "NUMPY_MIN_POINTS", n)
-
-
-def row_blocks():
-    """Take the numpy row blocks at any number of vectors."""
-    return numpy_from(0)
-
-
-@contextlib.contextmanager
-def block_height(height, n):
-    """Take the row blocks, with the block size patched so that ``n`` vectors go ``height`` rows to a block."""
-    with row_blocks(), mock.patch.object(textprep, "_BLOCK_CELLS", height * n):
-        yield
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.one_of(small_vocab_labels, labels_text), max_size=14), st.integers(1, 5))
-def test_cosine_matrix_equals_scalar_bit_for_bit(raws, height):
-    vectors = [tf_vector(normalize_label(s)) for s in raws]
-    with block_height(height, len(vectors)):
-        got = blocked_matrix(vectors)
-    want = scalar_matrix(vectors)
-    assert got.dtype == np.float64
-    assert got.tobytes() == want.tobytes()
-    assert got.tobytes() == got.T.copy().tobytes()
-    assert not np.diagonal(got).any()
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 5),
-    st.sampled_from([lambda b: b - 1, lambda b: b, lambda b: b + 1, lambda b: 2 * b + 1]),
-    st.data(),
-    st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+# Vectors over the same few tokens with counts above 1, so norms, L1 sums and
+# largest counts differ between vectors and prefixes end at every position.
+small_vocab_vectors = st.dictionaries(
+    st.sampled_from(["process", "control", "design", "a", "b"]), st.integers(1, 4), max_size=5
 )
-def test_neighbourhoods_equal_thresholded_scalar_matrix(height, size, data, eps):
-    # Sizes on and around a block boundary: one short of a block, exactly
-    # one, one row over, and two blocks plus one row.
-    raws = data.draw(st.lists(small_vocab_labels, min_size=size(height), max_size=size(height)))
-    vectors = [tf_vector(s) for s in raws]
-    with block_height(height, len(vectors)):
-        got = cosine_neighbourhoods(vectors, eps)
-    assert got == [np.flatnonzero(row <= eps).tolist() for row in scalar_matrix(vectors)]
+
+
+def thresholded(vectors, eps, distance):
+    """All pairs through ``distance``: per vector, the ascending indices within ``eps`` of it."""
+    return [[j for j, b in enumerate(vectors) if distance(a, b) <= eps] for a in vectors]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(small_vocab_vectors, st.one_of(small_vocab_labels, labels_text).map(
+            lambda s: tf_vector(normalize_label(s)))),
+        max_size=24,
+    ),
+    st.sampled_from([[], [{}], [{}, {}]]),
+    st.data(),
+)
+def test_neighbourhoods_equal_thresholded_scalar_matrix(drawn, empties, data):
+    # Empty vectors and copies of drawn ones ride along. eps sits exactly on a
+    # distance that occurs, on 0, just below 1 or at 1 and above, where every pair qualifies.
+    vectors = drawn + empties + drawn[::3]
+    occurring = sorted({cosine_distance(a, b) for a in vectors for b in vectors})
+    eps = data.draw(st.sampled_from([*occurring, 0.0, 0.1, 1.0 - 1e-10, 1.0, 2.0]))
+    got = cosine_neighbourhoods(vectors, eps)
+    assert got == thresholded(vectors, eps, cosine_distance)
+    assert all(type(i) is int for nb in got for i in nb)
+    # The oracle's union-vocabulary cosine may differ from cosine_distance in the
+    # last bits, so a pair it puts within 1e-12 of eps may fall on either side.
+    for i, a in enumerate(vectors):
+        for j, b in enumerate(vectors):
+            d = cosine_distance_ref(a, b)
+            if abs(d - eps) > 1e-12:
+                assert (j in got[i]) == (d <= eps), (i, j, d, eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(small_vocab_labels, labels_text), max_size=14))
+def test_cosine_matrix_equals_scalar_bit_for_bit(raws):
+    # With eps set on each occurring distance in turn, the smallest eps at which j joins i's
+    # neighbourhood is their distance: the neighbourhoods give back the whole scalar matrix.
+    vectors = [tf_vector(normalize_label(s)) for s in raws]
+    want = [[cosine_distance(a, b) for b in vectors] for a in vectors]
+    got = [[math.inf] * len(vectors) for _ in vectors]
+    for eps in sorted({d for row in want for d in row}, reverse=True):
+        for i, nb in enumerate(cosine_neighbourhoods(vectors, eps)):
+            for j in nb:
+                got[i][j] = eps
+    assert [[d.hex() for d in row] for row in got] == [[d.hex() for d in row] for row in want]
+    assert got == [list(col) for col in zip(*got)]
+    assert all(got[i][i] == 0.0 for i in range(len(got)))
 
 
 def test_neighbourhoods_with_empty_vectors_on_both_sides_of_a_boundary():
-    # Blocks of two rows: rows 1 and 2 are empty and sit in different blocks.
+    # Below eps 1 an empty vector is a neighbour of empty vectors only; from 1 on, of all.
     vectors = [tf_vector(s) for s in ("process", "", "", "control process", "")]
-    with block_height(2, len(vectors)):
-        assert blocked_matrix(vectors).tobytes() == scalar_matrix(vectors).tobytes()
-        for eps in (0.0, 0.5, 1.0):
-            got = cosine_neighbourhoods(vectors, eps)
-            assert got == [np.flatnonzero(row <= eps).tolist() for row in scalar_matrix(vectors)]
+    for eps in (0.0, 0.5, 1.0 - 1e-10, 1.0, 2.0):
+        assert cosine_neighbourhoods(vectors, eps) == thresholded(vectors, eps, cosine_distance)
     assert cosine_neighbourhoods(vectors, 0.5) == [
         [0, 3], [1, 2, 4], [1, 2, 4], [0, 3], [1, 2, 4]
     ]
+    assert cosine_neighbourhoods(vectors, 1.0) == [list(range(5))] * 5
 
 
 def test_cosine_matrix_edge_cases():
-    assert blocked_matrix([]).shape == (0, 0)
     assert cosine_neighbourhoods([], 0.1) == []
     empty, full = tf_vector(""), tf_vector("process control")
-    assert blocked_matrix([empty]).tolist() == [[0.0]]
-    assert blocked_matrix([empty, empty, full]).tolist() == [
-        [0.0, 0.0, 1.0],
-        [0.0, 0.0, 1.0],
-        [1.0, 1.0, 0.0],
-    ]
+    assert cosine_neighbourhoods([empty], 0.1) == [[0]]
+    assert cosine_neighbourhoods([empty, empty, full], 0.1) == [[0, 1], [0, 1], [2]]
     # Equal counts in another token order are the same vector.
-    same = blocked_matrix([tf_vector("a a b"), tf_vector("b a a"), tf_vector("a b")])
-    assert same[0, 1] == 0.0 and same[0, 2] > 0.0
+    same = [tf_vector("a a b"), tf_vector("b a a"), tf_vector("a b")]
+    assert cosine_neighbourhoods(same, 0.0) == [[0, 1], [0, 1], [2]]
 
 
 def test_cosine_matrix_rejects_counts_beyond_exact_range():
-    # One rule at every size: below NUMPY_MIN_POINTS vectors (the plain pair loop) and from it
-    # on (the row blocks), which are also forced at the smaller sizes.
-    for copies in (1, textprep.NUMPY_MIN_POINTS // 2, textprep.NUMPY_MIN_POINTS):
-        for count in (2**27, 2**70):  # beyond int64 too: refused before any array is built
+    # One rule at every size.
+    for copies in (1, 32, 64):
+        for count in (2**27, 2**70):  # beyond int64 too
             vectors = [{"x": count}, tf_vector("x")] * copies
             with pytest.raises(ContractError, match="too large"):
-                cosine_neighbourhoods(vectors, 0.1)
-            with row_blocks(), pytest.raises(ContractError, match="too large"):
                 cosine_neighbourhoods(vectors, 0.1)
         below = [{"x": 2**26}, tf_vector("x")] * copies  # squared norm 2**52, still exact
         assert cosine_neighbourhoods(below, 0.1) == [list(range(2 * copies))] * (2 * copies)
@@ -255,39 +238,24 @@ def test_cosine_distance_beyond_float_range_is_a_contract_error():
     assert cosine_distance({"x": 2**500}, {"x": 1}) == 0.0  # exact integers, within float range
 
 
-def test_cosine_matrix_rejects_disagreement_with_scalar(monkeypatch):
-    # The sampled pairs are checked against cosine_distance; distances that
-    # drifted from the scalar definition must not reach DBSCAN.
-    vectors = [tf_vector("a"), tf_vector("b"), tf_vector("a b")]
-    monkeypatch.setattr(textprep, "cosine_distance", lambda a, b: 0.5)
-    with row_blocks(), pytest.raises(ContractError, match="disagrees"):
-        cosine_neighbourhoods(vectors, 0.1)
-    # One row per block: the sampled pair (0, 2) spans blocks 0 and 2, and
-    # the block holding row 0 checks it.
-    monkeypatch.setattr(
-        textprep, "cosine_distance",
-        lambda a, b: cosine_distance(a, b) + (a is vectors[0] and b is vectors[2]),
-    )
-    with block_height(1, len(vectors)), pytest.raises(ContractError, match=r"pair \(0, 2\)"):
-        cosine_neighbourhoods(vectors, 0.1)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
-    st.one_of(
-        st.integers(0, 8),
-        st.sampled_from([textprep.NUMPY_MIN_POINTS - 1, textprep.NUMPY_MIN_POINTS, textprep.NUMPY_MIN_POINTS + 1]),
-    ),
+    st.one_of(st.integers(0, 8), st.integers(30, 34)),
     st.data(),
     st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0]),
+    st.integers(1, 4),
 )
-def test_both_neighbourhood_paths_agree(size, data, eps):
-    # Few words and empty labels, so distances of 0, 1 and ties at eps all occur.
+def test_both_neighbourhood_paths_agree(size, data, eps, min_pts):
+    # The matrix path (``dbscan`` thresholds the rows of a square cosine_distance matrix) and
+    # the vector path (``dbscan_weighted`` over cosine_neighbourhoods) label every point
+    # alike. Few words and empty labels, so distances of 0, 1 and ties at eps all occur.
     raws = data.draw(st.lists(small_vocab_labels, min_size=size, max_size=size))
     vectors = [tf_vector(s) for s in raws]
-    with numpy_from(0):
-        blocks = cosine_neighbourhoods(vectors, eps)
-    with numpy_from(size + 1):
-        pairs = cosine_neighbourhoods(vectors, eps)
-    assert pairs == blocks == cosine_neighbourhoods(vectors, eps)
+    matrix = [[cosine_distance(a, b) for b in vectors] for a in vectors]
+    rows = [[j for j, d in enumerate(row) if d <= eps] for row in matrix]
+    blocks = cosine_neighbourhoods(vectors, eps)
+    assert blocks == rows
     assert all(type(i) is int for nb in blocks for i in nb)
+    params = DbscanParams(eps, min_pts)
+    by_matrix, by_vectors = dbscan(matrix, params), dbscan_weighted(vectors, [1] * size, params)
+    assert by_matrix == by_vectors and by_matrix.core == by_vectors.core
