@@ -3,10 +3,11 @@
 Two labels merge when the LCS similarity of their normalised prefixes
 reaches a threshold; union-find takes the transitive closure, so the result
 does not depend on input order. Before any LCS, each prefix's characters
-are compared with those of every later prefix, as sets of ``(char,
-occurrence)`` tokens; a pair whose shared character count already keeps the
-similarity below the threshold skips the LCS dynamic program. An optional
-override set can force or suppress individual pairs.
+are compared with those of every later prefix: each prefix is a bit mask
+over ``(char, occurrence)`` tokens, and a pair whose shared character count
+(the popcount of the two masks' AND) already keeps the similarity below the
+threshold skips the LCS dynamic program. An optional override set can force
+or suppress individual pairs.
 """
 
 from __future__ import annotations
@@ -95,31 +96,44 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _char_tokens(s: str) -> frozenset[tuple[str, int]]:
-    """``s`` as a set of ``(char, occurrence)`` tokens: ``"aab"`` holds ``("a", 0)``, ``("a", 1)``
-    and ``("b", 0)``. Two such sets share as many tokens as their strings share characters,
-    with multiplicity."""
-    return frozenset((ch, k) for ch, c in Counter(s).items() for k in range(c))
+def _char_masks(strings: Sequence[str]) -> list[int]:
+    """Each string as a bit mask over the ``(char, occurrence)`` tokens of all of them.
+
+    Every distinct token gets one bit: ``"aab"`` sets the bits of ``("a", 0)``,
+    ``("a", 1)`` and ``("b", 0)``. A mask has as many bits set as its string has
+    characters, and two masks share as many bits as their strings share
+    characters, with multiplicity.
+    """
+    bits: dict[tuple[str, int], int] = {}
+    masks = []
+    for s in strings:
+        mask = 0
+        for ch, c in Counter(s).items():
+            for k in range(c):
+                mask |= 1 << bits.setdefault((ch, k), len(bits))
+        masks.append(mask)
+    return masks
 
 
 def _bound_survivors(prefixes: Sequence[str], theta: float) -> Iterator[list[int]]:
     """Per prefix ``i``, the later prefixes ``j`` whose shared-character bound is not below ``theta``.
 
-    The shared count of a pair is the size of the intersection of their
-    ``_char_tokens``. LCS <= shared characters, and the similarity is
+    The shared count of a pair is the popcount of the AND of their
+    ``_char_masks``. LCS <= shared characters, and the similarity is
     monotone in its numerator, so a pair whose bound ``2.0 * shared /
     (len_i + len_j)`` falls below theta can never reach it. Equal prefixes
     give exactly 1.0; one empty prefix gives 0.0, pruned only when theta > 0,
     where lcs_similarity's 0.0 fails too; two empty prefixes are kept for
     lcs_similarity's 1.0.
     """
-    bags = list(map(_char_tokens, prefixes))
-    for i, bag in enumerate(bags):
-        length = len(bag)
+    masks = _char_masks(prefixes)
+    lengths = list(map(len, prefixes))
+    for i, mask in enumerate(masks):
+        length = lengths[i]
         survivors = []
-        for j in range(i + 1, len(bags)):
-            total = length + len(bags[j])
-            if not (total and 2.0 * len(bag & bags[j]) / total < theta):
+        for j in range(i + 1, len(masks)):
+            total = length + lengths[j]
+            if not (total and 2.0 * (mask & masks[j]).bit_count() / total < theta):
                 survivors.append(j)
         yield survivors
 

@@ -96,8 +96,8 @@ def dbscan(
     points come back as NOISE.
 
     ``dist`` is a sequence of rows of numbers. The matrix must be square, with
-    a zero diagonal and no negative entry, and a deterministic sample of pairs
-    must be symmetric.
+    a zero diagonal and no negative or NaN entry, and a deterministic sample
+    of pairs must be symmetric.
     """
     try:
         rows = [[float(d) for d in row] for row in dist]
@@ -111,8 +111,8 @@ def dbscan(
         if row[i] != 0:
             raise ContractError(f"self-distance must be 0, violated at index {i}")
         for j, d in enumerate(row):
-            if d < 0:
-                raise ContractError(f"negative distance between indices {i} and {j}")
+            if not d >= 0:  # NaN compares false both ways, so it is refused here too
+                raise ContractError(f"{'NaN' if math.isnan(d) else 'negative'} distance between indices {i} and {j}")
     for i in range(0, n, max(1, n // 8)):
         j = n - 1 - i
         if rows[i][j] != rows[j][i]:

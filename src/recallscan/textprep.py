@@ -43,15 +43,19 @@ def cosine_distance(a: dict[str, int], b: dict[str, int]) -> float:
         return 1.0
     if a == b:
         return 0.0
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    dot = sum(c * large[t] for t, c in small.items() if t in large)
     qa = sum(c * c for c in a.values())
     qb = sum(c * c for c in b.values())
     try:
-        cos = dot / math.sqrt(qa * qb)
+        cos = _dot(a, b) / math.sqrt(qa * qb)
     except OverflowError as exc:  # counts past float range
         raise ContractError(f"token counts too large for a cosine distance: {exc}") from exc
     return min(1.0, max(0.0, 1.0 - cos))
+
+
+def _dot(a: dict[str, int], b: dict[str, int]) -> int:
+    """The integer dot product of two token-count dicts, summed over the smaller one."""
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    return sum(c * large[t] for t, c in small.items() if t in large)
 
 
 def _squared_norms(vectors: Sequence[dict[str, int]]) -> list[int]:
@@ -66,7 +70,7 @@ def _squared_norms(vectors: Sequence[dict[str, int]]) -> list[int]:
 def cosine_neighbourhoods(vectors: Sequence[dict[str, int]], eps: float) -> list[list[int]]:
     """Per vector, the ascending indices of the vectors within ``cosine_distance`` ``eps`` of it.
 
-    Two exact filters from all-pairs similarity search (Bayardo, Ma &
+    Three exact filters from all-pairs similarity search (Bayardo, Ma &
     Srikant, WWW 2007) pick the candidate pairs; ``cosine_distance`` decides
     each candidate, so the lists equal the all-pairs loop bit for bit. With
     ``t = 1 - eps - 1e-9`` (the margin covers the rounding of every float
@@ -80,11 +84,17 @@ def cosine_neighbourhoods(vectors: Sequence[dict[str, int]], eps: float) -> list
       below ``t``.
     - *Size bound.* ``dot(x, y) <= min(L1(x) * max(y), L1(y) * max(x))``, so a
       candidate whose bound over ``|x| |y|`` is below ``t`` is dropped.
+    - *Dot filter.* The exact integer ``dot(x, y)`` is the tightest such
+      bound: a candidate whose dot product is below ``t |x| |y|`` is dropped
+      by the same argument, so ``cosine_distance`` only sees pairs that can
+      lie within ``eps``.
 
     Empty vectors are neighbours of each other only; when ``t <= 0`` (eps of
-    1 or more) every pair goes to ``cosine_distance``. Squared norms of 2**53
-    or more are refused (ContractError).
+    1 or more) every pair goes to ``cosine_distance``. A negative or NaN
+    ``eps``, and squared norms of 2**53 or more, are refused (ContractError).
     """
+    if not eps >= 0.0:
+        raise ContractError(f"eps must be >= 0, got {eps}")
     q = _squared_norms(vectors)
     t = 1.0 - eps - 1e-9
     frequency = Counter(token for v in vectors for token in v)
@@ -111,7 +121,8 @@ def cosine_neighbourhoods(vectors: Sequence[dict[str, int]], eps: float) -> list
                 if rest < stop:
                     break
             reach = t * norms[i]
-            candidates = sorted(j for j in found if min(l1[i] * top[j], l1[j] * top[i]) >= reach * norms[j])
+            sized = [j for j in found if min(l1[i] * top[j], l1[j] * top[i]) >= reach * norms[j]]
+            candidates = sorted(j for j in sized if _dot(v, vectors[j]) >= reach * norms[j])
         near = [j for j in candidates if cosine_distance(v, vectors[j]) <= eps]
         for j in near:
             neighbourhoods[j].append(i)  # i exceeds every index already in j's list

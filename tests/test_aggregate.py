@@ -10,7 +10,7 @@ from recallscan.aggregate import (
     AggregationParams,
     MergeOverrides,
     _bound_survivors,
-    _char_tokens,
+    _char_masks,
     aggregate,
     groups_to_json_dict,
 )
@@ -218,10 +218,10 @@ def test_group_artifact_payload_sorted():
 
 @given(st.lists(st.text(alphabet="abcdeé ", max_size=14), min_size=2, max_size=6))
 def test_shared_count_bounds_lcs(strings):
-    tokens = [_char_tokens(s) for s in strings]
-    assert [len(t) for t in tokens] == [len(s) for s in strings]
-    for (a, ta), (b, tb) in itertools.combinations(zip(strings, tokens), 2):
-        shared = len(ta & tb)
+    masks = _char_masks(strings)
+    assert [m.bit_count() for m in masks] == [len(s) for s in strings]
+    for (a, ma), (b, mb) in itertools.combinations(zip(strings, masks), 2):
+        shared = (ma & mb).bit_count()
         assert shared == sum((Counter(a) & Counter(b)).values())  # with multiplicity
         assert lcs_table(a, b) <= shared <= min(len(a), len(b))
 

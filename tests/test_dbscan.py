@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -295,6 +296,19 @@ def test_canonical_label_preserves_original_case():
 def test_negative_distance_is_rejected():
     with pytest.raises(ContractError, match="negative distance between indices 0 and 2"):
         dbscan(matrix([0, 1, 2], lambda a, b: 0.0 if a == b else (-1.0 if {a, b} == {0, 2} else 0.5)))
+
+
+@pytest.mark.parametrize("nan_at", [(0, 1), (1, 0), (2, 0)])
+def test_nan_distance_is_rejected(nan_at):
+    # Pairs (0, 1) and (1, 0) lie outside the sampled symmetry pairs of a 3 x 3 matrix;
+    # a NaN there would compare false against eps and read as "far".
+    dist = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    i, j = nan_at
+    dist[i][j] = math.nan
+    with pytest.raises(ContractError, match=f"NaN distance between indices {i} and {j}"):
+        dbscan(dist, DbscanParams(0.5, 1))
+    dist[i][j] = dist[j][i] = math.inf  # infinitely far is a distance
+    assert dbscan(dist, DbscanParams(0.5, 1)) == [0, 1, 2]
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recallscan import textprep
 from recallscan.dbscan import DbscanParams, dbscan, dbscan_weighted
 from recallscan.errors import ContractError
 from recallscan.reference import REFERENCE_INITIATORS
@@ -89,6 +90,32 @@ def test_all_reference_label_pairs_exceed_default_eps():
         assert cosine_distance(vectors[i], vectors[i]) == 0.0
         for j in range(i + 1, len(vectors)):
             assert cosine_distance(vectors[i], vectors[j]) > 0.1
+
+
+def test_filters_leave_few_reference_pairs_to_cosine_distance(monkeypatch):
+    # Of the 36 * 35 / 2 = 630 pairs of the fixture's labels, none reaches
+    # cosine_distance at eps 0.1 and 40 at eps 0.5; at eps 1 every pair does.
+    vectors = [tf_vector(normalize_label(label)) for label, _ in REFERENCE_INITIATORS]
+    calls = []
+
+    def counted_distance(a, b):
+        calls.append((a, b))
+        return cosine_distance(a, b)
+
+    monkeypatch.setattr(textprep, "cosine_distance", counted_distance)
+    for eps, pairs, neighbours in ((0.1, 0, 36), (0.5, 40, 116), (1.0, 630, 36 * 36)):
+        calls.clear()
+        got = cosine_neighbourhoods(vectors, eps)
+        assert (len(calls), sum(map(len, got))) == (pairs, neighbours), eps
+
+
+@pytest.mark.parametrize("eps", [-0.1, -1e-300, -math.inf, math.nan])
+def test_neighbourhoods_refuse_a_negative_or_nan_eps(eps):
+    # No pair lies within such an eps, not even a vector and itself, so no list could be right.
+    with pytest.raises(ContractError, match="eps must be >= 0"):
+        cosine_neighbourhoods([tf_vector("process"), {}], eps)
+    assert cosine_neighbourhoods([tf_vector("process"), {}], 0.0) == [[0], [1]]
+    assert cosine_neighbourhoods([tf_vector("process"), {}], -0.0) == [[0], [1]]
 
 
 @pytest.mark.parametrize(
