@@ -6,8 +6,8 @@ does not depend on input order. Before any LCS, each prefix's characters
 are compared with those of every later prefix: each prefix is a bit mask
 over ``(char, occurrence)`` tokens, and a pair whose shared character count
 (the popcount of the two masks' AND) already keeps the similarity below the
-threshold skips the LCS dynamic program. An optional override set can force
-or suppress individual pairs.
+threshold skips the bit-parallel LCS; at a threshold of 0 every pair merges
+without one. An optional override set can force or suppress individual pairs.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def aggregate(
         for j in survivors:
             if suppressed and frozenset((i, j)) in suppressed:
                 continue
-            if lcs_similarity(prefixes[i], prefixes[j]) >= params.theta:
+            if params.theta <= 0.0 or lcs_similarity(prefixes[i], prefixes[j]) >= params.theta:
                 uf.union(i, j)
 
     components: dict[int, list[int]] = {}

@@ -133,7 +133,7 @@ class PipelineConfig(typing.NamedTuple):
         stage has written a file yet.
         """
         values = dict(cls._field_defaults)
-        if config_path:
+        if config_path is not None:
             loaded = artifacts.read_object(Path(config_path), "config file", UsageError)
             unknown = set(loaded) - set(values)
             if unknown:

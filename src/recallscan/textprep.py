@@ -2,15 +2,15 @@
 
 Cosine distance over token-count dicts (``tf_vector``), one pair at a time or
 as eps-neighbourhoods (``cosine_neighbourhoods``), drives the clustering step;
-normalised longest-common-subsequence similarity over label prefixes drives
-the group aggregation step. Everything here is pure and deterministic.
+normalised longest-common-subsequence similarity over label prefixes, from a
+bit-parallel kernel, drives the group aggregation step. All of it is pure.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ContractError
 
@@ -73,7 +73,7 @@ def cosine_neighbourhoods(vectors: Sequence[dict[str, int]], eps: float) -> list
     Three exact filters from all-pairs similarity search (Bayardo, Ma &
     Srikant, WWW 2007) pick the candidate pairs; ``cosine_distance`` decides
     each candidate, so the lists equal the all-pairs loop bit for bit. With
-    ``t = 1 - eps - 1e-9`` (the margin covers the rounding of every float
+    ``t = max(0, 1 - eps - 1e-9)`` (the margin covers the rounding of every float
     below), a pair within ``eps`` has cosine at least ``t``:
 
     - *Prefix filter.* Tokens are ordered once, rarest first (ties by token).
@@ -89,14 +89,17 @@ def cosine_neighbourhoods(vectors: Sequence[dict[str, int]], eps: float) -> list
       by the same argument, so ``cosine_distance`` only sees pairs that can
       lie within ``eps``.
 
-    Empty vectors are neighbours of each other only; when ``t <= 0`` (eps of
-    1 or more) every pair goes to ``cosine_distance``. A negative or NaN
-    ``eps``, and squared norms of 2**53 or more, are refused (ContractError).
+    Empty vectors are neighbours of each other only. From eps 1 on every pair
+    is within eps, as ``cosine_distance`` is clamped to [0, 1]; below it, a
+    pair sharing no token is 1 apart, so ``t`` may be clamped at 0. A negative
+    or NaN ``eps``, and squared norms of 2**53 or more, are refused (ContractError).
     """
     if not eps >= 0.0:
         raise ContractError(f"eps must be >= 0, got {eps}")
     q = _squared_norms(vectors)
-    t = 1.0 - eps - 1e-9
+    if eps >= 1.0:
+        return [list(range(len(vectors))) for _ in vectors]
+    t = max(0.0, 1.0 - eps - 1e-9)
     frequency = Counter(token for v in vectors for token in v)
     rank = {token: k for k, token in enumerate(sorted(frequency, key=lambda tok: (frequency[tok], tok)))}
     norms = [math.sqrt(x) for x in q]
@@ -106,9 +109,7 @@ def cosine_neighbourhoods(vectors: Sequence[dict[str, int]], eps: float) -> list
     empties: list[int] = []
     neighbourhoods: list[list[int]] = []
     for i, v in enumerate(vectors):
-        if t <= 0.0:
-            candidates: Iterable[int] = range(i)
-        elif not v:
+        if not v:
             candidates = empties
             empties = [*empties, i]
         else:
@@ -138,22 +139,19 @@ def prefix_key(s: str, n: int = DEFAULT_PREFIX_LEN) -> str:
 
 
 def _lcs_length(a: str, b: str) -> int:
-    """Longest-common-subsequence length, one dynamic-programming row over ``b``.
+    """Longest-common-subsequence length, bit-parallel (Allison & Dix, IPL 1986; Hyyrö 2004).
 
-    ``row[j + 1]`` is overwritten in place; ``diag`` carries the previous
-    row's ``row[j]`` that the match case needs.
+    Bit ``j`` of ``match[c]`` is set where ``b[j] == c``; after each character
+    of ``a``, the zero bits among the low ``len(b)`` of ``v`` count the LCS so far.
     """
-    row = [0] * (len(b) + 1)
+    match: dict[str, int] = {}
+    for j, c in enumerate(b):
+        match[c] = match.get(c, 0) | 1 << j
+    v = full = (1 << len(b)) - 1
     for ca in a:
-        diag = 0
-        for j, cb in enumerate(b):
-            up = row[j + 1]
-            if ca == cb:
-                row[j + 1] = diag + 1
-            elif row[j] > up:
-                row[j + 1] = row[j]
-            diag = up
-    return row[-1]
+        u = v & match.get(ca, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def lcs_similarity(a: str, b: str) -> float:

@@ -242,8 +242,12 @@ def test_bound_prunes_the_reference_pairs(monkeypatch):
     monkeypatch.setattr(textprep, "_lcs_length", counted_length)
     assert len(aggregate(REFERENCE_SUMMARIES, DEFAULTS)) == 25
     # Of the 36 * 35 / 2 = 630 pairs, 21 pass the shared-character bound and
-    # 10 of those have distinct non-empty prefixes, so reach the dynamic program.
+    # 10 of those have distinct non-empty prefixes, so reach the LCS kernel.
     assert calls == {"pairs": 21, "kernel": 10}
+    # Every similarity is >= 0, so at theta 0 all 36 labels merge without one LCS.
+    calls.update(pairs=0, kernel=0)
+    assert len(aggregate(REFERENCE_SUMMARIES, AggregationParams(theta=0.0))) == 1
+    assert calls == {"pairs": 0, "kernel": 0}
 
 
 def brute_force_groups(summaries, params, overrides):

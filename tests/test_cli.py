@@ -350,6 +350,10 @@ def test_bad_config_file_exits_2(tmp_path, runner):
         cfg.write_text(text)
         result = runner.invoke(main, ["report", "--config", str(cfg), "--out", str(tmp_path / "o")])
         single_error_line(result, 2, "UsageError")
+    # An empty path names no file: it fails like any unreadable config, before any write.
+    args = ["pipeline", "--fixture", "table2", "--config", "", "--out", str(tmp_path / "o")]
+    single_error_line(runner.invoke(main, args), 2, "UsageError")
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_config_key_exits_2(tmp_path, runner):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from recallscan import textprep
 from recallscan.dbscan import DbscanParams, dbscan, dbscan_weighted
@@ -94,7 +94,8 @@ def test_all_reference_label_pairs_exceed_default_eps():
 
 def test_filters_leave_few_reference_pairs_to_cosine_distance(monkeypatch):
     # Of the 36 * 35 / 2 = 630 pairs of the fixture's labels, none reaches
-    # cosine_distance at eps 0.1 and 40 at eps 0.5; at eps 1 every pair does.
+    # cosine_distance at eps 0.1 and 40 at eps 0.5; from eps 1 on every pair
+    # is within eps by definition, so none does.
     vectors = [tf_vector(normalize_label(label)) for label, _ in REFERENCE_INITIATORS]
     calls = []
 
@@ -103,7 +104,9 @@ def test_filters_leave_few_reference_pairs_to_cosine_distance(monkeypatch):
         return cosine_distance(a, b)
 
     monkeypatch.setattr(textprep, "cosine_distance", counted_distance)
-    for eps, pairs, neighbours in ((0.1, 0, 36), (0.5, 40, 116), (1.0, 630, 36 * 36)):
+    for eps, pairs, neighbours in (
+        (0.1, 0, 36), (0.5, 40, 116), (1.0, 0, 36 * 36), (2.0, 0, 36 * 36), (1e308, 0, 36 * 36)
+    ):
         calls.clear()
         got = cosine_neighbourhoods(vectors, eps)
         assert (len(calls), sum(map(len, got))) == (pairs, neighbours), eps
@@ -152,7 +155,9 @@ def test_lcs_similarity_matches_reference_and_axioms(a, b):
     assert 0.0 <= sim <= 1.0
 
 
-@given(st.text(alphabet="ab éü文", max_size=14), st.text(alphabet="ab éü文", max_size=14))
+# Past 64 characters the bit vector outgrows one machine word; the example is always run.
+@given(st.text(alphabet="ab éü文", max_size=80), st.text(alphabet="ab éü文", max_size=80))
+@example("ab éü文" * 13, "文üé ba" * 12)
 def test_lcs_length_matches_full_table(a, b):
     assert _lcs_length(a, b) == lcs_table(a, b)
     assert _lcs_length(a, "") == _lcs_length("", a) == 0
