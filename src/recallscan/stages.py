@@ -133,6 +133,8 @@ class PipelineConfig(typing.NamedTuple):
         stage has written a file yet.
         """
         values = dict(cls._field_defaults)
+        if config_path == "":  # Path("") is the current directory
+            raise UsageError("config_path must name a file, not be empty")
         if config_path is not None:
             loaded = artifacts.read_object(Path(config_path), "config file", UsageError)
             unknown = set(loaded) - set(values)
@@ -149,6 +151,9 @@ class PipelineConfig(typing.NamedTuple):
                 raise UsageError(
                     f"unknown {key} {values[key]!r}; choose one of {', '.join(choices)}"
                 )
+        for key in ("cache_dir", "out", "overrides_file"):
+            if values[key] == "":
+                raise UsageError(f"config key {key} must name a path, not be empty")
         cfg = cls(**values)
         # The range rules live in these classes; building them checks every value.
         cfg.cleaning_rules(), cfg.dbscan_params(), cfg.aggregation_params()
@@ -334,7 +339,7 @@ def aggregate_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
     if not summaries:
         raise DataError(f"{out / CLUSTERS_FILE} holds no clusters; nothing to aggregate")
     params = cfg.aggregation_params()
-    overrides = MergeOverrides.from_file(cfg.overrides_file) if cfg.overrides_file else None
+    overrides = None if cfg.overrides_file is None else MergeOverrides.from_file(cfg.overrides_file)
     groups = aggregate(summaries, params, overrides)
     save(cfg, "aggregate", {GROUPS_FILE: groups_to_json_dict(groups, params)}, run)
     return f"aggregate: {len(groups)} groups -> {out / GROUPS_FILE}"

@@ -7,10 +7,10 @@ itself offline.
 
 import hashlib
 import json
+import random
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -190,23 +190,25 @@ def test_c06_aggregation_conserves_total_case_mass():
 
 
 def test_c07_engine_matches_reference_on_1000_random_instances():
-    rng = np.random.default_rng(2024)
+    rng = random.Random(2024)
     eps_sweep = [0.02, 0.05, 0.1, 0.2, 0.4]
     t0 = time.perf_counter()
     for trial in range(1000):
-        n = int(rng.integers(5, 61))
+        n = rng.randint(5, 60)
         eps = eps_sweep[trial % len(eps_sweep)]
-        min_pts = int(rng.integers(1, 7))
+        min_pts = rng.randint(1, 6)
         if trial % 2 == 0:
-            pts = [float(x) for x in rng.random(n)]
-            matrix = np.array([[abs(a - b) for b in pts] for a in pts])
+            pts = [rng.random() for _ in range(n)]
+            matrix = [[abs(a - b) for b in pts] for a in pts]
         else:
-            # Symmetric, zero-diagonal, deliberately non-metric.
-            matrix = rng.random((n, n))
-            matrix = (matrix + matrix.T) / 2.0
-            np.fill_diagonal(matrix, 0.0)
+            # Symmetric, zero-diagonal, deliberately non-metric: each pair is
+            # the mean of two uniform draws, as (M + M.T) / 2 would give.
+            matrix = [[0.0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    matrix[i][j] = matrix[j][i] = (rng.random() + rng.random()) / 2.0
         got = dbscan(matrix, DbscanParams(eps, min_pts))
-        want = dbscan_ref(matrix.tolist(), eps, min_pts)
+        want = dbscan_ref(matrix, eps, min_pts)
         assert canonical_partition(got) == canonical_partition(want), (
             f"trial {trial}: eps={eps} min_pts={min_pts}"
         )
@@ -216,17 +218,17 @@ def test_c07_engine_matches_reference_on_1000_random_instances():
 
 
 def test_c08_similarity_oracles():
-    rng = np.random.default_rng(77)
+    rng = random.Random(77)
     alphabet = "abcdef g"
     for _ in range(10_000):
-        la, lb = int(rng.integers(0, 13)), int(rng.integers(0, 13))
-        a = "".join(rng.choice(list(alphabet), size=la))
-        b = "".join(rng.choice(list(alphabet), size=lb))
+        la, lb = rng.randint(0, 12), rng.randint(0, 12)
+        a = "".join(rng.choices(alphabet, k=la))
+        b = "".join(rng.choices(alphabet, k=lb))
         assert lcs_similarity(a, b) == lcs_similarity_ref(a, b)
     tokens = [f"t{i}" for i in range(8)]
     for _ in range(10_000):
-        counts_a = {t: int(rng.integers(1, 5)) for t in tokens if rng.random() < 0.5}
-        counts_b = {t: int(rng.integers(1, 5)) for t in tokens if rng.random() < 0.5}
+        counts_a = {t: rng.randint(1, 4) for t in tokens if rng.random() < 0.5}
+        counts_b = {t: rng.randint(1, 4) for t in tokens if rng.random() < 0.5}
         va = tf_vector(" ".join(t for t, c in counts_a.items() for _ in range(c)))
         vb = tf_vector(" ".join(t for t, c in counts_b.items() for _ in range(c)))
         assert abs(cosine_distance(va, vb) - cosine_distance_ref(counts_a, counts_b)) <= 1e-12

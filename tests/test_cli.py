@@ -418,6 +418,28 @@ def test_a_value_that_is_not_utf8_exits_2_before_any_write(tmp_path, runner, mon
     assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if source == "config" else [])
 
 
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["--out", ""], "out"),
+        (["--cache-dir", ""], "cache_dir"),
+        (["--overrides-file", ""], "overrides_file"),
+        (["--config", ""], "config_path"),
+        (["--config", "cfg.json"], "out"),
+    ],
+    ids=["out", "cache-dir", "overrides-file", "config", "config-file-out"],
+)
+def test_an_empty_path_exits_2_before_any_write(tmp_path, runner, monkeypatch, args, key):
+    # Path("") is the current directory: an empty --out would write the artifacts there,
+    # and an empty --overrides-file would apply no overrides.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": ""}))
+    result = runner.invoke(main, ["pipeline", "--fixture", "table2", *args])
+    line = single_error_line(result, 2, "UsageError")
+    assert key in line["message"].split() and line["message"].endswith("not be empty")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("flag", ["--from", "--to"])
 def test_bad_cli_date_exits_2_with_json_line(tmp_path, runner, flag):
     out = tmp_path / "out"
@@ -810,8 +832,11 @@ def test_a_fixture_pipeline_loads_neither_click_nor_requests(tmp_path, loopback,
     # and no dataclasses (its import and generated methods cost start-up time); a live fetch
     # loads urllib's, and neither click, requests nor urllib3. recallscan leaves
     # OPENBLAS_NUM_THREADS as the caller set it, or unset, and the artifacts do not depend on it.
+    # Every top-level module the run adds, recallscan aside, is in the standard library.
     code = (
-        "import os, sys, recallscan.cli\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import os, recallscan.cli\n"
         "from recallscan import openfda\n"
         "ruled_out = lambda *names: sorted(m for m in sys.modules if m.partition('.')[0] in names)\n"
         "recallscan.cli.main(['pipeline', '--fixture', 'table2', '--out', sys.argv[1]])\n"
@@ -819,6 +844,8 @@ def test_a_fixture_pipeline_loads_neither_click_nor_requests(tmp_path, loopback,
         "print(openfda._http_get(sys.argv[2], {'skip': 0}, 10))\n"
         "print(ruled_out('click', 'requests', 'urllib3'))\n"
         "print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))\n"
+        "added = {m.partition('.')[0] for m in set(sys.modules) - before} - {'recallscan'}\n"
+        "print(sorted(added - sys.stdlib_module_names))\n"
     )
     server = loopback((200, b'{"results": []}'))
     src = str(Path(recallscan.__file__).parents[1])
@@ -833,8 +860,8 @@ def test_a_fixture_pipeline_loads_neither_click_nor_requests(tmp_path, loopback,
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    modules, answer, fetch_modules, blas_var = result.stdout.splitlines()[-4:]
-    assert modules == fetch_modules == "[]"
+    modules, answer, fetch_modules, blas_var, outside_stdlib = result.stdout.splitlines()[-5:]
+    assert modules == fetch_modules == outside_stdlib == "[]"
     assert answer == "(200, b'{\"results\": []}')" and len(server.paths) == 1
     assert blas_var == (blas_threads or "unset")
     pinned = {**BUILD_HASHES, **REPORT_HASHES}

@@ -1,8 +1,8 @@
 import itertools
 import math
+import random
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -25,12 +25,11 @@ from .oracles import canonical_partition, dbscan_ref
 
 def absmatrix(pts):
     """|a - b| for every pair of 1-d points."""
-    a = np.asarray(pts, dtype=np.float64)
-    return np.abs(a[:, None] - a[None, :])
+    return [[abs(a - b) for b in pts] for a in pts]
 
 
 def matrix(points, distance):
-    return np.array([[distance(a, b) for b in points] for a in points], dtype=np.float64)
+    return [[float(distance(a, b)) for b in points] for a in points]
 
 
 def test_params_validation():
@@ -72,7 +71,7 @@ def test_asymmetric_distance_is_rejected():
 
 
 def test_matrix_is_any_sequence_of_rows():
-    # Lists of ints and tuples of floats are rows as well as numpy arrays are.
+    # Lists of ints and tuples of floats are rows too, not only lists of floats.
     assert dbscan([[0, 1, 9], [1, 0, 9], [9, 9, 0]], DbscanParams(1.0, 2)) == [0, 0, NOISE]
     assert dbscan(((0.0, 0.5), (0.5, 0.0)), DbscanParams(0.5, 2)) == [0, 0]
     assert dbscan([], DbscanParams(0.5, 1)) == []
@@ -84,26 +83,30 @@ def test_matrix_is_any_sequence_of_rows():
 
 def test_nonzero_self_distance_is_rejected():
     with pytest.raises(ContractError):
-        dbscan(np.ones((2, 2)), DbscanParams(0.5, 1))
+        dbscan([[1.0, 1.0], [1.0, 1.0]], DbscanParams(0.5, 1))
 
 
-@pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 1, 1)])
-def test_non_square_matrix_is_rejected(shape):
+@pytest.mark.parametrize(
+    "rows",
+    [[[0.0] * 3] * 2, [0.0] * 4, [[[0.0]]]],
+    ids=["2x3", "flat", "1x1x1"],
+)
+def test_non_square_matrix_is_rejected(rows):
     with pytest.raises(ContractError, match="square"):
-        dbscan(np.zeros(shape), DbscanParams(0.5, 1))
+        dbscan(rows, DbscanParams(0.5, 1))
 
 
 def test_matches_reference_on_random_sweeps():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for _ in range(60):
-        n = int(rng.integers(2, 41))
-        pts = [float(x) for x in rng.random(n)]
-        eps = float(rng.choice([0.02, 0.05, 0.1, 0.2]))
-        min_pts = int(rng.integers(1, 9))
-        weights = [int(w) for w in rng.integers(1, 6, size=n)]
+        n = rng.randint(2, 40)
+        pts = [rng.random() for _ in range(n)]
+        eps = rng.choice([0.02, 0.05, 0.1, 0.2])
+        min_pts = rng.randint(1, 8)
+        weights = [rng.randint(1, 5) for _ in range(n)]
         dist = absmatrix(pts)
         got = dbscan(dist, DbscanParams(eps, min_pts), weights)
-        want = dbscan_ref(dist.tolist(), eps, min_pts, weights)
+        want = dbscan_ref(dist, eps, min_pts, weights)
         assert got == want  # same scan order, so the ids agree too
 
 
@@ -132,18 +135,18 @@ def test_partition_is_permutation_covariant(pts, perm, eps, min_pts):
     back = [0] * len(pts)
     for pos, orig in enumerate(order):
         back[orig] = relabeled[pos]
-    core = [i for i in range(len(pts)) if (dist[i] <= eps).sum() >= min_pts]
+    core = [i for i in range(len(pts)) if sum(d <= eps for d in dist[i]) >= min_pts]
     assert canonical_partition([base[i] for i in core]) == canonical_partition([back[i] for i in core])
     for labels in (base, back):
         for i, label in enumerate(labels):
-            near_core = [j for j in core if dist[i, j] <= eps]
+            near_core = [j for j in core if dist[i][j] <= eps]
             assert (label == NOISE) == (not near_core)
             assert label == NOISE or any(labels[j] == label for j in near_core)
 
 
 def test_raising_min_pts_only_grows_noise():
-    rng = np.random.default_rng(5)
-    pts = [float(x) for x in rng.random(40)]
+    rng = random.Random(5)
+    pts = [rng.random() for _ in range(40)]
     noise_sets = []
     for min_pts in range(1, 7):
         labels = dbscan(absmatrix(pts), DbscanParams(0.05, min_pts))
@@ -230,8 +233,8 @@ def test_point_counts_name_core_border_and_noise():
 
 
 def test_every_cluster_contains_a_core_point():
-    rng = np.random.default_rng(3)
-    pts = [float(x) for x in rng.random(50)]
+    rng = random.Random(3)
+    pts = [rng.random() for _ in range(50)]
     eps, min_pts = 0.04, 3
     labels = dbscan(absmatrix(pts), DbscanParams(eps, min_pts))
     for cid in range(max(labels) + 1):
@@ -262,7 +265,7 @@ def test_a_weight_that_is_not_a_positive_integer_is_refused(weight):
     with pytest.raises(ContractError, match="positive integers"):
         dbscan_weighted([tf_vector("a b")], [weight], DbscanParams(min_pts=1))
     with pytest.raises(ContractError, match="positive integers"):
-        dbscan(np.zeros((1, 1)), DbscanParams(min_pts=1), [weight])
+        dbscan([[0.0]], DbscanParams(min_pts=1), [weight])
 
 
 def test_weighted_empty_singleton_and_lonely_noise():
