@@ -11,6 +11,7 @@ from .aggregate import (
 from .dataset import (
     CleaningReport,
     CleaningRules,
+    Dataset,
     MergeStats,
     RecallRecord,
     clean,
@@ -55,6 +56,7 @@ __all__ = [
     "ClusterSummary",
     "CleaningReport",
     "CleaningRules",
+    "Dataset",
     "DbscanParams",
     "Endpoint",
     "FetchSpec",

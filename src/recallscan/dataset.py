@@ -1,13 +1,13 @@
-"""Merge, clean and persist the canonical 7-column recall dataset."""
+"""Merge, clean and persist the canonical 7-column recall dataset, held by column."""
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
 import re
-from collections.abc import Iterable
-from itertools import islice
-from operator import itemgetter
+from collections.abc import Iterable, Sequence
+from itertools import compress, islice, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,11 +31,11 @@ UNKNOWN_DEVICE_CLASS = "unknown"
 # These all occur inside legitimate FDA category names and firm names.
 ALLOWED_PUNCTUATION = set("/,()-.")
 
-# Any ASCII character the cleaning pass would strip: for ASCII, str.isalnum()
-# holds exactly for [0-9A-Za-z].
-_DIRT = re.compile(
-    "[^0-9A-Za-z " + "".join(re.escape(ch) for ch in sorted(ALLOWED_PUNCTUATION)) + "]"
-)
+# The ASCII characters the cleaning pass keeps: for ASCII, str.isalnum() holds
+# exactly for [0-9A-Za-z].
+_KEPT_ASCII = (
+    "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz " + "".join(sorted(ALLOWED_PUNCTUATION))
+).encode("ascii")
 
 
 class RecallRecord(NamedTuple):
@@ -48,6 +48,52 @@ class RecallRecord(NamedTuple):
     product_quantity: str
     device_name: str
     device_class: str
+
+
+_COLUMNS = attrgetter(*DATASET_HEADER)
+
+
+class Dataset:
+    """The dataset by column: one sequence per ``DATASET_HEADER`` field, each named after its
+    field, all of one length. ``len()`` is the record count; row ``i`` is the ``i``-th value
+    of every column. Columns of other counts or lengths are a ``ContractError``.
+    """
+
+    __slots__ = DATASET_HEADER
+
+    def __init__(self, *columns: Sequence) -> None:
+        if len(columns) != len(DATASET_HEADER) or len(set(map(len, columns))) > 1:
+            raise ContractError(
+                f"a dataset is {len(DATASET_HEADER)} columns of one length, "
+                f"got columns of lengths {list(map(len, columns))}"
+            )
+        for name, column in zip(DATASET_HEADER, columns):
+            setattr(self, name, column)
+
+    @classmethod
+    def from_records(cls, records: Iterable[Sequence]) -> "Dataset":
+        """The dataset of rows in ``DATASET_HEADER`` order, such as ``RecallRecord``s."""
+        rows = list(records)
+        return cls(*(map(list, zip(*rows, strict=True)) if rows else ([] for _ in DATASET_HEADER)))
+
+    @property
+    def columns(self) -> tuple[Sequence, ...]:
+        return _COLUMNS(self)
+
+    def records(self) -> list[RecallRecord]:
+        """The rows, one ``RecallRecord`` each, for callers that read by record."""
+        return list(map(RecallRecord, *self.columns))
+
+    def __len__(self) -> int:
+        return len(self.product_code)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return [list(c) for c in self.columns] == [list(c) for c in other.columns]
+
+    def __repr__(self) -> str:
+        return f"<Dataset of {len(self)} records>"
 
 
 class MergeStats(NamedTuple):
@@ -117,59 +163,78 @@ def parse_date(value: str) -> dt.date | None:
 
 
 def merge_datasets(
-    recalls: Iterable[tuple[str, str, str, str, str]],
-    classifications: Iterable[tuple[str, str, str]],
-) -> tuple[list[RecallRecord], MergeStats]:
-    """Join recall rows to device name/class on product_code.
+    recall_columns: Sequence[Sequence[str]], classification_columns: Sequence[Sequence[str]]
+) -> tuple[Dataset, MergeStats]:
+    """Join recall columns to device name/class on product_code.
 
-    Rows are the tuples ``fetch_pages`` keeps: recalls as (product_code,
+    The columns are the ones ``fetch_pages`` keeps: recalls as (product_code,
     event_date_posted, recalling_firm, root_cause_description,
     product_quantity), classifications as (product_code, device_name,
-    device_class); an input whose first row has another shape (a dict, say)
+    device_class); another number of columns, or columns of unequal lengths,
     is a ``ContractError``. The first classification row per code wins (page
     order); later duplicates only bump the warning counter. Unmatched codes
     get an empty device name and the unknown class. Recall order and count are
-    preserved; unmatched_product_codes counts distinct codes.
+    preserved, and the recall columns are the dataset's own; dates are parsed
+    once per distinct string. unmatched_product_codes counts distinct codes.
     """
-    recalls, classifications = list(recalls), list(classifications)
-    for rows, fields, name in ((recalls, 5, "recall"), (classifications, 3, "classification")):
-        if rows and not (isinstance(rows[0], tuple) and len(rows[0]) == fields):
+    for columns, fields, name in (
+        (recall_columns, 5, "recall"), (classification_columns, 3, "classification")
+    ):
+        if len(columns) != fields or len(set(map(len, columns))) > 1:
             raise ContractError(
-                f"{name} rows must be tuples of {fields} field values, got {rows[0]!r:.80}"
+                f"{name} data must be {fields} columns of one length, "
+                f"got columns of lengths {[len(column) for column in columns]}"
             )
-    lookup: dict[str, tuple[str, str]] = {}
-    for code, device_name, raw_class in classifications:
-        if code not in lookup:  # every other row is a duplicate
-            device_class = raw_class if raw_class in DEVICE_CLASSES else UNKNOWN_DEVICE_CLASS
-            lookup[code] = (device_name, device_class)
-
-    unmatched_device = ("", UNKNOWN_DEVICE_CLASS)
-    # parse_date per distinct string, for this call only
-    dates = {date: parse_date(date) for date in set(map(itemgetter(1), recalls))}
-    make, device = RecallRecord._make, lookup.get
-    records = [
-        make((code, dates[date], firm, cause, quantity, *device(code, unmatched_device)))
-        for code, date, firm, cause, quantity in recalls
-    ]
-    unmatched = len(set(map(itemgetter(0), recalls)).difference(lookup))
-    return records, MergeStats(len(classifications) - len(lookup), unmatched)
+    codes, posted, firms, causes, quantities = recall_columns
+    class_codes, names, raw_classes = classification_columns
+    known = {value: value if value in DEVICE_CLASSES else UNKNOWN_DEVICE_CLASS for value in set(raw_classes)}
+    # Built last row first, so the first row per code is the one that stays.
+    name_of = dict(zip(reversed(class_codes), reversed(names)))
+    class_of = dict(zip(reversed(class_codes), map(known.__getitem__, reversed(raw_classes))))
+    dates = {date: parse_date(date) for date in set(posted)}
+    dataset = Dataset(
+        codes, list(map(dates.__getitem__, posted)), firms, causes, quantities,
+        list(map(name_of.get, codes, repeat(""))),
+        list(map(class_of.get, codes, repeat(UNKNOWN_DEVICE_CLASS))),
+    )
+    unmatched = len(set(codes).difference(name_of))
+    return dataset, MergeStats(len(class_codes) - len(name_of), unmatched)
 
 
-_TEXT_FIELDS = (
-    "product_code", "recalling_firm", "root_cause_description", "product_quantity", "device_name"
-)
+def _plain(text: str) -> bool:
+    """Whether ``text`` is ASCII and every character of it is kept: one C pass, no regex."""
+    return text.isascii() and not text.encode("ascii").translate(None, _KEPT_ASCII)
 
 
 def _strip_text(s: str) -> tuple[str, int]:
-    if s.isascii() and _DIRT.search(s) is None:
+    if _plain(s):
         return s, 0
     kept = [ch for ch in s if ch.isalnum() or ch == " " or ch in ALLOWED_PUNCTUATION]
     return "".join(kept), len(s) - len(kept)
 
 
-def clean(
-    records: list[RecallRecord], rules: CleaningRules
-) -> tuple[list[RecallRecord], CleaningReport]:
+def _strip_column(column: Sequence[str]) -> tuple[Sequence[str], int]:
+    """``column`` with disallowed characters stripped, and the number stripped over every value.
+
+    A column whose joined text is plain comes back as it is. Otherwise each distinct value is
+    stripped once, and only the values that lose characters change; the count is what the
+    joined text lost.
+    """
+    text = "".join(column)
+    if _plain(text):
+        return column, 0
+    table = {value: stripped for value in set(column) if (stripped := _strip_text(value)[0]) != value}
+    if not table:  # non-ASCII letters alone are kept
+        return column, 0
+    stripped = list(map(table.get, column, column))
+    return stripped, len(text) - len("".join(stripped))
+
+
+# The text columns the cleaning pass strips, by position in DATASET_HEADER.
+_STRIPPED = (0, 2, 3, 4, 5)
+
+
+def clean(dataset: Dataset, rules: CleaningRules) -> tuple[Dataset, CleaningReport]:
     """Apply the cleaning rules in order and report removals per rule.
 
     Rules: strip disallowed characters from the text fields, drop records
@@ -177,103 +242,123 @@ def clean(
     fields, first occurrence kept), drop records dated outside the rules
     window (absent dates count as outside). Survivor order follows input
     order, and the pass is idempotent.
+
+    Each rule runs over whole columns, once per distinct value where it can.
+    That is the record-by-record rule: stripping depends only on the value, so
+    a table of distinct values strips every record alike, and the character
+    count covers every record, dropped ones included. A duplicate is judged
+    before its date, so every record enters the duplicate test whatever its
+    date; removing duplicates over all records first and then applying the
+    window keeps the same survivors and counts.
     """
-    chars = null_causes = duplicates = outliers = 0
-    survivors: list[RecallRecord] = []
-    seen: set[RecallRecord] = set()
+    columns = list(dataset.columns)
+    chars = 0
+    for index in _STRIPPED:
+        columns[index], removed = _strip_column(columns[index])
+        chars += removed
+
+    cause = columns[3]
+    present = {value: bool(value.strip()) for value in set(cause)}
+    mask = list(map(present.__getitem__, cause))
+    null_causes = mask.count(False)
+    rows = list(dict.fromkeys(compress(zip(*columns), mask)))  # first occurrences, in order
+    duplicates = len(mask) - null_causes - len(rows)
+
     date_from, date_to = rules.date_from, rules.date_to
-    for rec in records:
-        cleaned = rec
-        code, date, firm, cause, quantity, device_name, _ = rec
-        text = code + firm + cause + quantity + device_name
-        if not text.isascii() or _DIRT.search(text) is not None:
-            stripped = {name: _strip_text(getattr(rec, name)) for name in _TEXT_FIELDS}
-            removed = sum(n for _, n in stripped.values())
-            if removed:  # non-ASCII letters alone are kept, and so is the record
-                chars += removed
-                cleaned = rec._replace(**{name: value for name, (value, _) in stripped.items()})
-                cause = cleaned.root_cause_description
-        if not cause.strip():
-            null_causes += 1
-            continue
-        distinct = len(seen)
-        seen.add(cleaned)
-        if len(seen) == distinct:
-            duplicates += 1
-            continue
-        if date is None or not date_from <= date <= date_to:
-            outliers += 1
-            continue
-        survivors.append(cleaned)
-    return survivors, CleaningReport(null_causes, duplicates, outliers, chars)
+    in_window = {date: date is not None and date_from <= date <= date_to for date in set(columns[1])}
+    mask = list(map(in_window.__getitem__, map(itemgetter(1), rows)))
+    outliers = mask.count(False)
+    return Dataset.from_records(compress(rows, mask)), CleaningReport(null_causes, duplicates, outliers, chars)
 
 
-# Records per encoded block: bounds the memory held by one block's fields and rows.
-WRITE_BLOCK = 1024
-# A field csv.writer quotes under QUOTE_MINIMAL: the delimiter, the quote or a line break.
-_NEEDS_QUOTES = re.compile('[,"\r\n]')
+# Rows per block that write_dataset encodes and read_dataset decodes: bounds the memory
+# held by one block's fields and rows.
+BLOCK_ROWS = 1024
 
 
-def _csv_fields(column: tuple, written: dict[str, str]) -> Iterable[str]:
+def _needs_quotes(text: str) -> bool:
+    """Whether csv.writer quotes ``text`` under QUOTE_MINIMAL: it holds the delimiter, the
+    quote or a line break. Four ``in`` tests, each a memchr scan."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def _csv_fields(column: Sequence[str], written: dict[str, str]) -> Iterable[str]:
     """Each text value as csv.writer writes it: quoted, with ``"`` doubled, when it needs it.
 
-    A column block with nothing to quote is scanned once and passed through. Otherwise each
-    value missing from ``written``, the file's table of values as written, is checked and added.
+    A column block with nothing to quote is checked once, joined, and passed through. Otherwise
+    each value missing from ``written``, the file's table of values as written, is checked and added.
     """
-    if _NEEDS_QUOTES.search("".join(column)) is None:
+    if not _needs_quotes("".join(column)):
         return column
     for value in set(column).difference(written):
-        written[value] = '"' + value.replace('"', '""') + '"' if _NEEDS_QUOTES.search(value) else value
+        written[value] = '"' + value.replace('"', '""') + '"' if _needs_quotes(value) else value
     return map(written.__getitem__, column)
 
 
-def write_dataset(records: Iterable[RecallRecord], path: str | Path) -> None:
+def write_dataset(dataset: Dataset, path: str | Path) -> None:
     """Stream the canonical CSV (UTF-8, RFC-4180, CRLF rows; ISO dates, None as empty) into place.
 
-    The bytes are csv.writer's under its default dialect. Records are encoded by column in
-    blocks of at most ``WRITE_BLOCK``, so the file is never built in memory. Each distinct
-    date is formatted, and each distinct text value checked for quoting, once per file.
+    The bytes are csv.writer's under its default dialect. Each column is sliced into blocks
+    of at most ``BLOCK_ROWS`` values, encoded and joined into rows block by block, so the
+    file is never built in memory. Each distinct date is formatted, and each distinct text
+    value checked for quoting, once per file.
     """
+    code, posted, *text = dataset.columns
     dates: dict[dt.date | None, str] = {None: ""}
+    dates.update((date, date.isoformat()) for date in set(posted).difference(dates))
     written: dict[str, str] = {}
-    rows = iter(records)
     with artifacts.replacing(Path(path)) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(DATASET_HEADER) + "\r\n")
-        while block := list(islice(rows, WRITE_BLOCK)):
-            code, posted, *text = zip(*block)
-            dates.update((date, date.isoformat()) for date in set(posted).difference(dates))
-            text = (_csv_fields(column, written) for column in text)
-            columns = (_csv_fields(code, written), map(dates.__getitem__, posted), *text)
+        for start in range(0, len(dataset), BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            columns = (
+                _csv_fields(code[block], written),
+                map(dates.__getitem__, posted[block]),
+                *(_csv_fields(column[block], written) for column in text),
+            )
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
-def read_dataset(path: str | Path) -> list[RecallRecord]:
+def read_dataset(path: str | Path) -> Dataset:
     """Read a canonical CSV back; raises FormatError on a wrong header, row or date.
 
-    The file is read as a stream, and equal strings and dates within it come
-    back as one shared object each.
+    The file is read as a stream, ``BLOCK_ROWS`` rows at a time, and equal
+    strings and dates within it come back as one shared object each. Of the
+    faults in a file, the one on the earliest row is reported.
     """
     values: dict[str, str] = {}
     dates: dict[str, dt.date | None] = {"": None}
-    share = values.setdefault
-    records = []
+    share, width = values.setdefault, len(DATASET_HEADER)
+    code, posted, *text = columns = tuple([] for _ in DATASET_HEADER)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = csv.reader(fh)
             if tuple(next(rows, ())) != DATASET_HEADER:
                 raise FormatError(f"dataset {path} does not carry the expected header")
-            for idx, row in enumerate(rows, start=2):
-                if len(row) != len(DATASET_HEADER):
-                    raise FormatError(f"dataset {path} row {idx} has {len(row)} fields")
-                code, posted, *text = map(share, row, row)
-                if posted not in dates:
+            line = 2  # the file row of the block's first row
+            while block := list(islice(rows, BLOCK_ROWS)):
+                widths = list(map(len, block))
+                bad = None if widths.count(width) == len(widths) else [n == width for n in widths].index(False)
+                if whole := block[:bad]:  # the rows before a bad one are read first
+                    block_code, block_posted, *block_text = zip(*whole)
+                    new = list(set(block_posted).difference(dates))
                     try:
-                        dates[posted] = iso_date(posted)
-                    except ValueError as exc:
-                        raise FormatError(
-                            f"dataset {path} row {idx} has a malformed event_date_posted {posted!r}"
-                        ) from exc
-                records.append(RecallRecord(code, dates[posted], *text))
+                        dates.update(zip(new, map(iso_date, new)))
+                    except ValueError:
+                        for row, value in enumerate(block_posted, start=line):  # the first one
+                            try:
+                                iso_date(value)
+                            except ValueError as exc:
+                                raise FormatError(
+                                    f"dataset {path} row {row} has a malformed event_date_posted {value!r}"
+                                ) from exc
+                    code.extend(map(share, block_code, block_code))
+                    posted.extend(map(dates.__getitem__, block_posted))
+                    for column, block_column in zip(text, block_text):
+                        column.extend(map(share, block_column, block_column))
+                if bad is not None:
+                    raise FormatError(f"dataset {path} row {line + bad} has {widths[bad]} fields")
+                line += len(block)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"cannot read dataset {path}: {exc}") from exc
-    return records
+    return Dataset(*columns)

@@ -8,9 +8,9 @@ devices, so all downstream stages run against a stable 6991-record dataset.
 from __future__ import annotations
 
 import datetime as dt
-from itertools import cycle, product
+from itertools import cycle, islice, product
 
-from .dataset import RecallRecord
+from .dataset import Dataset
 from .errors import ContractError
 from .openfda import DEFAULT_DATE_FROM, DEFAULT_DATE_TO
 from .reference import REFERENCE_INITIATORS
@@ -47,7 +47,7 @@ _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 def table2_records(
     date_from: dt.date = DEFAULT_DATE_FROM, date_to: dt.date = DEFAULT_DATE_TO
-) -> list[RecallRecord]:
+) -> Dataset:
     """Build the bundled fixture dataset (one record per snapshot case).
 
     Record ``k`` has the ``k``-th three-letter product code (``AAA``, ``AAB``, ...),
@@ -62,12 +62,16 @@ def table2_records(
     days = (date_to - date_from).days + 1
     offsets = [k * 7 % days for k in range(len(labels))]
     dates = {offset: date_from + dt.timedelta(days=offset) for offset in set(offsets)}
-    codes = cycle(map("".join, product(_LETTERS, repeat=3)))
+    codes = map("".join, product(_LETTERS, repeat=3))
     names, classes = zip(*_DEVICES)
-    return list(map(
-        RecallRecord, codes, map(dates.__getitem__, offsets), cycle(_FIRMS), labels,
-        cycle(_QUANTITIES), cycle(names), cycle(classes),
-    ))
+
+    def column(values) -> list:  # the first len(labels) values, repeated from the start as needed
+        return list(islice(cycle(values), len(labels)))
+
+    return Dataset(
+        column(codes), list(map(dates.__getitem__, offsets)), column(_FIRMS), labels,
+        column(_QUANTITIES), column(names), column(classes),
+    )
 
 
 FIXTURE_BUILDERS = {"table2": table2_records}

@@ -6,7 +6,7 @@ before anything else happens, so later parses are reproducible byte for
 byte. A cached page is never re-fetched. Pages and the manifest are written
 atomically (``artifacts.write``), so a write cut off midway leaves no page
 behind and the next run fetches it again. ``fetch_pages`` decodes each body
-once and keeps only the endpoint's fields of each entry, as a tuple, never the
+once and keeps only the endpoint's fields, one column per field, never the
 bytes; equal field values within one call are one shared ``str``.
 """
 
@@ -53,6 +53,10 @@ class Endpoint(Enum):
     def url(self) -> str:
         return RECALL_URL if self is Endpoint.RECALL else CLASSIFICATION_URL
 
+    @property
+    def fields(self) -> tuple[str, ...]:
+        return _FIELDS[self]
+
 
 # The fields a page keeps of each entry, in dataset order.
 _FIELDS = {
@@ -97,20 +101,20 @@ class FetchSpec(_Query):
 
 
 class RawPage(NamedTuple):
-    """One response body, decoded: per entry, a tuple of the endpoint's fields in ``_FIELDS``
-    order, as text (an absent or null field is ``""``, any other non-string ``str(value)``),
-    and the ``meta.results.total`` it reports, if any. Equal values on the pages of one
-    ``fetch_pages`` call are the same object, so a low-cardinality field costs one string
-    per distinct value, not one per row.
+    """One response body, decoded: one column per field of the endpoint, in ``_FIELDS``
+    order, each holding that field of every entry as text (an absent or null field is
+    ``""``, any other non-string ``str(value)``), and the ``meta.results.total`` it
+    reports, if any. Equal values on the pages of one ``fetch_pages`` call are the same
+    object, so a low-cardinality field costs one string per distinct value, not one per row.
     """
 
     page_index: int
-    rows: list[tuple[str, ...]]
+    columns: list[list[str]]
     total: int | None
 
     @property
     def record_count(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0])
 
 
 def _http_get(url: str, params: dict, timeout: float) -> tuple[int, bytes]:
@@ -149,11 +153,10 @@ def _parse_page(
         if not all(map(isinstance, column, repeat(str))):
             column = ["" if v is None else v if isinstance(v, str) else str(v) for v in column]
         columns.append(list(map(values.setdefault, column, column)))
-    rows = list(zip(*columns))
     meta = body.get("meta")
     total = meta.get("results") if isinstance(meta, dict) else None
     total = total.get("total") if isinstance(total, dict) else None
-    return RawPage(page_index, rows, total if artifacts.is_int(total, 0) else None)
+    return RawPage(page_index, columns, total if artifacts.is_int(total, 0) else None)
 
 
 def _is_empty_result(status: int, body: bytes) -> bool:
@@ -257,7 +260,7 @@ def fetch_pages(
             artifacts.write_json(endpoint_dir / MANIFEST_NAME, manifest)
             break
         # A malformed body raises here, so it is never cached.
-        page = _parse_page(payload, index, _FIELDS[spec.endpoint], values)
+        page = _parse_page(payload, index, spec.endpoint.fields, values)
         if not cached:
             artifacts.write(page_path, payload)
             manifest["pages"][str(index)] = {

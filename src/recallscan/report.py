@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import artifacts
-from .dataset import RecallRecord
+from .dataset import Dataset
 from .errors import ContractError, DataError, UsageError
 
 SCHEMA_VERSION = 1
@@ -92,27 +92,31 @@ def rank_initiators(items: Sequence) -> list[RankedEntry]:
     return _ranking(pairs)
 
 
-def _counted_ranking(values: Iterable[str], k: int) -> list[RankedEntry]:
+def _counted_ranking(column: Iterable[str], k: int) -> list[RankedEntry]:
+    """The top ``k`` values of one column by count; blanks count as ``UNSPECIFIED``, merged
+    with any value that reads ``UNSPECIFIED`` itself."""
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    counts = collections.Counter(value or UNSPECIFIED for value in values)
+    counts = collections.Counter(column)
+    if "" in counts:
+        counts[UNSPECIFIED] += counts.pop("")
     return _ranking([((name,), count) for name, count in counts.items()], k)
 
 
-def top_firms(records: Sequence[RecallRecord], k: int = 10) -> list[RankedEntry]:
+def top_firms(dataset: Dataset, k: int = 10) -> list[RankedEntry]:
     """Firms ranked by recall-record count; blank firms bucket as (unspecified)."""
-    return _counted_ranking((r.recalling_firm for r in records), k)
+    return _counted_ranking(dataset.recalling_firm, k)
 
 
-def top_devices(records: Sequence[RecallRecord], k: int = 10) -> list[RankedEntry]:
+def top_devices(dataset: Dataset, k: int = 10) -> list[RankedEntry]:
     """Device names ranked by recall-record count; blanks bucket as (unspecified)."""
-    return _counted_ranking((r.device_name for r in records), k)
+    return _counted_ranking(dataset.device_name, k)
 
 
 def build_document(
-    summaries: Sequence, groups: Sequence, noise_count: int, records: Sequence[RecallRecord], k: int
+    summaries: Sequence, groups: Sequence, noise_count: int, dataset: Dataset | None, k: int
 ) -> ReportDocument:
-    """Rank clusters and groups, compare their top ``k`` and, given records, rank firms and devices.
+    """Rank clusters and groups, compare their top ``k`` and, given a dataset, rank firms and devices.
 
     Shares are over the clustered records; noise only enters the metadata.
     """
@@ -135,12 +139,12 @@ def build_document(
         grouped=True,
         metadata=metadata,
     )
-    if not records:
+    if not dataset:
         return ReportDocument(metadata, before, after, k)
     return ReportDocument(
         metadata, before, after, k,
-        RankedReport(f"Top {k} recalled firms", top_firms(records, k), len(records)),
-        RankedReport(f"Top {k} recalled devices", top_devices(records, k), len(records)),
+        RankedReport(f"Top {k} recalled firms", top_firms(dataset, k), len(dataset)),
+        RankedReport(f"Top {k} recalled devices", top_devices(dataset, k), len(dataset)),
     )
 
 

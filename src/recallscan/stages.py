@@ -291,10 +291,10 @@ def build_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
     rules, merge = cfg.cleaning_rules(), {}
     if cfg.fixture is not None:
         raw = FIXTURE_BUILDERS[cfg.fixture](cfg.date_from, cfg.date_to)
-        records, report = clean(raw, rules)
+        dataset, report = clean(raw, rules)
     else:
-        rows: dict[openfda.Endpoint, list[tuple]] = {endpoint: [] for endpoint in openfda.Endpoint}
-        for endpoint, sink in rows.items():
+        columns = {endpoint: [[] for _ in endpoint.fields] for endpoint in openfda.Endpoint}
+        for endpoint, sinks in columns.items():
             def not_cached(url, params, timeout, endpoint=endpoint):  # a DataError is not retried
                 page = params["skip"] // params["limit"]
                 raise DataError(
@@ -305,26 +305,27 @@ def build_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
             for page in run.pop(endpoint) if run and endpoint in run else openfda.fetch_pages(
                 cfg.fetch_spec(endpoint), cfg.cache_dir, get=not_cached
             ):
-                sink.extend(page.rows)
-        recalls, classifications = rows.values()  # in Endpoint order
-        if not recalls:
+                for sink, column in zip(sinks, page.columns):
+                    sink.extend(column)
+        recalls, classifications = columns.values()  # in Endpoint order
+        if not recalls[0]:
             search = cfg.fetch_spec(openfda.Endpoint.RECALL).search_expression()
             raise DataError(f"the recall query {search} returned no records; nothing to build")
         merged, stats = merge_datasets(recalls, classifications)
-        records, report = clean(merged, rules)
+        dataset, report = clean(merged, rules)
         report = report._replace(unmatched_product_codes=stats.unmatched_product_codes)
         merge = {"duplicate_classification_codes": stats.duplicate_classification_codes}
 
-    save(cfg, "build", {DATASET_FILE: records, CLEANING_REPORT_FILE: report.to_dict()}, run, **merge)
-    return f"build: {len(records)} records -> {cfg.out_dir / DATASET_FILE}"
+    save(cfg, "build", {DATASET_FILE: dataset, CLEANING_REPORT_FILE: report.to_dict()}, run, **merge)
+    return f"build: {len(dataset)} records -> {cfg.out_dir / DATASET_FILE}"
 
 
 def cluster_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
     """Cluster root-cause texts and write clusters.json."""
-    records = load(cfg, "cluster", DATASET_FILE, run)
-    if not records:
+    dataset = load(cfg, "cluster", DATASET_FILE, run)
+    if not dataset:
         raise DataError(f"dataset {cfg.out_dir / DATASET_FILE} holds no records; nothing to cluster")
-    result = cluster_root_causes([r.root_cause_description for r in records], cfg.dbscan_params())
+    result = cluster_root_causes(dataset.root_cause_description, cfg.dbscan_params())
     save(cfg, "cluster", {CLUSTERS_FILE: clusters_to_json_dict(result)}, run, points=result.points)
     return (
         f"cluster: {result.cluster_count} clusters over {result.clustered_count} records, "
@@ -368,16 +369,16 @@ def report_stage(cfg: PipelineConfig, *, run: dict | None = None) -> str:
                 f"totals {g.total_count}, its members {total}; rerun aggregate"
             )
     noise_count = sum(n.count for n in noise)
-    records = []
+    dataset = None
     if (out / DATASET_FILE).exists():
-        records = load(cfg, "report", DATASET_FILE, run)
-        if len(records) != (total := sum(counts.values()) + noise_count):
+        dataset = load(cfg, "report", DATASET_FILE, run)
+        if len(dataset) != (total := sum(counts.values()) + noise_count):
             raise DataError(
                 f"{CLUSTERS_FILE} disagrees with {DATASET_FILE}: it counts {total} records, "
-                f"{DATASET_FILE} holds {len(records)}; rerun cluster"
+                f"{DATASET_FILE} holds {len(dataset)}; rerun cluster"
             )
 
-    doc = build_document(summaries, groups, noise_count, records, cfg.top)
+    doc = build_document(summaries, groups, noise_count, dataset, cfg.top)
     files = dict(render(doc, cfg.format))
     save(cfg, "report", {**files, REPORT_METADATA_FILE: doc.metadata}, run)
     names = ", ".join(files)

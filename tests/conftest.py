@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from recallscan import openfda
-from recallscan.dataset import RecallRecord
+from recallscan.dataset import Dataset, RecallRecord
 
 # Ten rows mirroring real merged recall data (one blank firm, blank quantities,
 # a repeated firm and a repeated device so top-k rankings have structure).
@@ -60,9 +60,13 @@ def sample_records() -> list[RecallRecord]:
     ]
 
 
+def sample_dataset() -> Dataset:
+    return Dataset.from_records(sample_records())
+
+
 @pytest.fixture
 def records():
-    return sample_records()
+    return sample_dataset()
 
 
 def recall_entries() -> list[dict]:
@@ -85,15 +89,15 @@ def classification_entries() -> list[dict]:
     return list(seen.values())
 
 
-def recall_rows() -> list[tuple[str, ...]]:
-    """``recall_entries`` as the tuples ``fetch_pages`` keeps, in its field order."""
-    return [row[:5] for row in SAMPLE_ROWS]
+def recall_columns() -> list[list[str]]:
+    """``recall_entries`` as the columns ``fetch_pages`` keeps, in its field order."""
+    return [list(column) for column in zip(*SAMPLE_ROWS)][:5]
 
 
-def classification_rows() -> list[tuple[str, ...]]:
-    """``classification_entries`` as the tuples ``fetch_pages`` keeps."""
+def classification_columns() -> list[list[str]]:
+    """``classification_entries`` as the columns ``fetch_pages`` keeps."""
     entries = classification_entries()
-    return [(e["product_code"], e["device_name"], e["device_class"]) for e in entries]
+    return [[e[key] for e in entries] for key in ("product_code", "device_name", "device_class")]
 
 
 class FakeOpenFDA:

@@ -266,8 +266,8 @@ def test_c10_live_api_smoke(tmp_path):
         pages = fetch_pages(spec, tmp_path)
     except TransportError as exc:
         pytest.skip(f"live openFDA unreachable: {exc}")
-    records = pages[0].rows if pages else []
-    assert len(records) <= 1000
+    columns = pages[0].columns if pages else [[]] * 5
+    assert len(columns[0]) <= 1000
     expected = (
         "product_code",
         "event_date_posted",
@@ -276,7 +276,7 @@ def test_c10_live_api_smoke(tmp_path):
         "product_quantity",
     )
     assert _FIELDS[Endpoint.RECALL] == expected
-    for rec in records:
-        assert type(rec) is tuple and len(rec) == len(expected)
-        assert all(isinstance(value, str) for value in rec)
-    ok(10, f"live fetch returned {len(records)} records with the five fields")
+    assert len(columns) == len(expected) and len(set(map(len, columns))) == 1
+    for column in columns:
+        assert all(isinstance(value, str) for value in column)
+    ok(10, f"live fetch returned {len(columns[0])} records with the five fields")

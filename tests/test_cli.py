@@ -63,6 +63,19 @@ def test_pipeline_fixture_end_to_end(tmp_path, runner, monkeypatch):
     assert groups["group_count"] == 25
 
 
+def test_pipeline_hands_the_root_cause_column_to_cluster(tmp_path, monkeypatch):
+    cfg = stages.PipelineConfig(fixture="table2", out=str(tmp_path / "out"))
+    run: dict = {}
+    stages.build_stage(cfg, run=run)
+    received = []
+    cluster = stages.cluster_root_causes
+    monkeypatch.setattr(stages, "cluster_root_causes", lambda causes, params: received.append(causes) or cluster(causes, params))
+    stages.cluster_stage(cfg, run=run)
+    dataset = run["dataset.csv"]
+    assert len(dataset) == 6991
+    assert len(received) == 1 and received[0] is dataset.root_cause_description
+
+
 def test_pipeline_runs_are_byte_identical(tmp_path, runner):
     # Identical invocations (relative --out) from two fresh working dirs.
     hashes = []

@@ -2,15 +2,19 @@ import csv
 import datetime as dt
 import hashlib
 import io
+import json
+import operator
 import string
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from recallscan import stages
 from recallscan.dataset import (
     ALLOWED_PUNCTUATION,
     DATASET_HEADER,
     CleaningRules,
+    Dataset,
     RecallRecord,
     _strip_text,
     clean,
@@ -25,10 +29,12 @@ from recallscan.reference import TOTAL_CASES
 from recallscan.openfda import _FIELDS, Endpoint
 
 from .conftest import (
+    FakeOpenFDA,
+    classification_columns,
     classification_entries,
-    classification_rows,
+    recall_columns,
     recall_entries,
-    recall_rows,
+    sample_dataset,
     sample_records,
 )
 from .oracles import clean_ref, merge_ref
@@ -50,6 +56,11 @@ def record(**overrides) -> RecallRecord:
     return RecallRecord(**base)
 
 
+def columns(*rows) -> list[list]:
+    """``rows`` as the columns they make, one list per field."""
+    return [list(column) for column in zip(*rows)]
+
+
 # --- record type -------------------------------------------------------------
 
 
@@ -60,6 +71,25 @@ def test_record_fields_follow_the_dataset_header_and_are_read_only():
         with pytest.raises(AttributeError):
             setattr(rec, name, "x")
     assert rec == record() and hash(rec) == hash(record())
+
+
+def test_dataset_holds_one_column_per_field_and_counts_records():
+    recs = [record(), record(product_code="ZZZ", event_date_posted=None)]
+    data = Dataset.from_records(recs)
+    assert len(data) == 2 and len(Dataset.from_records([])) == 0
+    assert data.columns == tuple(getattr(data, name) for name in DATASET_HEADER)
+    assert data.product_code == ["FRN", "ZZZ"] and data.event_date_posted == [dt.date(2018, 1, 2), None]
+    assert data.records() == recs and all(type(rec) is RecallRecord for rec in data.records())
+    assert data == Dataset(*map(tuple, data.columns)) != Dataset.from_records(recs[:1])
+
+
+@pytest.mark.parametrize(
+    "lengths", [(1,) * 6, (1,) * 8, (1, 1, 1, 2, 1, 1, 1)], ids=["six", "eight", "ragged"]
+)
+def test_dataset_refuses_columns_of_another_count_or_length(lengths):
+    with pytest.raises(ContractError, match="columns of one length") as caught:
+        Dataset(*(["x"] * n for n in lengths))
+    assert caught.value.exit_code == 5
 
 
 # --- reference rules the fast paths must match ---------------------------------
@@ -120,9 +150,9 @@ def test_parse_date_matches_the_two_format_rule(s):
 
 
 def test_merge_joins_on_product_code():
-    merged, stats = merge_datasets(recall_rows(), classification_rows())
-    assert len(merged) == len(recall_rows())
-    first = merged[0]
+    merged, stats = merge_datasets(recall_columns(), classification_columns())
+    assert len(merged) == len(recall_columns()[0])
+    first = merged.records()[0]
     assert first.device_name == "Pump, Infusion"
     assert first.device_class == "2"
     assert first.event_date_posted == dt.date(2018, 1, 2)
@@ -130,45 +160,47 @@ def test_merge_joins_on_product_code():
 
 
 def test_merge_unmatched_code_gets_empty_device_and_unknown_class():
-    merged, stats = merge_datasets([("ZZZ", "", "", "Other", "")], classification_rows())
-    assert merged[0].device_name == ""
-    assert merged[0].device_class == "unknown"
+    merged, stats = merge_datasets(columns(("ZZZ", "", "", "Other", "")), classification_columns())
+    assert merged.device_name[0] == ""
+    assert merged.device_class[0] == "unknown"
     assert stats.unmatched_product_codes == 1
 
 
 def test_merge_first_classification_wins_and_counts_duplicates():
-    classifications = [("FRN", "Pump, Infusion", "2"), ("FRN", "Other Device", "3")]
-    merged, stats = merge_datasets([("FRN", "", "", "Other", "")], classifications)
-    assert merged[0].device_name == "Pump, Infusion"
-    assert merged[0].device_class == "2"
+    classifications = columns(("FRN", "Pump, Infusion", "2"), ("FRN", "Other Device", "3"))
+    merged, stats = merge_datasets(columns(("FRN", "", "", "Other", "")), classifications)
+    assert merged.device_name[0] == "Pump, Infusion"
+    assert merged.device_class[0] == "2"
     assert stats.duplicate_classification_codes == 1
 
 
 def test_merge_preserves_recall_count_and_order():
-    recalls = recall_rows()
-    merged, _ = merge_datasets(recalls, [])
-    assert len(merged) == len(recalls)
-    assert [r.product_code for r in merged] == [row[0] for row in recalls]
+    recalls = recall_columns()
+    merged, _ = merge_datasets(recalls, [[], [], []])
+    assert len(merged) == len(recalls[0])
+    assert list(merged.product_code) == recalls[0]
 
 
 def test_merge_maps_odd_class_values_to_unknown():
-    merged, _ = merge_datasets([("AAA", "", "", "", "")], [("AAA", "Thing", "U")])
-    assert merged[0].device_class == "unknown"
+    merged, _ = merge_datasets(columns(("AAA", "", "", "", "")), columns(("AAA", "Thing", "U")))
+    assert merged.device_class[0] == "unknown"
 
 
 @pytest.mark.parametrize(
     "recalls, classifications",
     [
         (recall_entries(), classification_entries()),  # the dict rows pages once held
-        (recall_rows(), classification_entries()),
-        (recall_entries(), classification_rows()),
-        ([row[:4] for row in recall_rows()], classification_rows()),
-        (recall_rows(), [row + ("",) for row in classification_rows()]),
+        (recall_columns(), classification_entries()),
+        (recall_entries(), classification_columns()),
+        (recall_columns()[:4], classification_columns()),
+        (recall_columns(), classification_columns() + [[""] * len(classification_columns()[0])]),
+        (recall_columns()[:4] + [recall_columns()[4][:-1]], classification_columns()),
     ],
-    ids=["dicts", "dict-classifications", "dict-recalls", "short-recalls", "long-classifications"],
+    ids=["dicts", "dict-classifications", "dict-recalls", "short-recalls", "long-classifications",
+         "ragged-recalls"],
 )
 def test_merge_refuses_rows_of_another_shape(recalls, classifications):
-    with pytest.raises(ContractError, match="rows must be tuples") as caught:
+    with pytest.raises(ContractError, match="columns of one length") as caught:
         merge_datasets(recalls, classifications)
     assert caught.value.exit_code == 5
 
@@ -199,14 +231,14 @@ codes = st.sampled_from(["", "AAA", "BBB", "CCC", "DDD"])  # few, so duplicates 
     ),
 )
 def test_merge_of_rows_matches_the_dict_reference(recalls, classifications):
-    def rows(entries, endpoint):
-        return [tuple(entry.get(key, "") for key in _FIELDS[endpoint]) for entry in entries]
+    def page_columns(entries, endpoint):
+        return [[entry.get(key, "") for entry in entries] for key in _FIELDS[endpoint]]
 
     merged, stats = merge_datasets(
-        rows(recalls, Endpoint.RECALL), rows(classifications, Endpoint.CLASSIFICATION)
+        page_columns(recalls, Endpoint.RECALL), page_columns(classifications, Endpoint.CLASSIFICATION)
     )
     expected, duplicates, unmatched = merge_ref(recalls, classifications)
-    assert [tuple(rec) for rec in merged] == expected
+    assert [tuple(rec) for rec in merged.records()] == expected
     assert (stats.duplicate_classification_codes, stats.unmatched_product_codes) == (duplicates, unmatched)
 
 
@@ -222,16 +254,17 @@ def test_cleaning_rules_refuse_a_window_that_ends_before_it_starts():
 
 
 def test_clean_drops_empty_root_cause():
-    kept, report = clean([record(root_cause_description="")], RULES)
-    assert kept == []
+    kept, report = clean(Dataset.from_records([record(root_cause_description="")]), RULES)
+    assert kept.records() == []
     assert report.dropped_null_root_cause == 1
 
 
 def test_clean_drops_whitespace_and_strips_to_empty_root_cause():
     kept, report = clean(
-        [record(root_cause_description="   "), record(root_cause_description="??!")], RULES
+        Dataset.from_records([record(root_cause_description="   "), record(root_cause_description="??!")]),
+        RULES,
     )
-    assert kept == []
+    assert kept.records() == []
     assert report.dropped_null_root_cause == 2
 
 
@@ -240,9 +273,9 @@ def test_clean_strips_disallowed_characters_and_counts_them():
         root_cause_description="Process* design?",
         recalling_firm="Smith & Nephew, Inc.",
     )
-    kept, report = clean([rec], RULES)
-    assert kept[0].root_cause_description == "Process design"
-    assert kept[0].recalling_firm == "Smith  Nephew, Inc."
+    kept, report = clean(Dataset.from_records([rec]), RULES)
+    assert kept.records()[0].root_cause_description == "Process design"
+    assert kept.records()[0].recalling_firm == "Smith  Nephew, Inc."
     assert report.stripped_char_count == 3  # '*', '?', '&'
 
 
@@ -252,8 +285,8 @@ def test_clean_keeps_allowed_punctuation():
         product_quantity="153 cases, 30 units (each)",
         device_name="Labelling mix-ups Inc.",
     )
-    kept, report = clean([rec], RULES)
-    assert kept[0] == rec
+    kept, report = clean(Dataset.from_records([rec]), RULES)
+    assert kept.records()[0] == rec
     assert report.stripped_char_count == 0
 
 
@@ -261,13 +294,13 @@ def test_clean_keeps_allowed_punctuation():
                  recalling_firm=st.sampled_from(["Smith & Nephew", "Baxter, Inc."])))
 @example(record())
 def test_clean_copies_a_record_only_when_it_stripped_something(rec):
-    kept, report = clean([rec], RULES)
-    if kept:
-        assert (kept[0] is rec) == (report.stripped_char_count == 0)
+    kept, report = clean(Dataset.from_records([rec]), RULES)
+    if kept:  # every value is the one passed in unless something was stripped
+        assert all(map(operator.is_, kept.records()[0], rec)) == (report.stripped_char_count == 0)
 
 
 def test_clean_deduplicates_keeping_first():
-    kept, report = clean([record(), record(), record(device_class="3")], RULES)
+    kept, report = clean(Dataset.from_records([record(), record(), record(device_class="3")]), RULES)
     assert len(kept) == 2
     assert report.dropped_duplicates == 1
 
@@ -275,7 +308,7 @@ def test_clean_deduplicates_keeping_first():
 def test_clean_drops_date_outliers_and_missing_dates():
     out_of_range = record(event_date_posted=dt.date(2017, 12, 31))
     missing = record(event_date_posted=None, product_code="ZZZ")
-    kept, report = clean([record(), out_of_range, missing], RULES)
+    kept, report = clean(Dataset.from_records([record(), out_of_range, missing]), RULES)
     assert len(kept) == 1
     assert report.dropped_date_outliers == 2
 
@@ -294,7 +327,7 @@ def test_clean_drops_date_outliers_and_missing_dates():
     )
 )
 def test_clean_is_idempotent(recs):
-    once, _ = clean(recs, RULES)
+    once, _ = clean(Dataset.from_records(recs), RULES)
     twice, report = clean(once, RULES)
     assert twice == once
     assert report.dropped_null_root_cause == 0
@@ -322,10 +355,70 @@ dirty_text = st.one_of(st.text(alphabet="ab /,.&?*\té²٣", max_size=5), st.sam
 )
 @example([record(), record(recalling_firm="Smith & Nephew"), record(device_name="Café²")])
 def test_clean_matches_the_per_field_reference(recs):
-    kept, report = clean(recs, RULES)
+    kept, report = clean(Dataset.from_records(recs), RULES)
     ref_kept, ref_counts = clean_ref(recs, RULES.date_from, RULES.date_to)
-    assert kept == ref_kept
+    assert kept.records() == ref_kept
     assert report.to_dict() == {**ref_counts, "unmatched_product_codes": 0}
+
+
+# Few values per field, so rows collide: a day spelled two ways is one date once parsed,
+# values equal once stripped (Smith? and Smith) make duplicates, some causes strip to
+# nothing, code DDD is never classified and classification codes repeat.
+RECALL_ENTRY = {
+    "product_code": "AAA",
+    "event_date_posted": "2019-01-01",
+    "recalling_firm": "Smith",
+    "root_cause_description": "Process design",
+    "product_quantity": "1 unit",
+}
+recall_entry = st.fixed_dictionaries({
+    "product_code": st.sampled_from(["AAA", "BBB", "DDD"]),
+    "event_date_posted": st.sampled_from(["2019-01-01", "20190101", "2017-12-31", "2024-04-16", "", "junk"]),
+    "recalling_firm": st.sampled_from(["Smith", "Smith?", "", "Baxter, Inc."]),
+    "root_cause_description": st.sampled_from(["Process design", "Process design?", "", "  ", "?*"]),
+    "product_quantity": st.sampled_from(["1 unit", "1 unit!", ""]),
+})
+classification_entry = st.fixed_dictionaries({
+    "product_code": st.sampled_from(["AAA", "BBB", "EEE"]),
+    "device_name": st.sampled_from(["Pump", "Pump?", "Pump, Infusion", ""]),
+    "device_class": st.sampled_from(["1", "2", "U", ""]),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(recall_entry, min_size=1, max_size=14), st.lists(classification_entry, max_size=8))
+@example(
+    [
+        RECALL_ENTRY,
+        {**RECALL_ENTRY, "event_date_posted": "20190101"},  # a duplicate once parsed
+        {**RECALL_ENTRY, "recalling_firm": "Smith?"},  # a duplicate once stripped
+        {**RECALL_ENTRY, "root_cause_description": "?*"},  # blank once stripped
+        {**RECALL_ENTRY, "root_cause_description": ""},
+        {**RECALL_ENTRY, "product_code": "DDD", "event_date_posted": "2017-12-31"},
+        {**RECALL_ENTRY, "product_code": "DDD", "event_date_posted": "2017-12-31"},
+        {**RECALL_ENTRY, "product_quantity": "2 units"},
+    ],
+    [
+        {"product_code": "AAA", "device_name": "Pump?", "device_class": "2"},
+        {"product_code": "AAA", "device_name": "Other", "device_class": "3"},
+    ],
+)
+def test_build_of_paged_columns_matches_the_merge_and_clean_references(
+    tmp_path_factory, recalls, classifications
+):
+    # Pages of three entries, so every column is put together from more than one page.
+    work = tmp_path_factory.mktemp("build")
+    cfg = stages.PipelineConfig(cache_dir=str(work / "cache"), out=str(work / "out"), page_size=3)
+    run: dict = {}
+    stages.fetch_stage(cfg, get=FakeOpenFDA(recalls, classifications), run=run)
+    stages.build_stage(cfg, run=run)
+
+    rows, duplicates, unmatched = merge_ref(recalls, classifications)
+    kept, counts = clean_ref([RecallRecord(*row) for row in rows], RULES.date_from, RULES.date_to)
+    assert run["dataset.csv"].records() == kept
+    assert run["cleaning_report.json"] == {**counts, "unmatched_product_codes": unmatched}
+    sidecar = json.loads((work / "out" / "build.meta.json").read_text())
+    assert sidecar["duplicate_classification_codes"] == duplicates
 
 
 def test_fixture_survives_cleaning_untouched():
@@ -351,7 +444,7 @@ def test_fixture_refuses_a_window_that_ends_before_it_starts(date_from):
 def test_fixture_takes_a_one_day_window():
     day = dt.date(2020, 1, 2)
     records = table2_records(day, day)
-    assert len(records) == TOTAL_CASES and {r.event_date_posted for r in records} == {day}
+    assert len(records) == TOTAL_CASES and set(records.event_date_posted) == {day}
 
 
 # --- file round-trips --------------------------------------------------------
@@ -359,22 +452,22 @@ def test_fixture_takes_a_one_day_window():
 
 def test_empty_dataset_roundtrip(tmp_path):
     path = tmp_path / "empty.csv"
-    write_dataset([], path)
+    write_dataset(Dataset.from_records([]), path)
     assert path.read_bytes() == (",".join(DATASET_HEADER) + "\r\n").encode("utf-8")
-    assert read_dataset(path) == []
+    assert read_dataset(path).records() == []
 
 
 def test_sample_rows_roundtrip_exactly(tmp_path):
     path = tmp_path / "sample.csv"
-    records = sample_records()
+    records = sample_dataset()
     write_dataset(records, path)
     assert read_dataset(path) == records
 
 
 def test_double_write_of_7000_records_is_byte_identical(tmp_path):
-    records = table2_records()
-    records += [record(product_code=f"Z{i:02d}", root_cause_description="Synthetic cause")
-                for i in range(9)]
+    records = Dataset.from_records(table2_records().records() + [
+        record(product_code=f"Z{i:02d}", root_cause_description="Synthetic cause") for i in range(9)
+    ])
     assert len(records) == 7000
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_dataset(records, a)
@@ -400,7 +493,7 @@ def test_write_dataset_matches_csv_writer_over_iso_strings(tmp_path):
         record(device_name="Line one\nline two", event_date_posted=dt.date(2024, 4, 15)),
     ]
     path = tmp_path / "data.csv"
-    write_dataset(iter(records), path)  # any iterable of records streams
+    write_dataset(Dataset.from_records(records), path)
     assert path.read_bytes() == csv_writer_bytes(records)
 
 
@@ -439,21 +532,26 @@ csv_records = st.builds(
 @example([record(device_name="Pump")] * 1024 + [record(device_name="Pump, Infusion"), record(device_name="Pump")])
 def test_write_dataset_writes_the_bytes_of_csv_writer(tmp_path_factory, recs):
     path = tmp_path_factory.mktemp("csv") / "data.csv"
-    write_dataset(recs, path)
+    write_dataset(Dataset.from_records(recs), path)
     assert path.read_bytes() == csv_writer_bytes(recs)
 
 
 def test_write_cut_off_midway_keeps_the_previous_dataset(tmp_path):
     path = tmp_path / "dataset.csv"
-    write_dataset(sample_records(), path)
+    write_dataset(sample_dataset(), path)
     previous = path.read_bytes()
 
-    def cut_off():
-        yield from table2_records()
-        raise OSError("no space left on device")
+    class CutOff(list):
+        """A column whose blocks after the first cannot be read."""
 
+        def __getitem__(self, index):
+            if isinstance(index, slice) and index.start:
+                raise OSError("no space left on device")
+            return super().__getitem__(index)
+
+    fixture = table2_records()
     with pytest.raises(OSError, match="no space"):
-        write_dataset(cut_off(), path)
+        write_dataset(Dataset(*fixture.columns[:6], CutOff(fixture.device_class)), path)
     assert path.read_bytes() == previous
     assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
 
@@ -473,7 +571,7 @@ def test_missing_file_raises_format_error(tmp_path):
 def test_decode_error_past_the_first_64_kib_raises_format_error(tmp_path):
     # The read streams, so bad bytes far into the file surface mid-loop, not in one up-front decode.
     path = tmp_path / "dataset.csv"
-    write_dataset(table2_records()[:2000], path)
+    write_dataset(Dataset.from_records(table2_records().records()[:2000]), path)
     data = path.read_bytes()
     assert len(data) > 3 * 65536
     path.write_bytes(data[:-40] + b"\xff\xfe" + data[-38:])
@@ -482,13 +580,33 @@ def test_decode_error_past_the_first_64_kib_raises_format_error(tmp_path):
     assert caught.value.exit_code == 4
 
 
+@pytest.mark.parametrize(
+    "date_row, short_row", [(1500, 1600), (1600, 1500), (5, 1500), (1030, 1025)],
+    ids=["date-first", "width-first", "blocks-apart", "second-block"],
+)
+def test_read_reports_the_earliest_bad_row(tmp_path, date_row, short_row):
+    path = tmp_path / "dataset.csv"
+    write_dataset(Dataset.from_records(table2_records().records()[:2000]), path)
+    lines = path.read_bytes().split(b"\r\n")  # lines[r - 1] is file row r; row 1 is the header
+    code, _, rest = lines[date_row - 1].split(b",", 2)
+    lines[date_row - 1] = b",".join((code, b"2024-13-01", rest))
+    lines[short_row - 1] = b"AAA,2024-01-01"
+    path.write_bytes(b"\r\n".join(lines))
+    expected = (
+        f"row {date_row} has a malformed event_date_posted '2024-13-01'" if date_row < short_row
+        else f"row {short_row} has 2 fields"
+    )
+    with pytest.raises(FormatError, match=expected):
+        read_dataset(path)
+
+
 def test_read_shares_equal_values_within_one_call(tmp_path):
     path = tmp_path / "dataset.csv"
-    write_dataset(sample_records(), path)
-    first, second = read_dataset(path)[:2]  # same product code, device and class
+    write_dataset(sample_dataset(), path)
+    first, second = read_dataset(path).records()[:2]  # same product code, device and class
     assert first.product_code is second.product_code
     assert first.device_name is second.device_name and first.device_class is second.device_class
-    again = read_dataset(path)
+    again = read_dataset(path).records()
     assert again[0] == first and again[0].product_code is not first.product_code
 
 
@@ -515,5 +633,5 @@ nasty_text = st.text(
 )
 def test_roundtrip_is_lossless_for_arbitrary_fields(tmp_path_factory, recs):
     path = tmp_path_factory.mktemp("rt") / "data.csv"
-    write_dataset(recs, path)
-    assert read_dataset(path) == recs
+    write_dataset(Dataset.from_records(recs), path)
+    assert read_dataset(path).records() == recs

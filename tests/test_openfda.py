@@ -23,7 +23,7 @@ from recallscan.openfda import (
     fetch_pages,
 )
 
-from .conftest import FakeOpenFDA, recall_entries, sample_records
+from .conftest import FakeOpenFDA, recall_entries, sample_dataset
 
 NO_SLEEP = lambda s: None
 
@@ -40,13 +40,13 @@ def spec(**overrides) -> FetchSpec:
     return FetchSpec(**base)
 
 
-def rows_of(tmp_path, entries, endpoint=Endpoint.RECALL) -> list[tuple[str, ...]]:
-    """The rows ``fetch_pages`` keeps of one served page holding ``entries``."""
+def columns_of(tmp_path, entries, endpoint=Endpoint.RECALL) -> list[list[str]]:
+    """The columns ``fetch_pages`` keeps of one served page holding ``entries``."""
     body = json.dumps({"results": entries}).encode()
     pages = fetch_pages(
         spec(endpoint=endpoint, max_pages=1), tmp_path, get=lambda *a: (200, body), sleep=NO_SLEEP
     )
-    return pages[0].rows
+    return pages[0].columns
 
 
 # --- FetchSpec ---------------------------------------------------------------
@@ -111,7 +111,7 @@ def test_cached_pages_are_never_refetched(tmp_path):
     calls_after_first = len(api.calls)
     second = fetch_pages(spec(page_size=4, max_pages=3), tmp_path, get=api, sleep=NO_SLEEP)
     assert len(api.calls) == calls_after_first  # no new network request
-    assert [p.rows for p in second] == [p.rows for p in first]
+    assert [p.columns for p in second] == [p.columns for p in first]
     assert [p.record_count for p in second] == [p.record_count for p in first]
     assert [p.total for p in second] == [p.total for p in first] == [10, 10, 10]
 
@@ -296,7 +296,7 @@ def test_page_write_cut_off_midway_is_fetched_again(tmp_path, monkeypatch):
     # A stage artifact cut off midway leaves the previous file whole and no temporary file.
     out = tmp_path / "out"
     out.mkdir()
-    write_dataset(sample_records(), out / "dataset.csv")
+    write_dataset(sample_dataset(), out / "dataset.csv")
     previous = b'{"previous": true}\n'
     (out / "clusters.json").write_bytes(previous)
     monkeypatch.setattr(Path, "write_bytes", cut_off)
@@ -335,10 +335,8 @@ def test_parse_recall_page_extracts_five_fields(tmp_path):
         "product_quantity": "86 units",
         "extraneous": "ignored",
     }
-    parsed = rows_of(tmp_path, [entry])
-    assert parsed == [
-        ("FRN", "2018-01-02", "Smith Medical ASD Inc.", "Process design", "86 units")
-    ]
+    parsed = columns_of(tmp_path, [entry])
+    assert parsed == [["FRN"], ["2018-01-02"], ["Smith Medical ASD Inc."], ["Process design"], ["86 units"]]
 
 
 def test_parse_recall_page_missing_quantity_becomes_empty_marker(tmp_path):
@@ -348,35 +346,36 @@ def test_parse_recall_page_missing_quantity_becomes_empty_marker(tmp_path):
         "recalling_firm": "Repro-Med Systems, Inc.",
         "root_cause_description": "Nonconforming Material/Component",
     }
-    parsed = rows_of(tmp_path, [entry])
-    assert parsed[0][_FIELDS[Endpoint.RECALL].index("product_quantity")] == ""
+    parsed = columns_of(tmp_path, [entry])
+    assert parsed[_FIELDS[Endpoint.RECALL].index("product_quantity")] == [""]
 
 
 def test_parse_recall_page_empty_results(tmp_path):
-    assert rows_of(tmp_path, []) == []
+    assert columns_of(tmp_path, []) == [[]] * len(_FIELDS[Endpoint.RECALL])
 
 
 def test_parse_preserves_payload_order(tmp_path):
     entries = [{"product_code": code} for code in ("AAA", "BBB", "CCC")]
-    parsed = rows_of(tmp_path, entries, Endpoint.CLASSIFICATION)
-    assert [p[0] for p in parsed] == ["AAA", "BBB", "CCC"]
+    parsed = columns_of(tmp_path, entries, Endpoint.CLASSIFICATION)
+    assert parsed[0] == ["AAA", "BBB", "CCC"]
 
 
 def test_parse_classification_page_fields(tmp_path):
     entry = {"product_code": "FRN", "device_name": "Pump, Infusion", "device_class": "2"}
-    parsed = rows_of(tmp_path / "a", [entry], Endpoint.CLASSIFICATION)
-    assert parsed == [("FRN", "Pump, Infusion", "2")]
-    missing = rows_of(tmp_path / "b", [{"product_code": "XYZ"}], Endpoint.CLASSIFICATION)
-    assert missing[0][_FIELDS[Endpoint.CLASSIFICATION].index("device_class")] == ""
+    parsed = columns_of(tmp_path / "a", [entry], Endpoint.CLASSIFICATION)
+    assert parsed == [["FRN"], ["Pump, Infusion"], ["2"]]
+    missing = columns_of(tmp_path / "b", [{"product_code": "XYZ"}], Endpoint.CLASSIFICATION)
+    assert missing[_FIELDS[Endpoint.CLASSIFICATION].index("device_class")] == [""]
 
 
 @pytest.mark.parametrize("endpoint", list(Endpoint))
-def test_rows_are_tuples_in_field_order(tmp_path, endpoint):
+def test_columns_are_lists_in_field_order(tmp_path, endpoint):
     fields = _FIELDS[endpoint]
+    assert endpoint.fields == fields
     entry = {key: f"value {i}" for i, key in reversed(list(enumerate(fields)))}  # keys out of order
-    [row] = rows_of(tmp_path, [{"extraneous": "x", **entry}], endpoint)
-    assert type(row) is tuple
-    assert row == tuple(f"value {i}" for i in range(len(fields)))
+    parsed = columns_of(tmp_path, [{"extraneous": "x", **entry}, entry], endpoint)
+    assert all(type(column) is list for column in parsed)
+    assert parsed == [[f"value {i}"] * 2 for i in range(len(fields))]
 
 
 def test_null_and_absent_fields_are_empty_and_numbers_are_text(tmp_path):
@@ -384,9 +383,8 @@ def test_null_and_absent_fields_are_empty_and_numbers_are_text(tmp_path):
         {"product_code": None, "event_date_posted": 20180102, "root_cause_description": 1.5},
         {"product_code": "FRN", "recalling_firm": None, "product_quantity": 86},
     ]
-    assert rows_of(tmp_path, entries) == [
-        ("", "20180102", "", "1.5", ""),
-        ("FRN", "", "", "", "86"),
+    assert columns_of(tmp_path, entries) == [
+        ["", "FRN"], ["20180102", ""], ["", ""], ["1.5", ""], ["", "86"],
     ]
 
 
@@ -402,7 +400,7 @@ def test_equal_values_are_one_object_across_entries_and_pages(tmp_path):
     pages = fetch_pages(
         spec(page_size=2, max_pages=3), tmp_path, get=FakeOpenFDA(recalls=recalls), sleep=NO_SLEEP
     )
-    rows = [row for page in pages for row in page.rows]
+    rows = [row for page in pages for row in zip(*page.columns)]
     assert [page.record_count for page in pages] == [2, 2, 1]
     for column in range(len(_FIELDS[Endpoint.RECALL])):  # shared within a page and across pages
         for row in rows[1:]:
@@ -413,7 +411,8 @@ def test_equal_values_are_one_object_across_entries_and_pages(tmp_path):
 
     again = fetch_pages(spec(page_size=2, max_pages=3), tmp_path, get=fail_on_fetch, sleep=NO_SLEEP)
     # A second call (served from the cache) owns its own table: equal, not the same object.
-    assert again[0].rows[0] == rows[0] and again[0].rows[0][2] is not rows[0][2]
+    firms = again[0].columns[2]
+    assert [column[0] for column in again[0].columns] == list(rows[0]) and firms[0] is not rows[0][2]
 
 
 def test_parse_error_carries_page_index(tmp_path):
@@ -496,8 +495,8 @@ def test_live_fetch_smoke(tmp_path):
     except TransportError as exc:
         pytest.skip(f"live API unreachable: {exc}")
     assert len(pages) <= 1
-    records = pages[0].rows if pages else []
-    assert len(records) <= 100
+    columns = pages[0].columns if pages else [[]] * 5
+    assert len(columns[0]) <= 100
     fields = (
         "product_code",
         "event_date_posted",
@@ -506,6 +505,6 @@ def test_live_fetch_smoke(tmp_path):
         "product_quantity",
     )
     assert _FIELDS[Endpoint.RECALL] == fields
-    for rec in records[:5]:
-        assert type(rec) is tuple and len(rec) == len(fields)
-        assert all(isinstance(value, str) for value in rec)
+    assert len(columns) == len(fields) and len(set(map(len, columns))) == 1
+    for column in columns:
+        assert all(isinstance(value, str) for value in column[:5])

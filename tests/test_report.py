@@ -16,6 +16,8 @@ from recallscan.report import (
     top_firms,
 )
 
+from recallscan.dataset import Dataset
+
 from .conftest import sample_records
 from .oracles import count_ranking
 
@@ -27,8 +29,8 @@ def report_of(items, grouped=False, title="Ranked") -> RankedReport:
     return RankedReport(title=title, entries=entries, total_count=sum(e.count for e in entries), grouped=grouped)
 
 
-def document_of(before, after=None, k=10, records=()) -> ReportDocument:
-    """A document over ``before`` (and ``after``, else ``before`` again), with firms and devices given records."""
+def document_of(before, after=None, k=10, records=None) -> ReportDocument:
+    """A document over ``before`` (and ``after``, else ``before`` again), with firms and devices given a dataset."""
     metadata = {"clustered_records": before.total_count, "records_including_noise": before.total_count}
     if not records:
         return ReportDocument(metadata, before, after or before, k)
@@ -85,7 +87,7 @@ def test_rank_empty_input_raises():
 
 
 def test_top_firms_single_firm(records):
-    same = [r for r in records if r.recalling_firm == "Repro-Med Systems, Inc."]
+    same = Dataset.from_records(r for r in records.records() if r.recalling_firm == "Repro-Med Systems, Inc.")
     entries = top_firms(same, 3)
     assert entries == [entries[0]]
     assert entries[0].members == ("Repro-Med Systems, Inc.",)
@@ -102,7 +104,7 @@ def test_top_firms_sample_rows(records):
 
 def test_top_firms_matches_counting_oracle():
     records = sample_records() * 3 + sample_records()[:4]
-    got = [(e.members[0], e.count) for e in top_firms(records, 5)]
+    got = [(e.members[0], e.count) for e in top_firms(Dataset.from_records(records), 5)]
     assert got == count_ranking((r.recalling_firm for r in records), 5)
 
 
@@ -114,8 +116,15 @@ def test_top_devices_sample_rows(records):
 
 def test_top_devices_matches_counting_oracle():
     records = sample_records() * 2
-    got = [(e.members[0], e.count) for e in top_devices(records, 4)]
+    got = [(e.members[0], e.count) for e in top_devices(Dataset.from_records(records), 4)]
     assert got == count_ranking((r.device_name for r in records), 4)
+
+
+def test_top_firms_merges_a_literal_unspecified_firm_with_the_blanks(records):
+    firms = ["", "(unspecified)", "Baxter", "", "Baxter", "Acme"]
+    data = Dataset.from_records(rec._replace(recalling_firm=firm) for rec, firm in zip(records.records(), firms))
+    got = [(e.members[0], e.count) for e in top_firms(data, 3)]
+    assert got == [("(unspecified)", 3), ("Baxter", 2), ("Acme", 1)] == count_ranking(firms, 3)
 
 
 def test_top_firms_rejects_k_below_one(records):
