@@ -42,7 +42,7 @@ class RecallRecord(NamedTuple):
     """One cleaned, merged recall event (an immutable tuple, fields in DATASET_HEADER order)."""
 
     product_code: str
-    event_date_posted: dt.date | None
+    event_date_posted: str
     recalling_firm: str
     root_cause_description: str
     product_quantity: str
@@ -56,7 +56,8 @@ _COLUMNS = attrgetter(*DATASET_HEADER)
 class Dataset:
     """The dataset by column: one sequence per ``DATASET_HEADER`` field, each named after its
     field, all of one length. ``len()`` is the record count; row ``i`` is the ``i``-th value
-    of every column. Columns of other counts or lengths are a ``ContractError``.
+    of every column, and is text: a date is ``YYYY-MM-DD``, or ``""`` when absent. Columns
+    of other counts or lengths, and rows of other lengths, are a ``ContractError``.
     """
 
     __slots__ = DATASET_HEADER
@@ -74,7 +75,10 @@ class Dataset:
     def from_records(cls, records: Iterable[Sequence]) -> "Dataset":
         """The dataset of rows in ``DATASET_HEADER`` order, such as ``RecallRecord``s."""
         rows = list(records)
-        return cls(*(map(list, zip(*rows, strict=True)) if rows else ([] for _ in DATASET_HEADER)))
+        try:
+            return cls(*(map(list, zip(*rows, strict=True)) if rows else ([] for _ in DATASET_HEADER)))
+        except ValueError:  # zip's strict check
+            raise ContractError(f"dataset rows of unequal lengths {sorted(set(map(len, rows)))}") from None
 
     @property
     def columns(self) -> tuple[Sequence, ...]:
@@ -162,6 +166,10 @@ def parse_date(value: str) -> dt.date | None:
     return None
 
 
+def _date_text(raw: str) -> str:
+    return date.isoformat() if (date := parse_date(raw)) else ""
+
+
 def merge_datasets(
     recall_columns: Sequence[Sequence[str]], classification_columns: Sequence[Sequence[str]]
 ) -> tuple[Dataset, MergeStats]:
@@ -174,8 +182,9 @@ def merge_datasets(
     is a ``ContractError``. The first classification row per code wins (page
     order); later duplicates only bump the warning counter. Unmatched codes
     get an empty device name and the unknown class. Recall order and count are
-    preserved, and the recall columns are the dataset's own; dates are parsed
-    once per distinct string. unmatched_product_codes counts distinct codes.
+    preserved, and the recall columns are the dataset's own. Here a page date
+    becomes dataset text: each distinct string once, to the ``YYYY-MM-DD`` of its
+    ``parse_date`` or ``""``. unmatched_product_codes counts distinct codes.
     """
     for columns, fields, name in (
         (recall_columns, 5, "recall"), (classification_columns, 3, "classification")
@@ -191,7 +200,7 @@ def merge_datasets(
     # Built last row first, so the first row per code is the one that stays.
     name_of = dict(zip(reversed(class_codes), reversed(names)))
     class_of = dict(zip(reversed(class_codes), map(known.__getitem__, reversed(raw_classes))))
-    dates = {date: parse_date(date) for date in set(posted)}
+    dates = {raw: _date_text(raw) for raw in set(posted)}
     dataset = Dataset(
         codes, list(map(dates.__getitem__, posted)), firms, causes, quantities,
         list(map(name_of.get, codes, repeat(""))),
@@ -240,8 +249,8 @@ def clean(dataset: Dataset, rules: CleaningRules) -> tuple[Dataset, CleaningRepo
     Rules: strip disallowed characters from the text fields, drop records
     whose stripped root cause is empty, drop exact duplicates (all seven
     fields, first occurrence kept), drop records dated outside the rules
-    window (absent dates count as outside). Survivor order follows input
-    order, and the pass is idempotent.
+    window, compared as text (ISO dates sort in date order, an absent ``""`` first).
+    Survivor order follows input order, and the pass is idempotent.
 
     Each rule runs over whole columns, once per distinct value where it can.
     That is the record-by-record rule: stripping depends only on the value, so
@@ -264,8 +273,8 @@ def clean(dataset: Dataset, rules: CleaningRules) -> tuple[Dataset, CleaningRepo
     rows = list(dict.fromkeys(compress(zip(*columns), mask)))  # first occurrences, in order
     duplicates = len(mask) - null_causes - len(rows)
 
-    date_from, date_to = rules.date_from, rules.date_to
-    in_window = {date: date is not None and date_from <= date <= date_to for date in set(columns[1])}
+    date_from, date_to = rules.date_from.isoformat(), rules.date_to.isoformat()
+    in_window = {date: date_from <= date <= date_to for date in set(columns[1])}
     mask = list(map(in_window.__getitem__, map(itemgetter(1), rows)))
     outliers = mask.count(False)
     return Dataset.from_records(compress(rows, mask)), CleaningReport(null_causes, duplicates, outliers, chars)
@@ -296,69 +305,59 @@ def _csv_fields(column: Sequence[str], written: dict[str, str]) -> Iterable[str]
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Stream the canonical CSV (UTF-8, RFC-4180, CRLF rows; ISO dates, None as empty) into place.
+    """Stream the canonical CSV (UTF-8, RFC-4180, CRLF rows) into place.
 
-    The bytes are csv.writer's under its default dialect. Each column is sliced into blocks
-    of at most ``BLOCK_ROWS`` values, encoded and joined into rows block by block, so the
-    file is never built in memory. Each distinct date is formatted, and each distinct text
-    value checked for quoting, once per file.
+    The bytes are csv.writer's under its default dialect, all seven columns written alike.
+    Columns are encoded and joined into rows in blocks of at most ``BLOCK_ROWS`` values, so
+    the file is never built in memory; each distinct value is checked for quoting once per file.
     """
-    code, posted, *text = dataset.columns
-    dates: dict[dt.date | None, str] = {None: ""}
-    dates.update((date, date.isoformat()) for date in set(posted).difference(dates))
     written: dict[str, str] = {}
     with artifacts.replacing(Path(path)) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(DATASET_HEADER) + "\r\n")
         for start in range(0, len(dataset), BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
-            columns = (
-                _csv_fields(code[block], written),
-                map(dates.__getitem__, posted[block]),
-                *(_csv_fields(column[block], written) for column in text),
-            )
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+            fields = [_csv_fields(column[start : start + BLOCK_ROWS], written) for column in dataset.columns]
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
 def read_dataset(path: str | Path) -> Dataset:
     """Read a canonical CSV back; raises FormatError on a wrong header, row or date.
 
-    The file is read as a stream, ``BLOCK_ROWS`` rows at a time, and equal
-    strings and dates within it come back as one shared object each. Of the
-    faults in a file, the one on the earliest row is reported.
+    The file is read as a stream, ``BLOCK_ROWS`` rows at a time; equal strings come back as
+    one shared object each, and each new distinct date must be ``YYYY-MM-DD`` or ``""``. Of
+    the faults in a file, a row csv cannot read included, the one on the earliest is reported.
     """
-    values: dict[str, str] = {}
-    dates: dict[str, dt.date | None] = {"": None}
-    share, width = values.setdefault, len(DATASET_HEADER)
-    code, posted, *text = columns = tuple([] for _ in DATASET_HEADER)
+    checked: set[str] = set()  # the dates found valid so far
+    share, width = {}.setdefault, len(DATASET_HEADER)  # one object per distinct string
+    columns = tuple([] for _ in DATASET_HEADER)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = csv.reader(fh)
             if tuple(next(rows, ())) != DATASET_HEADER:
                 raise FormatError(f"dataset {path} does not carry the expected header")
             line = 2  # the file row of the block's first row
-            while block := list(islice(rows, BLOCK_ROWS)):
+            while True:
+                block, fault = [], None  # each check sees only the rows before the faults found so far
+                try:
+                    block.extend(islice(rows, BLOCK_ROWS))  # keeps the rows read before a fault
+                except csv.Error as exc:
+                    fault = f"row {line + len(block)} cannot be read: {exc}"
                 widths = list(map(len, block))
-                bad = None if widths.count(width) == len(widths) else [n == width for n in widths].index(False)
-                if whole := block[:bad]:  # the rows before a bad one are read first
-                    block_code, block_posted, *block_text = zip(*whole)
-                    new = list(set(block_posted).difference(dates))
-                    try:
-                        dates.update(zip(new, map(iso_date, new)))
-                    except ValueError:
-                        for row, value in enumerate(block_posted, start=line):  # the first one
-                            try:
-                                iso_date(value)
-                            except ValueError as exc:
-                                raise FormatError(
-                                    f"dataset {path} row {row} has a malformed event_date_posted {value!r}"
-                                ) from exc
-                    code.extend(map(share, block_code, block_code))
-                    posted.extend(map(dates.__getitem__, block_posted))
-                    for column, block_column in zip(text, block_text):
-                        column.extend(map(share, block_column, block_column))
-                if bad is not None:
-                    raise FormatError(f"dataset {path} row {line + bad} has {widths[bad]} fields")
+                if widths.count(width) != len(widths):
+                    bad = [n == width for n in widths].index(False)
+                    block, fault = block[:bad], f"row {line + bad} has {widths[bad]} fields"
+                fields = list(zip(*block)) or [()] * width
+                new = set(fields[1]).difference(checked)
+                if malformed := {date for date in new if _date_text(date) != date}:
+                    bad = next(i for i, date in enumerate(fields[1]) if date in malformed)
+                    fault = f"row {line + bad} has a malformed event_date_posted {fields[1][bad]!r}"
+                if fault:
+                    raise FormatError(f"dataset {path} {fault}")
+                checked |= new
+                for column, field in zip(columns, fields):
+                    column.extend(map(share, field, field))
                 line += len(block)
+                if len(block) < BLOCK_ROWS:
+                    break
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"cannot read dataset {path}: {exc}") from exc
     return Dataset(*columns)

@@ -53,15 +53,15 @@ def table2_records(
     Record ``k`` has the ``k``-th three-letter product code (``AAA``, ``AAB``, ...),
     is dated ``7 * k`` days into the window (modulo its length), and takes firm,
     quantity and device in turn. The fields are built by column, each code and
-    each distinct date once. A window that ends before it starts is refused
-    (ContractError); one day is a window.
+    each distinct date (as ``YYYY-MM-DD`` text) once. A window that ends before
+    it starts is refused (ContractError); one day is a window.
     """
     if date_to < date_from:
         raise ContractError(f"date_from {date_from} is after date_to {date_to}")
     labels = [label for label, cases in REFERENCE_INITIATORS for _ in range(cases)]
     days = (date_to - date_from).days + 1
     offsets = [k * 7 % days for k in range(len(labels))]
-    dates = {offset: date_from + dt.timedelta(days=offset) for offset in set(offsets)}
+    dates = {offset: (date_from + dt.timedelta(days=offset)).isoformat() for offset in set(offsets)}
     codes = map("".join, product(_LETTERS, repeat=3))
     names, classes = zip(*_DEVICES)
 

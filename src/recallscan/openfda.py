@@ -261,13 +261,13 @@ def fetch_pages(
             break
         # A malformed body raises here, so it is never cached.
         page = _parse_page(payload, index, spec.endpoint.fields, values)
-        if not cached:
-            artifacts.write(page_path, payload)
+        if not cached:  # the manifest, which holds the query, before the page it answers
             manifest["pages"][str(index)] = {
                 "retrieved_at": dt.datetime.now(dt.timezone.utc).isoformat(),
                 "record_count": page.record_count,
             }
             artifacts.write_json(endpoint_dir / MANIFEST_NAME, manifest)
+            artifacts.write(page_path, payload)
         pages.append(page)
         if page.record_count < spec.page_size:
             break

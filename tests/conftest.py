@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import datetime as dt
 import http.server
 import io
 import json
@@ -49,7 +48,7 @@ def sample_records() -> list[RecallRecord]:
     return [
         RecallRecord(
             product_code=code,
-            event_date_posted=dt.date.fromisoformat(date),
+            event_date_posted=date,
             recalling_firm=firm,
             root_cause_description=cause,
             product_quantity=quantity,

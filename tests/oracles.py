@@ -103,7 +103,7 @@ KEPT_PUNCTUATION = set("/,()-.")
 
 def clean_ref(records, date_from, date_to) -> tuple[list, dict[str, int]]:
     """Strip every text field character by character, then drop blank root causes,
-    repeats (first kept) and dates outside [date_from, date_to], absent ones included.
+    repeats (first kept) and dates outside [date_from, date_to], absent ("") ones included.
     """
     counts = dict.fromkeys(
         ("dropped_null_root_cause", "dropped_duplicates", "dropped_date_outliers",
@@ -126,7 +126,7 @@ def clean_ref(records, date_from, date_to) -> tuple[list, dict[str, int]]:
         else:
             seen.add(rec)
             date = rec.event_date_posted
-            if date is None or not date_from <= date <= date_to:
+            if not date or not date_from <= dt.date.fromisoformat(date) <= date_to:
                 counts["dropped_date_outliers"] += 1
             else:
                 survivors.append(rec)
@@ -136,7 +136,8 @@ def clean_ref(records, date_from, date_to) -> tuple[list, dict[str, int]]:
 def merge_ref(recalls: list[dict], classifications: list[dict]) -> tuple[list[tuple], int, int]:
     """Join recall entries to classification entries by scanning for the first entry with
     the same code; return the 7-field rows, the classification entries whose code came
-    earlier, and the distinct recall codes no entry has. A missing key reads as "".
+    earlier, and the distinct recall codes no entry has. A missing key reads as "", and
+    so does a date in neither strptime format; a parsed one reads as YYYY-MM-DD.
     """
     rows, unmatched = [], set()
     for rec in recalls:
@@ -148,10 +149,10 @@ def merge_ref(recalls: list[dict], classifications: list[dict]) -> tuple[list[tu
         else:
             name, cls = match.get("device_name", ""), match.get("device_class", "")
             cls = cls if cls in ("1", "2", "3") else "unknown"
-        date = None
+        date = ""
         for fmt in ("%Y-%m-%d", "%Y%m%d"):
             try:
-                date = dt.datetime.strptime(rec.get("event_date_posted", ""), fmt).date()
+                date = dt.datetime.strptime(rec.get("event_date_posted", ""), fmt).date().isoformat()
                 break
             except ValueError:
                 pass

@@ -19,6 +19,7 @@ from recallscan.dataset import (
     _strip_text,
     clean,
     merge_datasets,
+    iso_date,
     parse_date,
     read_dataset,
     write_dataset,
@@ -45,7 +46,7 @@ RULES = CleaningRules(dt.date(2018, 1, 1), dt.date(2024, 4, 15))
 def record(**overrides) -> RecallRecord:
     base = dict(
         product_code="FRN",
-        event_date_posted=dt.date(2018, 1, 2),
+        event_date_posted="2018-01-02",
         recalling_firm="Smith Medical ASD Inc.",
         root_cause_description="Process design",
         product_quantity="86 units",
@@ -54,6 +55,11 @@ def record(**overrides) -> RecallRecord:
     )
     base.update(overrides)
     return RecallRecord(**base)
+
+
+def iso_dates(*bounds: dt.date) -> st.SearchStrategy[str]:
+    """Dates as the dataset holds them, ``YYYY-MM-DD`` text."""
+    return st.dates(*bounds).map(dt.date.isoformat)
 
 
 def columns(*rows) -> list[list]:
@@ -74,11 +80,11 @@ def test_record_fields_follow_the_dataset_header_and_are_read_only():
 
 
 def test_dataset_holds_one_column_per_field_and_counts_records():
-    recs = [record(), record(product_code="ZZZ", event_date_posted=None)]
+    recs = [record(), record(product_code="ZZZ", event_date_posted="")]
     data = Dataset.from_records(recs)
     assert len(data) == 2 and len(Dataset.from_records([])) == 0
     assert data.columns == tuple(getattr(data, name) for name in DATASET_HEADER)
-    assert data.product_code == ["FRN", "ZZZ"] and data.event_date_posted == [dt.date(2018, 1, 2), None]
+    assert data.product_code == ["FRN", "ZZZ"] and data.event_date_posted == ["2018-01-02", ""]
     assert data.records() == recs and all(type(rec) is RecallRecord for rec in data.records())
     assert data == Dataset(*map(tuple, data.columns)) != Dataset.from_records(recs[:1])
 
@@ -89,6 +95,12 @@ def test_dataset_holds_one_column_per_field_and_counts_records():
 def test_dataset_refuses_columns_of_another_count_or_length(lengths):
     with pytest.raises(ContractError, match="columns of one length") as caught:
         Dataset(*(["x"] * n for n in lengths))
+    assert caught.value.exit_code == 5
+
+
+def test_dataset_refuses_rows_of_another_length():
+    with pytest.raises(ContractError, match=r"dataset rows of unequal lengths \[6, 7\]") as caught:
+        Dataset.from_records([record(), record()[:6]])
     assert caught.value.exit_code == 5
 
 
@@ -155,7 +167,7 @@ def test_merge_joins_on_product_code():
     first = merged.records()[0]
     assert first.device_name == "Pump, Infusion"
     assert first.device_class == "2"
-    assert first.event_date_posted == dt.date(2018, 1, 2)
+    assert first.event_date_posted == "2018-01-02"
     assert stats.unmatched_product_codes == 0
 
 
@@ -242,6 +254,33 @@ def test_merge_of_rows_matches_the_dict_reference(recalls, classifications):
     assert (stats.duplicate_classification_codes, stats.unmatched_product_codes) == (duplicates, unmatched)
 
 
+# Raw page dates in every form a page may hold: ISO, YYYYMMDD, one-digit months and
+# days, junk and "".
+raw_dates = st.one_of(
+    iso_dates(dt.date(2017, 1, 1), dt.date(2025, 1, 1)),
+    st.dates(dt.date(2017, 1, 1), dt.date(2025, 1, 1)).flatmap(
+        lambda d: st.sampled_from([f"{d:%Y%m%d}", f"{d.year}-{d.month}-{d.day}", f"{d.year}-{d.month}-{d.day:02}"])
+    ),
+    st.dates().map(dt.date.isoformat),
+    st.text(alphabet="0123456789-/ ", max_size=10),
+    st.text(max_size=10),
+)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["AAA", "BBB"]), raw_dates), max_size=12))
+@example([("AAA", "2019-01-01"), ("AAA", "20190101")])  # one day spelled two ways: a duplicate once merged
+@example([("AAA", d) for d in ("2018-01-01", "2017-12-31", "2024-04-15", "2024-04-16", "20240416", "2024-4-1", "")])
+def test_merge_makes_each_raw_date_its_iso_text_and_clean_windows_that_text(rows):
+    raws = [raw for _, raw in rows]
+    n = len(rows)
+    merged, _ = merge_datasets([[code for code, _ in rows], raws, ["Smith"] * n, ["Cause"] * n, [""] * n], [[]] * 3)
+    assert merged.event_date_posted == [d.isoformat() if (d := parse_date_ref(raw)) else "" for raw in raws]
+    kept, report = clean(merged, RULES)
+    ref_kept, ref_counts = clean_ref(merged.records(), RULES.date_from, RULES.date_to)
+    assert kept.records() == ref_kept
+    assert report.to_dict() == {**ref_counts, "unmatched_product_codes": 0}
+
+
 # --- clean -----------------------------------------------------------------
 
 
@@ -306,8 +345,8 @@ def test_clean_deduplicates_keeping_first():
 
 
 def test_clean_drops_date_outliers_and_missing_dates():
-    out_of_range = record(event_date_posted=dt.date(2017, 12, 31))
-    missing = record(event_date_posted=None, product_code="ZZZ")
+    out_of_range = record(event_date_posted="2017-12-31")
+    missing = record(event_date_posted="", product_code="ZZZ")
     kept, report = clean(Dataset.from_records([record(), out_of_range, missing]), RULES)
     assert len(kept) == 1
     assert report.dropped_date_outliers == 2
@@ -319,9 +358,7 @@ def test_clean_drops_date_outliers_and_missing_dates():
             record,
             root_cause_description=st.text(alphabet="ab ?*", max_size=6),
             product_code=st.sampled_from(["FRN", "ZZZ"]),
-            event_date_posted=st.one_of(
-                st.none(), st.dates(dt.date(2017, 1, 1), dt.date(2025, 1, 1))
-            ),
+            event_date_posted=st.one_of(st.just(""), iso_dates(dt.date(2017, 1, 1), dt.date(2025, 1, 1))),
         ),
         max_size=15,
     )
@@ -348,7 +385,7 @@ dirty_text = st.one_of(st.text(alphabet="ab /,.&?*\té²٣", max_size=5), st.sam
             root_cause_description=dirty_text,
             product_quantity=dirty_text,
             device_name=dirty_text,
-            event_date_posted=st.one_of(st.none(), st.dates(dt.date(2017, 1, 1), dt.date(2025, 1, 1))),
+            event_date_posted=st.one_of(st.just(""), iso_dates(dt.date(2017, 1, 1), dt.date(2025, 1, 1))),
         ),
         max_size=15,
     ).map(lambda recs: recs + recs[::2])  # every other record again, as a duplicate
@@ -444,7 +481,7 @@ def test_fixture_refuses_a_window_that_ends_before_it_starts(date_from):
 def test_fixture_takes_a_one_day_window():
     day = dt.date(2020, 1, 2)
     records = table2_records(day, day)
-    assert len(records) == TOTAL_CASES and set(records.event_date_posted) == {day}
+    assert len(records) == TOTAL_CASES and set(records.event_date_posted) == {"2020-01-02"}
 
 
 # --- file round-trips --------------------------------------------------------
@@ -476,21 +513,19 @@ def test_double_write_of_7000_records_is_byte_identical(tmp_path):
 
 
 def csv_writer_bytes(records) -> bytes:
-    """What csv.writer writes for the header and ``records`` with ISO-string dates."""
+    """What csv.writer writes for the header and ``records``."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(DATASET_HEADER)
-    for rec in records:
-        date = rec.event_date_posted.isoformat() if rec.event_date_posted else ""
-        writer.writerow([rec.product_code, date, *rec[2:]])
+    writer.writerows(records)
     return buf.getvalue().encode("utf-8")
 
 
 def test_write_dataset_matches_csv_writer_over_iso_strings(tmp_path):
     records = [
-        record(event_date_posted=None, recalling_firm='Smith, "Jr" & Co'),
+        record(event_date_posted="", recalling_firm='Smith, "Jr" & Co'),
         record(root_cause_description="Design, software", product_quantity='12 "cases"'),
-        record(device_name="Line one\nline two", event_date_posted=dt.date(2024, 4, 15)),
+        record(device_name="Line one\nline two", event_date_posted="2024-04-15"),
     ]
     path = tmp_path / "data.csv"
     write_dataset(Dataset.from_records(records), path)
@@ -509,7 +544,7 @@ csv_text = st.text(
 csv_records = st.builds(
     RecallRecord,
     product_code=csv_text,
-    event_date_posted=st.one_of(st.none(), st.dates()),
+    event_date_posted=st.one_of(st.just(""), iso_dates()),
     recalling_firm=csv_text,
     root_cause_description=csv_text,
     product_quantity=csv_text,
@@ -600,6 +635,58 @@ def test_read_reports_the_earliest_bad_row(tmp_path, date_row, short_row):
         read_dataset(path)
 
 
+def test_read_names_the_malformed_date_not_an_absent_one_before_it(tmp_path):
+    path = tmp_path / "dataset.csv"
+    dates = ["2018-01-02", "", "2024-13-01", ""]
+    write_dataset(Dataset.from_records([record(event_date_posted=date) for date in dates]), path)
+    with pytest.raises(FormatError, match="row 4 has a malformed event_date_posted '2024-13-01'"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "short_row, long_row, expected",
+    [
+        (3, 5, "row 3 has 6 fields"),
+        (None, 5, "row 5 cannot be read: field larger than field limit"),
+        (1500, 1600, "row 1500 has 6 fields"),
+        (None, 1030, "row 1030 cannot be read"),
+    ],
+    ids=["short-first", "long-alone", "short-first-later-block", "long-in-second-block"],
+)
+def test_read_reports_a_row_csv_cannot_read_after_the_rows_before_it(tmp_path, short_row, long_row, expected):
+    path = tmp_path / "dataset.csv"
+    write_dataset(Dataset.from_records(table2_records().records()[:2000]), path)
+    lines = path.read_bytes().split(b"\r\n")  # lines[r - 1] is file row r
+    if short_row is not None:
+        lines[short_row - 1] = lines[short_row - 1].rsplit(b",", 1)[0]
+    lines[long_row - 1] += b"x" * (csv.field_size_limit() + 1)
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(FormatError, match=expected) as caught:
+        read_dataset(path)
+    assert caught.value.exit_code == 4
+
+
+@given(raw_dates.filter(lambda date: "\x00" not in date))  # csv on 3.10 reads no NUL at all
+@example("")
+@example("2024-01-05")
+@example("20240105")
+@example("2024-02-30")
+@example("2024-W01-1")
+@example("٢٠٢٤-01-05")
+def test_read_takes_a_date_exactly_when_it_is_yyyy_mm_dd_or_empty(tmp_path_factory, date):
+    path = tmp_path_factory.mktemp("date") / "dataset.csv"
+    write_dataset(Dataset.from_records([record(event_date_posted=date)]), path)
+    try:
+        valid = iso_date(date) is not None
+    except ValueError:
+        valid = date == ""
+    if valid:
+        assert read_dataset(path).event_date_posted == [date]
+    else:
+        with pytest.raises(FormatError, match="malformed event_date_posted"):
+            read_dataset(path)
+
+
 def test_read_shares_equal_values_within_one_call(tmp_path):
     path = tmp_path / "dataset.csv"
     write_dataset(sample_dataset(), path)
@@ -621,7 +708,7 @@ nasty_text = st.text(
         st.builds(
             RecallRecord,
             product_code=nasty_text,
-            event_date_posted=st.one_of(st.none(), st.dates(dt.date(2018, 1, 1), dt.date(2024, 4, 15))),
+            event_date_posted=st.one_of(st.just(""), iso_dates(dt.date(2018, 1, 1), dt.date(2024, 4, 15))),
             recalling_firm=nasty_text,
             root_cause_description=nasty_text,
             product_quantity=nasty_text,

@@ -284,7 +284,7 @@ def test_page_write_cut_off_midway_is_fetched_again(tmp_path, monkeypatch):
     endpoint_dir = tmp_path / "recall"
     assert sorted(p.name for p in endpoint_dir.iterdir()) == ["0.json", "manifest.json"]
     manifest = json.loads((endpoint_dir / MANIFEST_NAME).read_text())
-    assert list(manifest["pages"]) == ["0"]
+    assert list(manifest["pages"]) == ["0", "1"]  # a page's entry is written before the page
 
     monkeypatch.undo()
     calls_before = len(api.calls)
@@ -304,6 +304,30 @@ def test_page_write_cut_off_midway_is_fetched_again(tmp_path, monkeypatch):
         stages.cluster_stage(stages.PipelineConfig(out=str(out), min_pts=2))
     assert (out / "clusters.json").read_bytes() == previous
     assert not list(out.glob("*.tmp"))
+
+
+def test_a_fresh_cache_cut_between_manifest_and_page_serves_no_other_query(tmp_path, monkeypatch):
+    real_write, written = Path.write_bytes, []
+
+    def cut_off(self, data):  # the first write lands, the second does not
+        written.append(self.name)
+        if len(written) > 1:
+            raise OSError("no space left on device")
+        return real_write(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", cut_off)
+    with pytest.raises(OSError):
+        fetch_pages(spec(page_size=4, max_pages=3), tmp_path, get=FakeOpenFDA(), sleep=NO_SLEEP)
+    monkeypatch.undo()
+    assert [p.name for p in (tmp_path / "recall").iterdir()] == [MANIFEST_NAME]
+
+    api = FakeOpenFDA()
+    with pytest.raises(FormatError, match="different query parameters"):
+        fetch_pages(spec(page_size=4, max_pages=3, date_from=dt.date(2020, 1, 1)), tmp_path, get=api, sleep=NO_SLEEP)
+    assert api.calls == []
+    pages = fetch_pages(spec(page_size=4, max_pages=3), tmp_path, get=api, sleep=NO_SLEEP)
+    assert [p.record_count for p in pages] == [4, 4, 2]
+    assert [params["skip"] for _, params in api.calls] == [0, 4, 8]  # page 0 is fetched again
 
 
 def test_api_key_is_sent_when_configured(tmp_path):
